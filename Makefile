@@ -6,7 +6,7 @@ test:
 	go build ./... && go test ./...
 
 race:
-	go test -race ./internal/core/... ./internal/controller/... ./internal/vm/... ./internal/kernel/...
+	go test -race ./internal/core/... ./internal/campaign/... ./internal/controller/... ./internal/vm/... ./internal/kernel/...
 
 # Step-vs-block engine comparison (ns/op per kernel + end-to-end sweeps).
 # Run before and after touching internal/vm; baseline in BENCH_vm.json.

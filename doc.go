@@ -74,6 +74,24 @@
 // correlated faultloads (experiments.Correlated, examples/correlated);
 // `lfi plan -check` validates and lints a faultload.
 //
+// # Interception cost model
+//
+// Every intercepted call is charged 10 + 2*Scanned virtual cycles, where
+// Scanned counts the triggers examined for the called function — the
+// model behind the paper's Tables 3 and 4. A sweep's stub library covers
+// the union of every function the sweep will ever intercept, so in any
+// one experiment most stubs name a function the plan has no trigger
+// for. Such a call costs its 10-cycle charge and no host-side work: the
+// controller resolves each stub's function to the plan's dense
+// function index once per bind, returns before touching any evaluator
+// state for untriggered functions, keeps call counts only for triggered
+// ones, and builds a backtrace (into a reused buffer) only when one of
+// the function's triggers reads the stack or an injection is logged.
+// Each image's dlnext targets are resolved once at relocation into an
+// immutable table that snapshot restores share, and each process
+// reuses one vm.HostCall, so an untriggered intercepted call allocates
+// nothing (TestInterceptionAllocFree).
+//
 // # Execution engine
 //
 // Guest code runs on a block-compiled execution engine (internal/vm,

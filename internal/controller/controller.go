@@ -139,10 +139,16 @@ type Controller struct {
 	// StubLibrary so construction stays infallible.
 	err error
 
+	// fidToFunc names each stub's function by fid; fidIndex maps the fid
+	// to 1 + the function's scenario.FuncIndex in the plan, or 0 when no
+	// trigger names it. Both are resolved once, when the stubs are bound.
 	fidToFunc []string
+	fidIndex  []int32
 	stub      *obj.File
 	evals     map[int]*scenario.Evaluator
 	log       []InjectionRecord
+	// frames is the backtrace buffer, reused across intercepted calls.
+	frames []scenario.StackFrame
 	// sys is the system this controller is installed on — the route to
 	// the kernel for arming resource-exhaustion degradations and for
 	// capturing their state in checkpoints.
@@ -204,9 +210,22 @@ func (c *Controller) StubLibrary() (*obj.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.fidToFunc = ss.fns
-	c.stub = ss.lib
+	c.bind(ss)
 	return c.stub, nil
+}
+
+// bind attaches the stub set and resolves, once, which of its fids the
+// plan triggers on: the per-call path then indexes a slice instead of
+// hashing a function name.
+func (c *Controller) bind(ss *StubSet) {
+	c.stub = ss.lib
+	c.fidToFunc = ss.fns
+	c.fidIndex = make([]int32, len(ss.fns))
+	for fi, fn := range c.cp.Functions() {
+		if fid := sort.SearchStrings(ss.fns, fn); fid < len(ss.fns) && ss.fns[fid] == fn {
+			c.fidIndex[fid] = int32(fi + 1)
+		}
+	}
 }
 
 // GenerateStubSource emits the interceptor library's assembly: per-function
@@ -286,28 +305,46 @@ func (c *Controller) evaluatorFor(pid int) *scenario.Evaluator {
 	return ev
 }
 
+// Virtual cost of one intercepted call's trigger evaluation: a fixed
+// dispatch charge plus a tight per-examined-trigger scan term — this is
+// what the paper's Tables 3/4 measure.
+const (
+	evalDispatchCycles = 10
+	evalScanCycles     = 2
+)
+
 // evalTrigger is the __lfi_eval host function: it evaluates the triggers
 // for the intercepted call, applies side effects and argument
 // modifications, logs the injection, and tells the stub whether to return
 // the mailbox value (1) or pass through (0).
 func (c *Controller) evalTrigger(hc *vm.HostCall) int32 {
 	fid := int(hc.Arg(0))
-	if fid < 0 || fid >= len(c.fidToFunc) {
+	if fid < 0 || fid >= len(c.fidIndex) {
+		return 0
+	}
+	fi := int(c.fidIndex[fid]) - 1
+	if fi < 0 {
+		// No trigger names this function: nothing is examined, so the
+		// call costs the dispatch charge alone and passes through.
+		hc.ChargeCycles(evalDispatchCycles)
 		return 0
 	}
 	fn := c.fidToFunc[fid]
 	ev := c.evaluatorFor(hc.Proc.ID)
 
-	frames := backtrace(hc.Proc)
-	d := ev.OnCallAt(fn, frames, hc.Proc.Cycles)
-	// Charge the native cost of trigger evaluation: a fixed dispatch
-	// cost plus a tight per-examined-trigger scan term, in virtual
-	// cycles — this is what the paper's Tables 3/4 measure. Scanned is
-	// the triggers examined for this function (the compiled index never
-	// touches the rest of the plan).
-	hc.ChargeCycles(uint64(10 + 2*d.Scanned))
+	var frames []scenario.StackFrame
+	if c.cp.ReadsStack(fi) {
+		frames = c.backtrace(hc.Proc)
+	}
+	d := ev.OnCallIndex(fi, frames, hc.Proc.Cycles)
+	// Scanned is the triggers examined for this function (the compiled
+	// index never touches the rest of the plan).
+	hc.ChargeCycles(uint64(evalDispatchCycles + evalScanCycles*d.Scanned))
 	if !d.Inject {
 		return 0
+	}
+	if frames == nil {
+		frames = c.backtrace(hc.Proc)
 	}
 
 	rec := InjectionRecord{
@@ -472,14 +509,15 @@ func errnoTarget(p *vm.Proc, fn string) (uint32, bool) {
 
 // backtrace converts the process shadow stack (innermost last) into
 // scenario frames (innermost first), skipping nothing: the stub frame is
-// the innermost, exactly like an LD_PRELOAD interceptor's.
-func backtrace(p *vm.Proc) []scenario.StackFrame {
-	out := make([]scenario.StackFrame, 0, len(p.CallStack))
+// the innermost, exactly like an LD_PRELOAD interceptor's. The frames
+// live in the controller's reused buffer, valid until the next call.
+func (c *Controller) backtrace(p *vm.Proc) []scenario.StackFrame {
+	c.frames = c.frames[:0]
 	for i := len(p.CallStack) - 1; i >= 0; i-- {
 		f := p.CallStack[i]
-		out = append(out, scenario.StackFrame{Addr: f.FuncVA, Symbol: f.Symbol})
+		c.frames = append(c.frames, scenario.StackFrame{Addr: f.FuncVA, Symbol: f.Symbol})
 	}
-	return out
+	return c.frames
 }
 
 // FrameLabel renders one backtrace frame for logs, triage stacks and

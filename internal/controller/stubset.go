@@ -74,16 +74,13 @@ func (ss *StubSet) PreloadList() []string { return []string{StubLibName} }
 
 // NewWithStubs creates a controller that drives the compiled plan
 // through a prebuilt interception surface. The stub set may cover more
-// functions than the plan names: the extra stubs still count calls and
-// charge the evaluation cost, but never inject. This is the restore
-// half of the fork-server runtime — the stub set and compiled plan are
-// shared immutably while each controller owns only the thin per-run
-// state (evaluators and the injection log).
+// functions than the plan names: the extra stubs still charge the fixed
+// dispatch cost, but keep no state and never inject. This is the
+// restore half of the fork-server runtime — the stub set and compiled
+// plan are shared immutably while each controller owns only the thin
+// per-run state (evaluators and the injection log).
 func NewWithStubs(ss *StubSet, cp *scenario.CompiledPlan) *Controller {
-	return &Controller{
-		cp:        cp,
-		evals:     make(map[int]*scenario.Evaluator),
-		stub:      ss.lib,
-		fidToFunc: ss.fns,
-	}
+	c := &Controller{cp: cp, evals: make(map[int]*scenario.Evaluator)}
+	c.bind(ss)
+	return c
 }

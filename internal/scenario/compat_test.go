@@ -65,6 +65,11 @@ func (e *legacyEvaluator) OnCall(fn string, stack []scenario.StackFrame) scenari
 		d.Scanned = scanned
 		return d
 	}
+	if scanned == 0 {
+		// The compiled engine keeps no count for a function no trigger
+		// names, and reports the zero Decision for its calls.
+		return scenario.Decision{}
+	}
 	return scenario.Decision{CallCount: n, Scanned: scanned}
 }
 

@@ -4,12 +4,19 @@
 // and any number of Evaluators (one per process) carry the thin mutable
 // state on top: call counts, the fired set, per-function fault counts
 // and the seeded random stream.
+//
+// The plan's triggered functions are numbered densely in sorted order
+// (FuncIndex); the evaluator's counters are slices indexed by that
+// number, so an intercepted call costs no string hashing and no map
+// growth. Functions the plan never triggers on have no index and no
+// state at all.
 package scenario
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -52,7 +59,15 @@ func (p *Plan) Validate() error {
 type CompiledPlan struct {
 	plan *Plan
 	set  profile.Set
-	byFn map[string][]compiledTrigger
+	// fns are the triggered functions, sorted; a function's position is
+	// its FuncIndex, which indexes byFn, readsStack and every
+	// evaluator's counters.
+	fns   []string
+	index map[string]int
+	byFn  [][]compiledTrigger
+	// readsStack marks functions with at least one stack condition: only
+	// their calls need a backtrace before evaluation.
+	readsStack []bool
 }
 
 // compiledTrigger is one trigger with everything parse-time resolved.
@@ -84,14 +99,29 @@ func Compile(plan *Plan, set profile.Set) (*CompiledPlan, error) {
 	if plan == nil {
 		return nil, errors.New("scenario: compile: nil plan")
 	}
-	cp := &CompiledPlan{plan: plan, set: set, byFn: make(map[string][]compiledTrigger)}
+	cp := &CompiledPlan{plan: plan, set: set, index: make(map[string]int)}
+	for i := range plan.Triggers {
+		fn := plan.Triggers[i].Function
+		if _, seen := cp.index[fn]; !seen {
+			cp.index[fn] = 0
+			cp.fns = append(cp.fns, fn)
+		}
+	}
+	sort.Strings(cp.fns)
+	for i, fn := range cp.fns {
+		cp.index[fn] = i
+	}
+	cp.byFn = make([][]compiledTrigger, len(cp.fns))
+	cp.readsStack = make([]bool, len(cp.fns))
 	for i := range plan.Triggers {
 		t := &plan.Triggers[i]
-		ct, err := compileTrigger(i, t, set)
+		ct, err := compileTrigger(i, t, set, cp.index)
 		if err != nil {
 			return nil, &CompileError{Trigger: i, Function: t.Function, Err: err}
 		}
-		cp.byFn[t.Function] = append(cp.byFn[t.Function], ct)
+		fi := cp.index[t.Function]
+		cp.byFn[fi] = append(cp.byFn[fi], ct)
+		cp.readsStack[fi] = cp.readsStack[fi] || t.readsStack()
 	}
 	return cp, nil
 }
@@ -109,18 +139,40 @@ func MustCompile(plan *Plan, set profile.Set) *CompiledPlan {
 func (cp *CompiledPlan) Plan() *Plan { return cp.plan }
 
 // Functions returns the distinct intercepted function names, sorted.
-func (cp *CompiledPlan) Functions() []string { return cp.plan.Functions() }
+func (cp *CompiledPlan) Functions() []string { return append([]string(nil), cp.fns...) }
+
+// FuncIndex returns fn's dense index among the plan's triggered
+// functions, or -1 when no trigger names fn. Interceptors resolve it
+// once per bind and evaluate calls with OnCallIndex.
+func (cp *CompiledPlan) FuncIndex(fn string) int {
+	if i, ok := cp.index[fn]; ok {
+		return i
+	}
+	return -1
+}
+
+// ReadsStack reports whether any trigger on the function at index fi
+// has a stack condition — whether OnCallIndex needs a backtrace for it.
+func (cp *CompiledPlan) ReadsStack(fi int) bool { return cp.readsStack[fi] }
 
 // TriggerCount returns how many triggers guard fn — the number examined
 // per intercepted call, i.e. the per-call evaluation cost.
-func (cp *CompiledPlan) TriggerCount(fn string) int { return len(cp.byFn[fn]) }
+func (cp *CompiledPlan) TriggerCount(fn string) int {
+	if i := cp.FuncIndex(fn); i >= 0 {
+		return len(cp.byFn[i])
+	}
+	return 0
+}
 
 // compileTrigger resolves one trigger's static parts and builds its
 // condition chain in the engine's evaluation order: pid, inject,
 // probability, stacktrace, then composed condition elements — the order
 // fixes how many random draws a partially-matching call consumes, so it
 // is part of the deterministic-replay contract.
-func compileTrigger(idx int, t *Trigger, set profile.Set) (compiledTrigger, error) {
+//
+// index maps each triggered function to its FuncIndex, for <after-fault>
+// conditions.
+func compileTrigger(idx int, t *Trigger, set profile.Set, index map[string]int) (compiledTrigger, error) {
 	ct := compiledTrigger{
 		idx:          idx,
 		once:         t.Once,
@@ -219,7 +271,7 @@ func compileTrigger(idx int, t *Trigger, set profile.Set) (compiledTrigger, erro
 		conds = append(conds, stackCond(m))
 	}
 	for i := range t.Conds {
-		n, err := compileCond(&t.Conds[i])
+		n, err := compileCond(&t.Conds[i], index)
 		if err != nil {
 			return ct, err
 		}
@@ -235,10 +287,10 @@ func compileTrigger(idx int, t *Trigger, set profile.Set) (compiledTrigger, erro
 	return ct, nil
 }
 
-func compileCond(c *Cond) (cnode, error) {
+func compileCond(c *Cond, index map[string]int) (cnode, error) {
 	kids := make([]cnode, len(c.Kids))
 	for i := range c.Kids {
-		k, err := compileCond(&c.Kids[i])
+		k, err := compileCond(&c.Kids[i], index)
 		if err != nil {
 			return nil, err
 		}
@@ -270,7 +322,13 @@ func compileCond(c *Cond) (cnode, error) {
 		if count == 0 {
 			count = 1
 		}
-		return afterFaultCond{fn: c.Function, count: count}, nil
+		fi, ok := index[c.Function]
+		if !ok {
+			// No trigger targets the function, so it never faults: the
+			// condition can never hold (Lint warns about it).
+			fi = -1
+		}
+		return afterFaultCond{fi: fi, count: count}, nil
 	}
 	return nil, fmt.Errorf("unknown condition element <%s>", c.XMLName.Local)
 }
@@ -330,7 +388,7 @@ func (c pidCond) eval(e *Evaluator, _ *callSite) bool { return int(c) == e.pid }
 type probCond float64
 
 func (c probCond) eval(e *Evaluator, _ *callSite) bool {
-	return e.rng.Float64()*100 < float64(c)
+	return e.rand().Float64()*100 < float64(c)
 }
 
 type callsCond struct{ after, every, until int32 }
@@ -354,13 +412,15 @@ func (c cyclesCond) eval(_ *Evaluator, at *callSite) bool {
 	return at.cycle >= c.min && (c.max == 0 || at.cycle <= c.max)
 }
 
+// afterFaultCond holds once the function at index fi (-1: a function
+// no trigger targets) has been faulted count times.
 type afterFaultCond struct {
-	fn    string
+	fi    int
 	count int32
 }
 
 func (c afterFaultCond) eval(e *Evaluator, _ *callSite) bool {
-	return e.faults[c.fn] >= c.count
+	return c.fi >= 0 && e.faults[c.fi] >= c.count
 }
 
 // frameMatcher is one pre-parsed backtrace frame condition.
@@ -384,6 +444,16 @@ func compileFrames(frames []string) ([]frameMatcher, error) {
 		out[i] = frameMatcher{symbol: w}
 	}
 	return out, nil
+}
+
+// readsStack reports whether the trigger has a stack condition, as a
+// stacktrace element or anywhere in its condition tree.
+func (t *Trigger) readsStack() bool {
+	reads := len(t.Frames()) > 0
+	for i := range t.Conds {
+		t.Conds[i].walk(func(c *Cond) { reads = reads || c.XMLName.Local == condStack })
+	}
+	return reads
 }
 
 type stackCond []frameMatcher
@@ -457,22 +527,26 @@ type Decision struct {
 // from Plan.Seed — so concurrent campaigns each mint their own from a
 // shared, immutable CompiledPlan.
 type Evaluator struct {
-	cp     *CompiledPlan
+	cp *CompiledPlan
+	// rng is created on the first draw: most plans never draw, and a
+	// stream seeded at first use is the stream seeded at mint time.
 	rng    *rand.Rand
-	count  map[string]int32
-	fired  map[int]bool
-	faults map[string]int32
+	count  []int32 // by FuncIndex
+	fired  []bool  // by plan-order trigger index
+	faults []int32 // by FuncIndex
 	pid    int
+	// at is the call site under evaluation, kept here so condition nodes
+	// read it through a pointer without a per-call allocation.
+	at callSite
 }
 
 // NewEvaluator mints a fresh evaluator over the compiled plan.
 func (cp *CompiledPlan) NewEvaluator() *Evaluator {
 	return &Evaluator{
 		cp:     cp,
-		rng:    rand.New(rand.NewSource(cp.plan.Seed)),
-		count:  make(map[string]int32),
-		fired:  make(map[int]bool),
-		faults: make(map[string]int32),
+		count:  make([]int32, len(cp.fns)),
+		fired:  make([]bool, len(cp.plan.Triggers)),
+		faults: make([]int32, len(cp.fns)),
 	}
 }
 
@@ -485,16 +559,38 @@ func NewEvaluator(plan *Plan, set profile.Set) *Evaluator {
 	return MustCompile(plan, set).NewEvaluator()
 }
 
+// rand returns the evaluator's random stream, seeding it from Plan.Seed
+// on first use.
+func (e *Evaluator) rand() *rand.Rand {
+	if e.rng == nil {
+		e.rng = rand.New(rand.NewSource(e.cp.plan.Seed))
+	}
+	return e.rng
+}
+
 // SetPID identifies the process this evaluator serves, for pid-pinned
 // replay triggers.
 func (e *Evaluator) SetPID(pid int) { e.pid = pid }
 
-// CallCount returns the number of calls seen so far for fn.
-func (e *Evaluator) CallCount(fn string) int32 { return e.count[fn] }
+// CallCount returns the number of calls seen so far for fn. Calls are
+// counted only for functions the plan triggers on — nothing reads the
+// others: decisions, injection logs and <after-fault> conditions all
+// concern triggered functions — so for any other function it is 0.
+func (e *Evaluator) CallCount(fn string) int32 {
+	if fi := e.cp.FuncIndex(fn); fi >= 0 {
+		return e.count[fi]
+	}
+	return 0
+}
 
 // FaultCount returns the number of faults injected into fn so far — the
 // state <after-fault> conditions read.
-func (e *Evaluator) FaultCount(fn string) int32 { return e.faults[fn] }
+func (e *Evaluator) FaultCount(fn string) int32 {
+	if fi := e.cp.FuncIndex(fn); fi >= 0 {
+		return e.faults[fi]
+	}
+	return 0
+}
 
 // OnCall records one call to fn and evaluates its triggers. stack is
 // the runtime backtrace, innermost frame first. Cycle-window conditions
@@ -504,12 +600,25 @@ func (e *Evaluator) OnCall(fn string, stack []StackFrame) Decision {
 }
 
 // OnCallAt is OnCall with the process's current virtual cycle, for
-// <cycles> window conditions. Only the triggers indexed under fn are
-// examined, in plan order; the first match fires.
+// <cycles> window conditions. A call to a function no trigger names
+// examines nothing and returns the zero Decision.
 func (e *Evaluator) OnCallAt(fn string, stack []StackFrame, cycle uint64) Decision {
-	e.count[fn]++
-	at := callSite{n: e.count[fn], cycle: cycle, stack: stack}
-	triggers := e.cp.byFn[fn]
+	fi := e.cp.FuncIndex(fn)
+	if fi < 0 {
+		return Decision{}
+	}
+	return e.OnCallIndex(fi, stack, cycle)
+}
+
+// OnCallIndex records one call to the triggered function at index fi
+// (CompiledPlan.FuncIndex) and evaluates its triggers, in plan order;
+// the first match fires. stack is only read when ReadsStack(fi) holds,
+// so callers may pass nil otherwise.
+func (e *Evaluator) OnCallIndex(fi int, stack []StackFrame, cycle uint64) Decision {
+	e.count[fi]++
+	e.at = callSite{n: e.count[fi], cycle: cycle, stack: stack}
+	at := &e.at
+	triggers := e.cp.byFn[fi]
 	scanned := 0
 	for i := range triggers {
 		ct := &triggers[i]
@@ -519,7 +628,7 @@ func (e *Evaluator) OnCallAt(fn string, stack []StackFrame, cycle uint64) Decisi
 				// A sticky trigger keeps failing once fired, without
 				// re-evaluating its conditions (or consuming randomness
 				// for deterministic ones; random faults re-draw).
-				d := e.fire(ct, fn, at.n)
+				d := e.fire(ct, fi, at.n)
 				d.Scanned = scanned
 				return d
 			}
@@ -527,11 +636,11 @@ func (e *Evaluator) OnCallAt(fn string, stack []StackFrame, cycle uint64) Decisi
 				continue
 			}
 		}
-		if ct.cond != nil && !ct.cond.eval(e, &at) {
+		if ct.cond != nil && !ct.cond.eval(e, at) {
 			continue
 		}
 		e.fired[ct.idx] = true
-		d := e.fire(ct, fn, at.n)
+		d := e.fire(ct, fi, at.n)
 		d.Scanned = scanned
 		return d
 	}
@@ -539,8 +648,8 @@ func (e *Evaluator) OnCallAt(fn string, stack []StackFrame, cycle uint64) Decisi
 }
 
 // fire materialises the decision for a matched trigger.
-func (e *Evaluator) fire(ct *compiledTrigger, fn string, n int32) Decision {
-	e.faults[fn]++
+func (e *Evaluator) fire(ct *compiledTrigger, fi int, n int32) Decision {
+	e.faults[fi]++
 	d := Decision{
 		Inject:       true,
 		Trigger:      ct.idx,
@@ -555,11 +664,12 @@ func (e *Evaluator) fire(ct *compiledTrigger, fn string, n int32) Decision {
 		CallCount:    n,
 	}
 	if ct.random && len(ct.candidates) > 0 {
-		ec := ct.candidates[e.rng.Intn(len(ct.candidates))]
+		rng := e.rand()
+		ec := ct.candidates[rng.Intn(len(ct.candidates))]
 		d.HasRetval = true
 		d.Retval = ec.Retval
 		if len(ec.SideEffects) > 0 {
-			se := ec.SideEffects[e.rng.Intn(len(ec.SideEffects))]
+			se := ec.SideEffects[rng.Intn(len(ec.SideEffects))]
 			d.SideEffects = []profile.SideEffect{se}
 			if se.Type == profile.SideEffectTLS {
 				d.HasErrno = true

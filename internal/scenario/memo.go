@@ -231,9 +231,15 @@ func (p *Plan) Stateful() bool {
 
 // EvalState is the exportable mutable state of an Evaluator: per-
 // function call counts, per-trigger once-latches and per-function fault
-// counts. State/SetState move it between evaluators of the same
-// CompiledPlan so a restored mid-execution snapshot resumes trigger
+// counts. State/SetState move it between evaluators of same-shaped
+// CompiledPlans so a restored mid-execution snapshot resumes trigger
 // decisions bit-identically.
+//
+// Counts cover only the functions the plan triggers on, because nothing
+// reads the others: decisions, injection logs and <after-fault>
+// conditions all concern triggered functions. A checkpoint of a
+// one-function plan therefore carries one count, however many stubs the
+// interception surface has.
 //
 // The seeded random stream is deliberately not part of the state: the
 // transfer contract covers evaluation prefixes that consumed no
@@ -242,7 +248,7 @@ func (p *Plan) Stateful() bool {
 // freshly seeded stream is bit-identical to the donor's.
 type EvalState struct {
 	Count  map[string]int32
-	Fired  map[int]bool
+	Fired  map[int]bool // only fired triggers, by plan-order index
 	Faults map[string]int32
 }
 
@@ -250,35 +256,41 @@ type EvalState struct {
 func (e *Evaluator) State() EvalState {
 	st := EvalState{
 		Count:  make(map[string]int32, len(e.count)),
-		Fired:  make(map[int]bool, len(e.fired)),
+		Fired:  make(map[int]bool),
 		Faults: make(map[string]int32, len(e.faults)),
 	}
-	for k, v := range e.count {
-		st.Count[k] = v
+	for fi, fn := range e.cp.fns {
+		st.Count[fn] = e.count[fi]
+		st.Faults[fn] = e.faults[fi]
 	}
-	for k, v := range e.fired {
-		st.Fired[k] = v
-	}
-	for k, v := range e.faults {
-		st.Faults[k] = v
+	for idx, fired := range e.fired {
+		if fired {
+			st.Fired[idx] = true
+		}
 	}
 	return st
 }
 
-// SetState overwrites the evaluator's mutable state with a deep copy of
-// st, so many evaluators may be seeded from one exported state without
-// sharing maps.
+// SetState overwrites the evaluator's mutable state with st. Entries
+// for functions or triggers this evaluator's plan does not have are
+// dropped, so many evaluators may be seeded from one exported state.
 func (e *Evaluator) SetState(st EvalState) {
-	e.count = make(map[string]int32, len(st.Count))
-	e.fired = make(map[int]bool, len(st.Fired))
-	e.faults = make(map[string]int32, len(st.Faults))
-	for k, v := range st.Count {
-		e.count[k] = v
+	clear(e.count)
+	clear(e.fired)
+	clear(e.faults)
+	for fn, n := range st.Count {
+		if fi := e.cp.FuncIndex(fn); fi >= 0 {
+			e.count[fi] = n
+		}
 	}
-	for k, v := range st.Fired {
-		e.fired[k] = v
+	for idx, fired := range st.Fired {
+		if idx >= 0 && idx < len(e.fired) {
+			e.fired[idx] = fired
+		}
 	}
-	for k, v := range st.Faults {
-		e.faults[k] = v
+	for fn, n := range st.Faults {
+		if fi := e.cp.FuncIndex(fn); fi >= 0 {
+			e.faults[fi] = n
+		}
 	}
 }

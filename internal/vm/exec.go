@@ -500,14 +500,9 @@ dispatch:
 			case isa.OpTLSBase:
 				regs[in.A&regMask] = im.TLSBase
 			case isa.OpDlNext:
-				// Both bounds checked: Imm is attacker-controlled via a
-				// crafted object file, and a negative index must fault the
-				// guest, not panic the host (mirrors step()'s arm).
-				name := ""
-				if in.Imm >= 0 && int(in.Imm) < len(im.File.Imports) {
-					name = im.File.Imports[in.Imm]
-				}
-				va, ok := p.Sys.resolveNext(p, im, name)
+				// Image.dlnext bounds-checks the crafted import index, so
+				// a bad one faults the guest (mirrors step()'s arm).
+				va, ok := im.dlnext(in.Imm)
 				if !ok {
 					p.blockFault(im, idx, k, SigSEGV)
 					return ran + k + 1, true

@@ -571,39 +571,57 @@ func TestLockstepFaults(t *testing.T) {
 	}
 }
 
-// TestDlNextNegativeImmFaults pins the crafted-object hardening: the
-// assembler never emits a negative dlnext import index, but obj.Decode
-// accepts one from disk, and it must fault the guest with SIGSEGV on
-// both engines — not panic the host with an index-out-of-range.
+// TestDlNextNegativeImmFaults pins the crafted-object hardening of the
+// per-image dlnext table: the assembler never emits an import index
+// outside the import table, but obj.Decode accepts one from disk —
+// negative, one past the end, or far beyond it — and each must fault
+// the guest with SIGSEGV on both engines, not panic the host with an
+// index-out-of-range.
 func TestDlNextNegativeImmFaults(t *testing.T) {
-	var text []byte
-	for _, in := range []isa.Inst{
-		{Op: isa.OpDlNext, A: isa.R1, Imm: -1},
-		{Op: isa.OpRet},
-	} {
-		text = append(text, in.EncodeBytes()...)
+	imports := []string{"open"}
+	crafted := func(imm int32) *obj.File {
+		var text []byte
+		for _, in := range []isa.Inst{
+			{Op: isa.OpDlNext, A: isa.R1, Imm: imm},
+			{Op: isa.OpRet},
+		} {
+			text = append(text, in.EncodeBytes()...)
+		}
+		return &obj.File{
+			Name:    "crafted",
+			Kind:    obj.Executable,
+			Text:    text,
+			Imports: imports,
+			Symbols: []obj.Symbol{
+				{Name: "main", Kind: obj.SymFunc, Off: 0, Size: int32(len(text)), Exported: true},
+			},
+		}
 	}
-	crafted := &obj.File{
-		Name: "crafted",
-		Kind: obj.Executable,
-		Text: text,
-		Symbols: []obj.Symbol{
-			{Name: "main", Kind: obj.SymFunc, Off: 0, Size: int32(len(text)), Exported: true},
-		},
+	cases := []struct {
+		name string
+		imm  int32
+	}{
+		{"negative", -1},
+		{"len-imports", int32(len(imports))},
+		{"large", 1 << 30},
 	}
 	for _, engine := range []string{EngineStep, EngineBlock} {
 		t.Run(engine, func(t *testing.T) {
-			sys := NewSystem(Options{Engine: engine, StackSize: 1 << 13})
-			sys.Register(crafted)
-			p, err := sys.Spawn("crafted", SpawnConfig{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sys.Run(1000); err != nil {
-				t.Fatal(err)
-			}
-			if p.Status.Signal != SigSEGV {
-				t.Errorf("status = %+v, want SIGSEGV", p.Status)
+			for _, tc := range cases {
+				t.Run(tc.name, func(t *testing.T) {
+					sys := NewSystem(Options{Engine: engine, StackSize: 1 << 13})
+					sys.Register(crafted(tc.imm))
+					p, err := sys.Spawn("crafted", SpawnConfig{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := sys.Run(1000); err != nil {
+						t.Fatal(err)
+					}
+					if p.Status.Signal != SigSEGV {
+						t.Errorf("imm %d: status = %+v, want SIGSEGV", tc.imm, p.Status)
+					}
+				})
 			}
 		})
 	}

@@ -52,7 +52,8 @@ const (
 
 // HostFunc is a native function callable from VM code through an import.
 // It runs with the calling process stopped at the call site and returns
-// the value to place in R0.
+// the value to place in R0. hc is reused by the process's next host
+// call, so it must not be retained past the return.
 type HostFunc func(hc *HostCall) int32
 
 // HostCall gives a host function access to its caller.
@@ -100,6 +101,30 @@ type Image struct {
 	// after relocation. Like text and Insts it is immutable, so snapshot
 	// restores and coverage shallow-copies share it by pointer.
 	exec *execCode
+	// next is the dlsym(RTLD_NEXT) target of each import, by import
+	// index, resolved at relocation for images whose code uses dlnext
+	// (nil otherwise). It is immutable and shared like exec.
+	next []nextTarget
+}
+
+// nextTarget is one resolved dlnext operand; ok is false when no image
+// past the importing one defines the symbol.
+type nextTarget struct {
+	va uint32
+	ok bool
+}
+
+// dlnext returns the RTLD_NEXT target of the import index an OpDlNext
+// instruction encodes. The index comes from the instruction, which a
+// crafted object file controls, so both bounds are checked: an index
+// outside the import table resolves nothing and the guest faults
+// instead of the host panicking.
+func (im *Image) dlnext(imm int32) (uint32, bool) {
+	if imm < 0 || int(imm) >= len(im.next) {
+		return 0, false
+	}
+	t := im.next[imm]
+	return t.va, t.ok
 }
 
 type vaSym struct {
@@ -196,6 +221,10 @@ type Proc struct {
 	Cycles uint64
 
 	CallStack []Frame
+
+	// hc is the host-call context, reused by every host call this
+	// process makes.
+	hc HostCall
 
 	segs     []*segment
 	lastSeg  *segment
@@ -560,8 +589,32 @@ func (s *System) relocate(p *Proc) error {
 		// result is immutable, so snapshots can hand it to any number of
 		// concurrently restored systems without synchronisation.
 		im.exec = compileExec(im)
+		im.next = s.resolveNextTable(p, im)
 	}
 	return nil
+}
+
+// resolveNextTable resolves every import of an image that executes
+// dlnext to its RTLD_NEXT target. The search order is fixed once the
+// process's images are loaded, so one resolution serves every dlnext
+// the image (and any snapshot restored from it) ever executes. Images
+// without dlnext get no table.
+func (s *System) resolveNextTable(p *Proc, im *Image) []nextTarget {
+	uses := false
+	for _, in := range im.Insts {
+		if in.Op == isa.OpDlNext {
+			uses = true
+			break
+		}
+	}
+	if !uses {
+		return nil
+	}
+	next := make([]nextTarget, len(im.File.Imports))
+	for i, name := range im.File.Imports {
+		next[i].va, next[i].ok = s.resolveNext(p, im, name)
+	}
+	return next
 }
 
 // resolveImport searches the process scope (exe, preloads, needed) for an
@@ -1312,15 +1365,9 @@ func (p *Proc) step() bool {
 	case isa.OpTLSBase:
 		p.Regs[in.A] = im.TLSBase
 	case isa.OpDlNext:
-		// The import index comes from the encoded instruction, which a
-		// crafted object file controls: both bounds must be checked or a
-		// negative Imm would panic the host instead of faulting the
-		// guest (the block engine mirrors this arm exactly).
-		name := ""
-		if in.Imm >= 0 && int(in.Imm) < len(im.File.Imports) {
-			name = im.File.Imports[in.Imm]
-		}
-		va, ok := p.Sys.resolveNext(p, im, name)
+		// Image.dlnext bounds-checks the crafted import index (the
+		// block engine mirrors this arm exactly).
+		va, ok := im.dlnext(in.Imm)
 		if !ok {
 			p.kill(SigSEGV)
 			return true
@@ -1348,8 +1395,8 @@ func (p *Proc) doCall(target, retPC uint32) bool {
 			p.kill(SigSEGV)
 			return true
 		}
-		hc := &HostCall{Sys: p.Sys, Proc: p, sp: p.Regs[isa.SP]}
-		ret := p.Sys.hosts[idx](hc)
+		p.hc = HostCall{Sys: p.Sys, Proc: p, sp: p.Regs[isa.SP]}
+		ret := p.Sys.hosts[idx](&p.hc)
 		if p.Exited {
 			return true
 		}

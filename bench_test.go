@@ -1,8 +1,9 @@
 package lfi_test
 
 // One benchmark per table and figure of the paper's evaluation (§6), plus
-// microbenchmarks and ablations of the design choices called out in
-// DESIGN.md. Regenerate everything with:
+// microbenchmarks and ablations of the design choices described in
+// doc.go; the recorded results are the BENCH_*.json files. Regenerate
+// everything with:
 //
 //	go test -bench=. -benchmem
 //
@@ -11,7 +12,6 @@ package lfi_test
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -30,16 +30,6 @@ import (
 	"lfi/internal/scenario"
 	"lfi/internal/vm"
 )
-
-// LFI_ENGINE=step|block pins the VM engine for every system the
-// benchmarks build — the harness-side twin of the cmd binaries' -engine
-// flag. scripts/benchvm.sh uses it to A/B the end-to-end campaign
-// benchmarks (BenchmarkSweepSnapshot and friends) across engines.
-func init() {
-	if err := vm.SetDefaultEngine(os.Getenv("LFI_ENGINE")); err != nil {
-		panic(err) // a typo here would silently A/B block against block
-	}
-}
 
 // benchEnv caches the compiled environment across benchmarks.
 var benchEnv *experiments.Env
@@ -260,9 +250,9 @@ int main(void) {
 }
 
 // BenchmarkAblationSearchBudget compares the bounded on-demand
-// product-graph expansion against an effectively unbounded search — the
-// DESIGN.md ablation for §3.1's "generates G' on demand, only expanding
-// the nodes of interest".
+// product-graph expansion against an effectively unbounded search — an
+// ablation of §3.1's "generates G' on demand, only expanding the nodes
+// of interest".
 func BenchmarkAblationSearchBudget(b *testing.B) {
 	lib, err := corpus.Generate(corpus.Traits{
 		Name: "libbench.so", Seed: 5, NumFuncs: 120, TPItems: 120, FNItems: 12, FPItems: 8,
@@ -479,7 +469,7 @@ func BenchmarkSweepSequential(b *testing.B) {
 	b.ResetTimer()
 	var entries int
 	for i := 0; i < b.N; i++ {
-		res, err := core.Sweep(cfg, set, 0)
+		res, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0, core.SweepOptions{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -497,7 +487,7 @@ func BenchmarkSweepParallel(b *testing.B) {
 	b.ResetTimer()
 	var entries int
 	for i := 0; i < b.N; i++ {
-		res, err := core.SweepParallel(cfg, set, 0, workers)
+		res, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0, core.SweepOptions{Workers: workers})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -657,11 +647,11 @@ func BenchmarkSweepMemo(b *testing.B) {
 // BenchmarkRestoreCoW isolates the per-experiment restore cost the
 // copy-on-write snapshot buys back: a 1 MiB-stack guest that dirties
 // only a couple of pages per run, restored and run to completion per
-// iteration. Under cow (the default) a restore copies page-view
-// headers plus the few dirtied pages; under flat it deep-copies every
-// writable byte. The cow/flat ratio is the low-dirty-ratio speedup
-// recorded in BENCH_sweep.json — per-restore cost must scale with
-// dirtied pages, not writable-segment size.
+// iteration. A restore copies page-view headers plus the few dirtied
+// pages, so per-restore cost must scale with dirtied pages, not
+// writable-segment size (BENCH_sweep.json records the speedup over the
+// deep-copy restore this replaced). The sub-benchmark name is kept so
+// recorded results stay comparable.
 func BenchmarkRestoreCoW(b *testing.B) {
 	const dirtySrc = `
 .exe dirty
@@ -676,37 +666,32 @@ func BenchmarkRestoreCoW(b *testing.B) {
   mov r0, r2
   halt
 `
-	for _, mode := range []struct {
-		name string
-		flat bool
-	}{{"cow", false}, {"flat", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			sys := vm.NewSystem(vm.Options{StackSize: 1 << 20, HeapLimit: 1 << 16, FlatRestore: mode.flat})
-			f, err := asm.Assemble("dirty.s", dirtySrc)
-			if err != nil {
+	b.Run("cow", func(b *testing.B) {
+		sys := vm.NewSystem(vm.Options{StackSize: 1 << 20, HeapLimit: 1 << 16})
+		f, err := asm.Assemble("dirty.s", dirtySrc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sys.Register(f)
+		if _, err := sys.Spawn("dirty", vm.SpawnConfig{}); err != nil {
+			b.Fatal(err)
+		}
+		snap, err := sys.Snapshot()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r := snap.Restore()
+			if err := r.Run(1_000_000); err != nil {
 				b.Fatal(err)
 			}
-			sys.Register(f)
-			if _, err := sys.Spawn("dirty", vm.SpawnConfig{}); err != nil {
-				b.Fatal(err)
+			if p := r.Procs()[0]; !p.Exited || p.Status.Code != 1024 {
+				b.Fatalf("bad exit: %+v", p.Status)
 			}
-			snap, err := sys.Snapshot()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r := snap.Restore()
-				if err := r.Run(1_000_000); err != nil {
-					b.Fatal(err)
-				}
-				if p := r.Procs()[0]; !p.Exited || p.Status.Code != 1024 {
-					b.Fatalf("bad exit: %+v", p.Status)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // exhaustiveStylePlan models an exhaustive libc faultload: nfns
@@ -823,8 +808,9 @@ func vmExecDispatchKernel(b *testing.B) *obj.File {
 //     ~45% push/pop/load/store) — the conservative bound.
 //
 // AllocsPerOp must be 0 everywhere (asserted hard by TestEngineAllocFree
-// in internal/vm; reported here via -benchmem). scripts/benchvm.sh
-// prints the step-vs-block comparison table.
+// in internal/vm; reported here via -benchmem). Each kernel runs as a
+// step/block sub-benchmark pair, so one invocation gives the engine
+// comparison.
 func BenchmarkVMExec(b *testing.B) {
 	lc, err := libc.Compile()
 	if err != nil {

@@ -13,7 +13,6 @@ import (
 	"strings"
 
 	"lfi/internal/experiments"
-	"lfi/internal/vm"
 )
 
 func main() {
@@ -33,11 +32,7 @@ func run() error {
 	jobs := flag.Int("j", 0, "parallel workers (0 = GOMAXPROCS for sweeps; sequential for the efficiency timing series)")
 	snapshot := flag.Bool("snapshot", false, "run sweeps on the fork-server runtime (restore from one post-load snapshot)")
 	memo := flag.Bool("memo", true, "with -snapshot: share each trigger site's pre-fault prefix across errno variants (prefix memoization)")
-	engine := flag.String("engine", "", "VM execution engine: block (default) or step — rerun any experiment on the reference interpreter to cross-check the block engine")
 	flag.Parse()
-	if err := vm.SetDefaultEngine(*engine); err != nil {
-		return err
-	}
 
 	sel := map[string]bool{}
 	if *which == "all" {

@@ -40,7 +40,6 @@ import (
 	"lfi/internal/obj"
 	"lfi/internal/profile"
 	"lfi/internal/scenario"
-	"lfi/internal/vm"
 )
 
 func main() {
@@ -388,15 +387,8 @@ func cmdRun(args []string) error {
 	logPath := fs.String("log", "", "write the injection log here")
 	replayPath := fs.String("replay", "", "write the replay script here")
 	budget := fs.Uint64("budget", 500_000_000, "cycle budget (0 = unlimited)")
-	// -engine=step selects the per-instruction reference interpreter the
-	// block engine is differentially tested against — the escape hatch
-	// for bisecting a suspected engine divergence in the field.
-	engine := fs.String("engine", "", "VM execution engine: block (default) or step (reference interpreter)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if err := vm.SetDefaultEngine(*engine); err != nil {
-		return fmt.Errorf("run: %w", err)
 	}
 	if *app == "" {
 		return fmt.Errorf("run: -app is required")
@@ -519,13 +511,11 @@ func cmdSweep(args []string) error {
 	progress := fs.Bool("progress", false, "print live progress to stderr")
 	heur := fs.Bool("heuristics", false, "enable the §3.1 filtering heuristics for in-process profiling")
 	snapshot := fs.Bool("snapshot", false, "fork-server runtime: restore every run from one post-load snapshot")
-	cow := fs.Bool("cow", true, "copy-on-write restores: share template pages, copy on first write (with -snapshot; -cow=false deep-copies)")
 	memo := fs.Bool("memo", true, "prefix memoization: run the shared pre-fault prefix once per trigger site (with -snapshot; report stays byte-identical)")
 	memoBudget := fs.Int64("memo-budget", 0, "prefix snapshot cache budget in bytes (0 = default 256 MiB)")
 	prune := fs.Bool("prune", false, "skip experiments whose function the baseline never calls (coverage-informed)")
 	faults := fs.String("faults", "errno", "fault models to sweep: errno (error-return stores), degradation (latency + resource exhaustion), or all")
 	avail := fs.String("avail", "", "traffic-driven availability sweep against a built-in server guest (minidb, minidb-nr, httpd, httpd-mp); replaces -app/-lib/-profile/-faults")
-	engine := fs.String("engine", "", "VM execution engine: block (default) or step (reference interpreter)")
 	storeDir := fs.String("store", "", "persistent campaign store directory (append-only JSONL, written live)")
 	resume := fs.Bool("resume", false, "skip experiments already completed in -store (report stays byte-identical)")
 	triage := fs.Bool("triage", false, "after the sweep, print crash clusters deduped by stack hash (needs -store)")
@@ -547,9 +537,6 @@ func cmdSweep(args []string) error {
 		if explicit["memo-budget"] {
 			return fmt.Errorf("sweep: -memo-budget needs -snapshot (prefix memoization runs on the snapshot executor)")
 		}
-	}
-	if err := vm.SetDefaultEngine(*engine); err != nil {
-		return fmt.Errorf("sweep: %w", err)
 	}
 	if *app == "" && *avail == "" {
 		return fmt.Errorf("sweep: -app is required (or -avail <server>)")
@@ -596,7 +583,7 @@ func cmdSweep(args []string) error {
 
 	opts := core.SweepOptions{
 		Workers: *jobs, MaxCrashes: *maxCrashes,
-		Snapshot: *snapshot, FlatRestore: !*cow, PruneUncalled: *prune,
+		Snapshot: *snapshot, PruneUncalled: *prune,
 		NoMemo: !*memo, MemoBudget: *memoBudget,
 	}
 	if *progress {

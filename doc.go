@@ -7,7 +7,7 @@
 //
 // Fault-injection campaigns — the product of libraries × functions ×
 // error codes that §2 sweeps over a workload — run on a parallel campaign
-// scheduler (core.SweepParallel): the experiment matrix is generated
+// scheduler (core.RunExperiments): the experiment matrix is generated
 // deterministically, distributed over a pool of workers each owning a
 // private Campaign/vm.System, and reassembled in plan order, so the
 // rendered robustness report is byte-identical at any worker count.
@@ -116,7 +116,10 @@
 // cold). BenchmarkVMExec records 2.5-3.2x instruction throughput over
 // the legacy per-instruction interpreter depending on kernel, and
 // BenchmarkSweepSnapshot improves ~1.5x end to end (BENCH_vm.json;
-// scripts/benchvm.sh regenerates the comparison).
+// BenchmarkVMExec runs each kernel as a step/block sub-benchmark pair,
+// so one `go test -bench BenchmarkVMExec .` regenerates the comparison).
+// The legacy interpreter remains only as the test oracle
+// (vm.Options.Engine = vm.EngineStep).
 //
 // # Copy-on-write restores
 //
@@ -132,18 +135,19 @@
 // copy, mark dirty, drop any read window aliasing it. "Reset to
 // shared" is free: the next Restore mints a fresh page table off the
 // same template, abandoning the dirty pages to the collector. Brk
-// flattens a CoW heap before resizing, and Options.FlatRestore (`lfi
-// sweep -cow=false`) selects the old deep-copy restore as an escape
-// hatch and A/B reference. The contract is that sharing is never
-// observable: restore-isolation tests interleave writes across
-// sibling restores and require each to stay bit-identical to a fresh
-// spawn while untouched pages stay pointer-equal to the template
-// (TestRestoreCoWIsolation), FuzzRestoreCoW drives random
-// write/brk/run/restore schedules against the same oracle, and
-// cowcheck.sh requires byte-identical sweep reports across
-// fresh-spawn, CoW and flat executors under both engines.
-// BenchmarkRestoreCoW measures 9.6x per restore+run on a low-dirty-
-// ratio guest (BENCH_vm.json "restore").
+// flattens a CoW heap before resizing. Copy-on-write is the only
+// restore kind; the oracle is a fresh spawn. The contract is that
+// sharing is never observable: restore-isolation tests interleave
+// writes across sibling restores and require each to stay
+// bit-identical to a fresh spawn while untouched pages stay
+// pointer-equal to the template (TestRestoreCoWIsolation),
+// FuzzRestoreCoW drives random write/brk/run/restore schedules against
+// the same oracle, and TestSweepSnapshotIdentical and
+// TestSweepEngineDifferential require byte-identical sweep reports
+// from fresh-spawn and CoW executors at 1, 4 and 8 workers.
+// BenchmarkRestoreCoW measured 9.6x per restore+run over the deep-copy
+// restore it replaced, on a low-dirty-ratio guest (BENCH_vm.json
+// "restore").
 //
 // # Prefix memoization
 //
@@ -305,12 +309,14 @@
 // byte-identical sweep reports on both executors at any worker count.
 // A lockstep differential test drives both engines one scheduler round
 // at a time comparing full machine state (internal/vm/exec_test.go),
-// and `-engine=step` on lfi run, lfi sweep and lfi-bench (or
-// LFI_ENGINE=step for the benchmarks) falls back to the reference
-// interpreter to cross-check any result in the field.
+// and the sweep-level tests (TestSweepEngineDifferential, and a step
+// leg in the memo, degradation, availability and exec-order
+// determinism tests) require byte-identical reports from the step
+// oracle.
 //
-// See README.md for the architecture overview, DESIGN.md for the system
-// inventory and experiment index, and EXPERIMENTS.md for paper-vs-measured
-// results. The public entry point for programmatic use is internal/core;
-// the command-line tools are cmd/lfi, cmd/lfi-bench and cmd/lfi-corpus.
+// The sections above are the design inventory; the BENCH_*.json files
+// record measured results, and bench/README.md documents the
+// end-to-end campaign benchmark. The public entry point for
+// programmatic use is internal/core; the command-line tools are
+// cmd/lfi, cmd/lfi-bench and cmd/lfi-corpus.
 package lfi

@@ -195,7 +195,7 @@ not json
 // a fresh full sweep — including after a torn trailing line.
 func TestSweepStoreResumeByteIdentical(t *testing.T) {
 	cfg, set := mixedTarget(t)
-	fresh, err := core.Sweep(cfg, set, 0)
+	fresh, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0, core.SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

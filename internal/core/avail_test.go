@@ -9,6 +9,7 @@ import (
 	"lfi/internal/libc"
 	"lfi/internal/obj"
 	"lfi/internal/profile"
+	"lfi/internal/vm"
 )
 
 // availCfg assembles a traffic-driven campaign: libc, the server, the
@@ -163,8 +164,8 @@ func TestClassifyAvail(t *testing.T) {
 }
 
 // TestAvailabilitySweepDeterminism: availability reports must render
-// byte-identically across every executor configuration — the
-// in-process half of scripts/availcheck.sh.
+// byte-identically across every executor configuration, on both
+// engines — the in-process half of scripts/availcheck.sh.
 func TestAvailabilitySweepDeterminism(t *testing.T) {
 	set := flagshipSet()
 	exps := core.AvailabilityExperiments(set, apps.AvailAfter)
@@ -187,14 +188,25 @@ func TestAvailabilitySweepDeterminism(t *testing.T) {
 		"fresh-w4":        {Workers: 4},
 		"snapshot-cow-w1": {Workers: 1, Snapshot: true},
 		"snapshot-cow-w4": {Workers: 4, Snapshot: true},
-		"snapshot-flat":   {Workers: 2, Snapshot: true, FlatRestore: true},
 		"snapshot-nomemo": {Workers: 4, Snapshot: true, NoMemo: true},
 		"snapshot-memo-1": {Workers: 2, Snapshot: true, MemoBudget: 1},
 	}
-	for name, opts := range legs {
-		if got := run(opts); got != ref {
-			t.Errorf("%s report diverged from fresh single-worker reference:\n--- ref\n%s\n--- %s\n%s",
-				name, ref, name, got)
+	// Every leg runs on the block engine and on its step-interpreter
+	// oracle; the reference is the block engine's. Under -race the step
+	// legs would roughly double this package's run time, past go test's
+	// 10-minute default timeout; the block legs already race-check
+	// every executor configuration, and the plain run checks the oracle.
+	engines := []string{vm.EngineBlock, vm.EngineStep}
+	if raceEnabled {
+		engines = engines[:1]
+	}
+	for _, engine := range engines {
+		cfg.VM.Engine = engine
+		for name, opts := range legs {
+			if got := run(opts); got != ref {
+				t.Errorf("engine=%s %s report diverged from fresh single-worker reference:\n--- ref\n%s\n--- %s\n%s",
+					engine, name, ref, name, got)
+			}
 		}
 	}
 }

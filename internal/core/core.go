@@ -36,7 +36,6 @@
 // engine splits it into a generator and an executor:
 //
 //	exps := core.PlanExperiments(set)                      // the matrix, in plan order
-//	res, _ := core.SweepParallel(cfg, set, 0, workers)     // pool of private Campaigns
 //	res, _ := core.RunExperiments(cfg, exps, 0, core.SweepOptions{
 //	    Workers:    8,
 //	    MaxCrashes: 5,                    // triage: stop at the 5th crash

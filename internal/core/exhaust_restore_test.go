@@ -32,10 +32,10 @@ func readCounter(t *testing.T, sys *vm.System, client, sym string) int32 {
 
 // TestExhaustFDsAcceptSnapshotRestore composes <exhaust resource="fds">
 // with the serving guest's accept and proves the armed+tripped state
-// round-trips through CoW and flat VM snapshot restores taken
+// round-trips through a copy-on-write VM snapshot restore taken
 // mid-connection: the fault fires mid-warmup, the starved accept leaves
 // the client's connection queued on the backlog, and a snapshot frozen
-// at that instant restores — in either mode — to a kernel that is
+// at that instant restores — on either engine — to a kernel that is
 // still armed, still tripped, and still starving the same connection.
 func TestExhaustFDsAcceptSnapshotRestore(t *testing.T) {
 	set := flagshipSet()
@@ -56,10 +56,10 @@ func TestExhaustFDsAcceptSnapshotRestore(t *testing.T) {
 		warmFail int32
 		done     int32
 	}
-	leg := func(flat bool) endState {
+	leg := func(engine string) endState {
 		cfg := availCfg(t, "minidb")
 		cfg.Compiled = cp
-		cfg.VM.FlatRestore = flat
+		cfg.VM.Engine = engine
 		c, err := core.NewCampaign(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -88,12 +88,12 @@ func TestExhaustFDsAcceptSnapshotRestore(t *testing.T) {
 		}
 		rsys := snap.Restore()
 		if got := rsys.Kernel().Degradation(); got != want {
-			t.Fatalf("flat=%v restored degradation = %+v, want %+v", flat, got, want)
+			t.Fatalf("engine=%s restored degradation = %+v, want %+v", engine, got, want)
 		}
 		// Resume the restored run: the accept stays starved, the client
 		// stays queued, and the run burns down to its budget — a wedge.
 		if err := rsys.Run(budget + 2_000_000); err != vm.ErrBudget {
-			t.Fatalf("flat=%v resumed run = %v, want ErrBudget", flat, err)
+			t.Fatalf("engine=%s resumed run = %v, want ErrBudget", engine, err)
 		}
 		client := apps.AvailClientName("minidb")
 		return endState{
@@ -104,21 +104,20 @@ func TestExhaustFDsAcceptSnapshotRestore(t *testing.T) {
 		}
 	}
 
-	cow := leg(false)
-	flat := leg(true)
-	if cow != flat {
-		t.Fatalf("restore modes diverged:\ncow  = %+v\nflat = %+v", cow, flat)
+	got := leg(vm.EngineBlock)
+	if step := leg(vm.EngineStep); got != step {
+		t.Fatalf("engines diverged:\nblock = %+v\nstep  = %+v", got, step)
 	}
-	if !cow.deg.FDsArmed || !cow.deg.FDsTripped {
-		t.Fatalf("end degradation = %+v, want armed+tripped", cow.deg)
+	if !got.deg.FDsArmed || !got.deg.FDsTripped {
+		t.Fatalf("end degradation = %+v, want armed+tripped", got.deg)
 	}
-	if cow.done != 0 {
+	if got.done != 0 {
 		t.Fatal("client completed its phases under a starved accept")
 	}
 	// The fault fired at accept call 51: fifty warmup requests were
 	// served before it, none failed fast (the listener stays alive, so
 	// the client blocks in recv rather than erroring).
-	if cow.warmOK != 50 || cow.warmFail != 0 {
-		t.Fatalf("warmup counters = %d ok / %d fail, want 50/0", cow.warmOK, cow.warmFail)
+	if got.warmOK != 50 || got.warmFail != 0 {
+		t.Fatalf("warmup counters = %d ok / %d fail, want 50/0", got.warmOK, got.warmFail)
 	}
 }

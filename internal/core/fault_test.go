@@ -10,6 +10,7 @@ import (
 	"lfi/internal/minic"
 	"lfi/internal/obj"
 	"lfi/internal/profile"
+	"lfi/internal/vm"
 )
 
 // faultApp checks every syscall result and exits distinctly on each
@@ -143,9 +144,10 @@ func TestDegradationSweepOutcomes(t *testing.T) {
 }
 
 // The degradation matrix must render byte-identically across every
-// executor configuration: fresh spawns, snapshot restores (CoW and
-// flat), memoized prefixes (unbounded and evicting), and any worker
-// count. This is the in-process half of scripts/faultcheck.sh.
+// executor configuration: both engines, fresh spawns, copy-on-write
+// snapshot restores, memoized prefixes (unbounded and evicting), and
+// any worker count. This is the in-process half of
+// scripts/faultcheck.sh.
 func TestDegradationSweepDeterminism(t *testing.T) {
 	set, lc, app := faultSet(t)
 	cfg := core.CampaignConfig{
@@ -165,14 +167,18 @@ func TestDegradationSweepDeterminism(t *testing.T) {
 		"fresh-w4":        {Workers: 4},
 		"snapshot-cow-w1": {Workers: 1, Snapshot: true},
 		"snapshot-cow-w4": {Workers: 4, Snapshot: true},
-		"snapshot-flat":   {Workers: 2, Snapshot: true, FlatRestore: true},
 		"snapshot-nomemo": {Workers: 4, Snapshot: true, NoMemo: true},
 		"snapshot-memo-1": {Workers: 2, Snapshot: true, MemoBudget: 1},
 	}
-	for name, opts := range legs {
-		if got := run(opts); got != ref {
-			t.Errorf("%s report diverged from fresh single-worker reference:\n--- ref\n%s\n--- %s\n%s",
-				name, ref, name, got)
+	// Every leg runs on the block engine and on its step-interpreter
+	// oracle; the reference is the block engine's.
+	for _, engine := range []string{vm.EngineBlock, vm.EngineStep} {
+		cfg.VM.Engine = engine
+		for name, opts := range legs {
+			if got := run(opts); got != ref {
+				t.Errorf("engine=%s %s report diverged from fresh single-worker reference:\n--- ref\n%s\n--- %s\n%s",
+					engine, name, ref, name, got)
+			}
 		}
 	}
 }

@@ -43,8 +43,8 @@ func wideTarget(t testing.TB) (core.CampaignConfig, profile.Set) {
 
 // TestSweepMemoIdentical is the determinism bar of prefix memoization:
 // on an exhaustive errno matrix the memoized snapshot sweep renders
-// byte-identically to the non-memoized one across both engines, CoW and
-// flat restores, at 1, 4 and 8 workers.
+// byte-identically to the non-memoized one across both engines at 1, 4
+// and 8 workers.
 func TestSweepMemoIdentical(t *testing.T) {
 	cfg, set := wideTarget(t)
 	for _, engine := range []string{vm.EngineStep, vm.EngineBlock} {
@@ -59,27 +59,25 @@ func TestSweepMemoIdentical(t *testing.T) {
 			t.Fatalf("target does not cover enough outcomes:\n%s", want)
 		}
 		for _, workers := range []int{1, 4, 8} {
-			for _, flat := range []bool{false, true} {
-				got, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0,
-					core.SweepOptions{Workers: workers, Snapshot: true, FlatRestore: flat})
-				if err != nil {
-					t.Fatalf("engine=%v workers=%d flat=%v: %v", engine, workers, flat, err)
-				}
-				if r := got.Render(); r != want {
-					t.Errorf("engine=%v workers=%d flat=%v memoized report differs:\n--- nomemo ---\n%s--- memo ---\n%s",
-						engine, workers, flat, want, r)
-				}
-				if got.Memo == nil {
-					t.Fatalf("engine=%v workers=%d flat=%v: no memo stats", engine, workers, flat)
-				}
-				if got.Memo.Restored == 0 {
-					t.Errorf("engine=%v workers=%d flat=%v: memoizer never restored a prefix: %+v",
-						engine, workers, flat, *got.Memo)
-				}
-				if got.Memo.Terminal == 0 {
-					t.Errorf("engine=%v workers=%d flat=%v: write group should be served from a terminal prefix: %+v",
-						engine, workers, flat, *got.Memo)
-				}
+			got, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0,
+				core.SweepOptions{Workers: workers, Snapshot: true})
+			if err != nil {
+				t.Fatalf("engine=%v workers=%d: %v", engine, workers, err)
+			}
+			if r := got.Render(); r != want {
+				t.Errorf("engine=%v workers=%d memoized report differs:\n--- nomemo ---\n%s--- memo ---\n%s",
+					engine, workers, want, r)
+			}
+			if got.Memo == nil {
+				t.Fatalf("engine=%v workers=%d: no memo stats", engine, workers)
+			}
+			if got.Memo.Restored == 0 {
+				t.Errorf("engine=%v workers=%d: memoizer never restored a prefix: %+v",
+					engine, workers, *got.Memo)
+			}
+			if got.Memo.Terminal == 0 {
+				t.Errorf("engine=%v workers=%d: write group should be served from a terminal prefix: %+v",
+					engine, workers, *got.Memo)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"lfi/internal/core"
+	"lfi/internal/vm"
 )
 
 // orderClasses is a handcrafted audit result for mixedTarget: malloc's
@@ -59,7 +60,8 @@ func auditRankFor(fn string) int {
 
 // TestExecOrderReportByteIdentical is the scheduler's determinism bar:
 // a statically reordered full sweep must render the exact same report
-// as the default plan order, at any worker count.
+// as the default plan order, at any worker count, on both engines and
+// both executors.
 func TestExecOrderReportByteIdentical(t *testing.T) {
 	cfg, set := mixedTarget(t)
 	exps := core.PlanExperiments(set)
@@ -68,16 +70,21 @@ func TestExecOrderReportByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	order := core.StaticOrder(exps, orderClasses)
-	for _, workers := range []int{1, 4, 8} {
-		res, err := core.RunExperiments(cfg, exps, 0, core.SweepOptions{
-			Workers: workers, ExecOrder: order,
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if res.Render() != want.Render() {
-			t.Errorf("workers=%d: reordered report differs from plan order:\n--- default ---\n%s--- static ---\n%s",
-				workers, want.Render(), res.Render())
+	for _, engine := range []string{vm.EngineBlock, vm.EngineStep} {
+		cfg.VM.Engine = engine
+		for _, snapshot := range []bool{false, true} {
+			for _, workers := range []int{1, 4, 8} {
+				res, err := core.RunExperiments(cfg, exps, 0, core.SweepOptions{
+					Workers: workers, Snapshot: snapshot, ExecOrder: order,
+				})
+				if err != nil {
+					t.Fatalf("engine=%s snapshot=%v workers=%d: %v", engine, snapshot, workers, err)
+				}
+				if res.Render() != want.Render() {
+					t.Errorf("engine=%s snapshot=%v workers=%d: reordered report differs from plan order:\n--- default ---\n%s--- static ---\n%s",
+						engine, snapshot, workers, want.Render(), res.Render())
+				}
+			}
 		}
 	}
 }

@@ -126,14 +126,14 @@ int main(void) {
 	}
 	// A small budget keeps the test fast; the baseline completes within
 	// it, the injected run spins until it expires.
-	res, err := core.SweepParallel(cfg, set, 2_000_000, 2)
+	res, err := core.RunExperiments(cfg, core.PlanExperiments(set), 2_000_000, core.SweepOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Entries) != 1 || res.Entries[0].Outcome != core.OutcomeHang {
 		t.Fatalf("entries = %+v, want one hang", res.Entries)
 	}
-	seq, err := core.Sweep(cfg, set, 2_000_000)
+	seq, err := core.RunExperiments(cfg, core.PlanExperiments(set), 2_000_000, core.SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-
-	"lfi/internal/profile"
 )
 
 // SweepOptions tunes the campaign executor.
@@ -30,7 +28,7 @@ type SweepOptions struct {
 	// whole load pipeline (text copy, relocation, instruction decode,
 	// symbol maps, stub synthesis for the union of intercepted
 	// functions) runs once into an immutable vm.Snapshot, and every
-	// run — baseline included — restores from it in O(writable bytes),
+	// run — baseline included — restores from it copy-on-write,
 	// binding only its own compiled faultload. The rendered report is
 	// byte-identical to the fresh-spawn executor's for faultloads whose
 	// triggers key on calls (inject=, <calls>, probability, stacks,
@@ -42,12 +40,6 @@ type SweepOptions struct {
 	// budget can therefore classify differently; under the default
 	// budget and call-keyed triggers the reports match byte for byte.
 	Snapshot bool
-	// FlatRestore disables the page-granular copy-on-write restore of
-	// the snapshot executor and deep-copies every writable byte per run
-	// instead (the CLI's -cow=false escape hatch). Reports are
-	// byte-identical either way; only the per-experiment cost differs.
-	// Ignored unless Snapshot is set.
-	FlatRestore bool
 	// NoMemo disables trigger-point prefix memoization. Under Snapshot,
 	// precompiled experiments sharing a deterministic first-fire site
 	// (scenario.FirstFireSite: same function, call number and trigger
@@ -126,20 +118,12 @@ func (p SweepProgress) String() string {
 		p.Tally[OutcomeCrash], p.Tally[OutcomeHang], p.Tally[OutcomeErrorExit], p.Served)
 }
 
-// SweepParallel is Sweep distributed over a pool of workers, each running
-// complete experiments in its own Campaign/vm.System. Results are
-// re-ordered into plan order as they arrive, so the final SweepResult —
-// and its Render output — is byte-identical to the sequential Sweep at
-// any worker count. workers <= 0 defaults to runtime.GOMAXPROCS(0).
-func SweepParallel(cfg CampaignConfig, set profile.Set, budget uint64, workers int) (*SweepResult, error) {
-	return RunExperiments(cfg, PlanExperiments(set), budget, SweepOptions{Workers: workers})
-}
-
 // RunExperiments is the campaign executor: it runs the clean baseline,
 // dispatches the experiments to a worker pool, and collects the entries
-// back into plan order. It is the engine beneath Sweep and SweepParallel;
-// callers with custom faultloads (e.g. seeded random triggers) can build
-// their own experiment list and execute it here directly.
+// back into plan order. The paper's §2 sweep is
+// RunExperiments(cfg, PlanExperiments(set), budget, SweepOptions{Workers: n});
+// callers with custom faultloads (e.g. seeded random triggers) build
+// their own experiment list and execute it the same way.
 func RunExperiments(cfg CampaignConfig, exps []Experiment, budget uint64, opts SweepOptions) (*SweepResult, error) {
 	if budget == 0 {
 		budget = DefaultSweepBudget
@@ -164,10 +148,6 @@ func RunExperiments(cfg CampaignConfig, exps []Experiment, budget uint64, opts S
 	var sr *snapshotRunner
 	if opts.Snapshot {
 		if fns := sweepFunctions(exps); len(fns) > 0 {
-			// cfg is a by-value copy, so flipping the VM option here
-			// never leaks into the caller's config or the fresh-spawn
-			// paths (which build their systems straight from cfg.VM).
-			cfg.VM.FlatRestore = opts.FlatRestore
 			r, err := newSnapshotRunner(cfg, fns)
 			if err != nil {
 				return nil, err

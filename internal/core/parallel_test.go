@@ -81,7 +81,7 @@ func mixedTarget(t testing.TB) (core.CampaignConfig, profile.Set) {
 // count renders the exact same report as the sequential sweep.
 func TestSweepParallelDeterminism(t *testing.T) {
 	cfg, set := mixedTarget(t)
-	seq, err := core.Sweep(cfg, set, 0)
+	seq, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0, core.SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestSweepParallelDeterminism(t *testing.T) {
 		t.Fatalf("target does not cover enough outcomes:\n%s", want)
 	}
 	for _, workers := range []int{1, 4, 8} {
-		par, err := core.SweepParallel(cfg, set, 0, workers)
+		par, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0, core.SweepOptions{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -142,7 +142,7 @@ func TestSweepParallelDeterminismSeededRandom(t *testing.T) {
 // worker count.
 func TestSweepParallelEarlyStop(t *testing.T) {
 	cfg, set := mixedTarget(t)
-	full, err := core.Sweep(cfg, set, 0)
+	full, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0, core.SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // fresh full sweep — at 1, 4 and 8 workers, on both executors.
 func TestSweepSkipResumeIdentical(t *testing.T) {
 	cfg, set := mixedTarget(t)
-	fresh, err := core.Sweep(cfg, set, 0)
+	fresh, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0, core.SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestSweepResumeRespectsMaxCrashes(t *testing.T) {
 	}
 	// Serve every entry of the full matrix from cache.
 	cache := make(map[string]core.SweepEntry)
-	full, err := core.Sweep(cfg, set, 0)
+	full, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0, core.SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

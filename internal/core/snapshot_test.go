@@ -14,7 +14,7 @@ import (
 // byte-identical SweepResult to the fresh-spawn sweep.
 func TestSweepSnapshotIdentical(t *testing.T) {
 	cfg, set := mixedTarget(t)
-	fresh, err := core.Sweep(cfg, set, 0)
+	fresh, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0, core.SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,32 +31,6 @@ func TestSweepSnapshotIdentical(t *testing.T) {
 		if got := snap.Render(); got != want {
 			t.Errorf("workers=%d snapshot report differs from fresh-spawn:\n--- fresh ---\n%s--- snapshot ---\n%s",
 				workers, want, got)
-		}
-	}
-}
-
-// TestSweepFlatRestoreIdentical pins the copy-on-write restore to the
-// flat deep-copy restore at the report level: for every worker count,
-// CoW (the default), FlatRestore and fresh-spawn sweeps all render the
-// same bytes. Only the per-experiment cost may differ.
-func TestSweepFlatRestoreIdentical(t *testing.T) {
-	cfg, set := mixedTarget(t)
-	fresh, err := core.Sweep(cfg, set, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fresh.Render()
-	for _, workers := range []int{1, 4, 8} {
-		for _, flat := range []bool{false, true} {
-			got, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0,
-				core.SweepOptions{Workers: workers, Snapshot: true, FlatRestore: flat})
-			if err != nil {
-				t.Fatalf("workers=%d flat=%v: %v", workers, flat, err)
-			}
-			if r := got.Render(); r != want {
-				t.Errorf("workers=%d flat=%v report differs from fresh-spawn:\n--- fresh ---\n%s--- snapshot ---\n%s",
-					workers, flat, want, r)
-			}
 		}
 	}
 }
@@ -178,7 +152,7 @@ func TestSweepSnapshotExecutorParityEdges(t *testing.T) {
 // inert (here: the write experiments; mixedApp never calls write).
 func TestSweepPruneUncalledIdentical(t *testing.T) {
 	cfg, set := mixedTarget(t)
-	fresh, err := core.Sweep(cfg, set, 0)
+	fresh, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0, core.SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

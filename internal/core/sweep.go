@@ -416,19 +416,3 @@ func runExperiment(cfg CampaignConfig, exp Experiment, base *Report, budget uint
 	entry.classify(rep, base, cfg.Avail)
 	return entry, rep, nil
 }
-
-// Sweep runs one campaign per (function, error code) in the profile set —
-// the systematic fault-tolerance benchmark the paper's §2 envisions. Each
-// run injects exactly one fault on the function's first call and
-// classifies the program's reaction against a clean baseline.
-//
-// The cfg's Plan and PassThrough are ignored; everything else (programs,
-// executable, files, VM options) describes the target. budget bounds each
-// run's cycles (0 = DefaultSweepBudget).
-//
-// Sweep is the sequential reference executor; SweepParallel distributes
-// the same experiment matrix over a worker pool and renders the exact
-// same report.
-func Sweep(cfg CampaignConfig, set profile.Set, budget uint64) (*SweepResult, error) {
-	return RunExperiments(cfg, PlanExperiments(set), budget, SweepOptions{Workers: 1})
-}

@@ -67,11 +67,11 @@ func sweepSet(t *testing.T) (profile.Set, *obj.File, *obj.File) {
 
 func TestSweepClassifiesOutcomes(t *testing.T) {
 	set, lc, app := sweepSet(t)
-	res, err := core.Sweep(core.CampaignConfig{
+	res, err := core.RunExperiments(core.CampaignConfig{
 		Programs:   []*obj.File{lc, app},
 		Executable: "app",
 		Files:      map[string][]byte{"/data": []byte("d")},
-	}, set, 0)
+	}, core.PlanExperiments(set), 0, core.SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +125,11 @@ int main(void) {
 			{Name: "open", ErrorCodes: []profile.ErrorCode{{Retval: -1}}},
 		},
 	}}
-	res, err := core.Sweep(core.CampaignConfig{
+	res, err := core.RunExperiments(core.CampaignConfig{
 		Programs:   []*obj.File{lc, app},
 		Executable: "app",
 		Files:      map[string][]byte{"/data": []byte("d")},
-	}, set, 0)
+	}, core.PlanExperiments(set), 0, core.SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,10 +156,10 @@ int main(void) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = core.Sweep(core.CampaignConfig{
+	_, err = core.RunExperiments(core.CampaignConfig{
 		Programs:   []*obj.File{lc, app},
 		Executable: "app",
-	}, profile.Set{}, 0)
+	}, core.PlanExperiments(profile.Set{}), 0, core.SweepOptions{Workers: 1})
 	if err == nil {
 		t.Error("sweep must refuse a crashing baseline")
 	}

@@ -2,8 +2,8 @@
 // paper's evaluation (§6), plus the §3 side experiments (documentation
 // gaps, Figure 2's CFG). Each harness returns a result value with a
 // Render method that prints the paper-style rows; cmd/lfi-bench and the
-// top-level benchmarks drive them, and EXPERIMENTS.md records
-// paper-vs-measured values.
+// top-level benchmarks drive them, and the BENCH_*.json files record
+// measured values.
 package experiments
 
 import (

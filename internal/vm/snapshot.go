@@ -23,8 +23,8 @@
 // the restored process's first write to it, so a Restore costs O(pages)
 // slice headers up front and O(dirtied pages) over the run's lifetime —
 // not O(writable bytes), and far below O(program size + decode +
-// relocation). Options.FlatRestore disables the overlay and restores
-// full private copies (the -cow=false escape hatch).
+// relocation). Copy-on-write is the only restore kind; a fresh spawn
+// is the oracle restores are tested against.
 //
 // A Snapshot is immutable and safe for concurrent
 // Restore from any number of goroutines; each restored System is as
@@ -104,7 +104,7 @@ type procSnap struct {
 
 type segSnap struct {
 	base     uint32
-	data     []byte // frozen template bytes; shared on restore iff !writable
+	data     []byte   // frozen template bytes; shared on restore iff !writable
 	pages    [][]byte // page views over data; CoW restores copy this table
 	writable bool
 	name     string
@@ -244,8 +244,6 @@ func (s *Snapshot) Restore() *System {
 			case !sg.writable:
 				// Read-only: share the template bytes outright.
 				seg.data = sg.data
-			case s.opts.FlatRestore:
-				seg.data = append([]byte(nil), sg.data...)
 			default:
 				// Copy-on-write: alias the snapshot's shared page views;
 				// the write barrier (Proc.privatize) copies a page on

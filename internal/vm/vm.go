@@ -295,8 +295,7 @@ func (e *MemoryError) Error() string {
 
 // Execution engines. The block engine is the production interpreter;
 // the step engine is the per-instruction reference it is differentially
-// tested against (and the escape hatch should a divergence ever need
-// bisecting in the field: `lfi ... -engine=step`).
+// tested against. Only tests select it, through Options.Engine.
 const (
 	// EngineBlock runs predecoded superblocks with per-block image
 	// resolution, segment-cached memory and batched cycle/coverage
@@ -304,32 +303,13 @@ const (
 	// EngineStep: same scheduling, cycle counts at every observable
 	// boundary, coverage bits, exit statuses.
 	EngineBlock = "block"
-	// EngineStep is the legacy one-instruction-at-a-time interpreter.
+	// EngineStep is the legacy one-instruction-at-a-time interpreter,
+	// kept as the test oracle for EngineBlock.
 	EngineStep = "step"
 )
 
-// DefaultEngine is the engine used when Options.Engine is empty. The
-// cmd binaries' -engine flag sets it process-wide (via SetDefaultEngine)
-// so every System a campaign builds — including snapshot templates —
-// inherits the choice.
-var DefaultEngine = EngineBlock
-
-// SetDefaultEngine validates and installs the process-wide default
-// engine — the one place the -engine flags and the LFI_ENGINE benchmark
-// hook funnel through. Rejecting unknown names matters because the
-// dispatch check is "step or not": a typo would otherwise silently
-// select the block engine and, say, turn an A/B comparison into
-// block-vs-block. The empty string keeps the current default.
-func SetDefaultEngine(engine string) error {
-	switch engine {
-	case "":
-		return nil
-	case EngineBlock, EngineStep:
-		DefaultEngine = engine
-		return nil
-	}
-	return fmt.Errorf("vm: unknown engine %q (want %q or %q)", engine, EngineBlock, EngineStep)
-}
+// DefaultEngine is the engine used when Options.Engine is empty.
+const DefaultEngine = EngineBlock
 
 // Options configures a System.
 type Options struct {
@@ -342,15 +322,12 @@ type Options struct {
 	// TimeSlice is the round-robin quantum in instructions (default 4096).
 	TimeSlice int
 	// Engine selects the interpreter: EngineBlock or EngineStep
-	// (default DefaultEngine). Both engines are decision-for-decision
-	// identical; see the package doc's determinism contract.
+	// (default DefaultEngine). It is the test-oracle selector: the
+	// lockstep and sweep differential tests set EngineStep to run the
+	// reference interpreter beside the block engine. Both engines are
+	// decision-for-decision identical; see the package doc's
+	// determinism contract.
 	Engine string
-	// FlatRestore disables the page-granular copy-on-write restore:
-	// Snapshot.Restore deep-copies every writable byte per run (the
-	// pre-CoW behaviour, the `-cow=false` escape hatch). Execution is
-	// bit-identical either way; only the memory representation and the
-	// per-restore cost differ.
-	FlatRestore bool
 }
 
 // System owns the program registry, host functions, kernel and processes.
@@ -390,8 +367,8 @@ func NewSystem(opts Options) *System {
 	default:
 		// The dispatch check is "step or not", so an unvalidated typo
 		// ("Step", "stpe") would silently select the block engine —
-		// precisely the wrong failure mode for a differential escape
-		// hatch. A bad engine name is a programming error, so fail loud.
+		// precisely the wrong failure mode for a differential test
+		// oracle. A bad engine name is a programming error, so fail loud.
 		panic(fmt.Sprintf("vm: unknown engine %q (want %q or %q)", opts.Engine, EngineBlock, EngineStep))
 	}
 	return &System{

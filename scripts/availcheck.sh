@@ -7,12 +7,13 @@
 # loopback sockets at the retrying WAL server while the fault matrix
 # (one-shot errno, <delay>, <exhaust disk/fds>) opens mid-steady-state
 # — as the single-worker fresh-spawn reference report. The same sweep
-# must then render byte-identically across both execution engines,
-# 1/4/8 workers, fresh spawns, CoW and flat snapshot restores, memo
-# on/off and a starved memo budget: availability classes and per-phase
-# served counts are computed from guest memory after multi-process
-# request/response traffic, so any executor-visible divergence shows up
-# as a flipped class or a shifted count.
+# must then render byte-identically at 1/4/8 workers across fresh
+# spawns, copy-on-write snapshot restores, memo on/off and a starved
+# memo budget: availability classes and per-phase served counts are
+# computed from guest memory after multi-process request/response
+# traffic, so any executor-visible divergence shows up as a flipped
+# class or a shifted count. The step-interpreter oracle is checked in
+# Go (TestAvailabilitySweepDeterminism runs every leg on both engines).
 #
 # Further legs: -store/-resume bookkeeping of availability records
 # (classes and served counts round-trip through the JSONL store), the
@@ -39,18 +40,16 @@ for label in 'avail=recovered' 'avail=degraded' 'avail=wedged' 'served=200/'; do
 done
 
 echo "== every executor configuration must match byte for byte =="
-for engine in block step; do
-	for mode in "" "-snapshot" "-snapshot -cow=false" "-snapshot -memo=false" "-snapshot -memo-budget 1"; do
-		for j in 1 4 8; do
-			# shellcheck disable=SC2086
-			"$work/lfi" sweep -avail minidb -engine "$engine" -j "$j" $mode >"$work/got.txt" 2>/dev/null
-			if ! cmp -s "$work/ref.txt" "$work/got.txt"; then
-				echo "availcheck: FAIL: report differs (engine=$engine j=$j mode='${mode:-fresh}')" >&2
-				diff "$work/ref.txt" "$work/got.txt" >&2 || true
-				exit 1
-			fi
-			echo "ok: engine=$engine j=$j mode='${mode:-fresh}'"
-		done
+for mode in "" "-snapshot" "-snapshot -memo=false" "-snapshot -memo-budget 1"; do
+	for j in 1 4 8; do
+		# shellcheck disable=SC2086
+		"$work/lfi" sweep -avail minidb -j "$j" $mode >"$work/got.txt" 2>/dev/null
+		if ! cmp -s "$work/ref.txt" "$work/got.txt"; then
+			echo "availcheck: FAIL: report differs (j=$j mode='${mode:-fresh}')" >&2
+			diff "$work/ref.txt" "$work/got.txt" >&2 || true
+			exit 1
+		fi
+		echo "ok: j=$j mode='${mode:-fresh}'"
 	done
 done
 

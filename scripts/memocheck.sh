@@ -4,11 +4,12 @@
 #
 # Builds the lfi CLI, generates the demo libc + a small target, runs a
 # non-memoized snapshot sweep as the reference report, then sweeps the
-# same matrix with the prefix memo cache (the -snapshot default) across
-# both execution engines, 1/4/8 workers, CoW and flat restores, and a
-# starved -memo-budget that forces evictions. Every report must be
-# byte-identical: memoization shares the pre-fault prefix across
-# experiments, it never changes what any experiment observes.
+# same matrix with the prefix memo cache (the -snapshot default) at
+# 1/4/8 workers, with the default and a starved -memo-budget that forces
+# evictions. Every report must be byte-identical: memoization shares the
+# pre-fault prefix across experiments, it never changes what any
+# experiment observes. The step-interpreter oracle is checked in Go
+# (TestSweepMemoIdentical runs both engines).
 #
 # A second leg replays the -max-crashes and -store/-resume flows under
 # memoization against their non-memoized counterparts — truncation and
@@ -53,22 +54,20 @@ echo "== non-memoized snapshot sweep (reference) =="
 grep '^summary:' "$work/ref.txt"
 
 echo "== memoized sweeps must match byte for byte =="
-for engine in block step; do
-	for mode in "-snapshot" "-snapshot -cow=false" "-snapshot -memo-budget 1"; do
-		for j in 1 4 8; do
-			# shellcheck disable=SC2086
-			"$work/lfi" sweep $base -engine "$engine" -j "$j" $mode >"$work/got.txt" 2>"$work/stats.txt"
-			if ! cmp -s "$work/ref.txt" "$work/got.txt"; then
-				echo "memocheck: FAIL: report differs (engine=$engine j=$j mode='$mode')" >&2
-				diff "$work/ref.txt" "$work/got.txt" >&2 || true
-				exit 1
-			fi
-			if ! grep -q '^memo:' "$work/stats.txt"; then
-				echo "memocheck: FAIL: no memo stats on stderr (engine=$engine j=$j mode='$mode')" >&2
-				exit 1
-			fi
-			echo "ok: engine=$engine j=$j mode='$mode'"
-		done
+for mode in "-snapshot" "-snapshot -memo-budget 1"; do
+	for j in 1 4 8; do
+		# shellcheck disable=SC2086
+		"$work/lfi" sweep $base -j "$j" $mode >"$work/got.txt" 2>"$work/stats.txt"
+		if ! cmp -s "$work/ref.txt" "$work/got.txt"; then
+			echo "memocheck: FAIL: report differs (j=$j mode='$mode')" >&2
+			diff "$work/ref.txt" "$work/got.txt" >&2 || true
+			exit 1
+		fi
+		if ! grep -q '^memo:' "$work/stats.txt"; then
+			echo "memocheck: FAIL: no memo stats on stderr (j=$j mode='$mode')" >&2
+			exit 1
+		fi
+		echo "ok: j=$j mode='$mode'"
 	done
 done
 

@@ -163,27 +163,29 @@
 // -check`). Experiments are grouped by site — in an exhaustive errno
 // sweep every errno variant of one (function, call) cell lands in the
 // same group — and each group's prefix runs once: vm.System.RunBreak
-// single-steps the restored template to just before the N-th arrival
-// at the function's stub entry, freezing registers, CoW page tables,
-// kernel FS/FD/pipe state, cycle counters and the mid-round scheduler
-// position as a mid-execution vm.Snapshot, paired with a
-// controller.Checkpoint of evaluator call counts and the injection-log
-// prefix so post-restore trigger decisions are bit-identical. Group
-// members restore from the pair and run only their suffix; a prefix
-// that terminates before its site serves its report to every member
-// outright. Cached prefixes live in a byte-budgeted LRU shared by all
-// workers (-memo-budget, default 256 MiB; Snapshot.Footprint is the
-// unit), with single-member groups skipped — a prefix would amortise
-// over nothing. Soundness rests on determinism: same-site plans
-// evaluate calls 1..N-1 identically (per-call cycle charges depend
-// only on the trigger count, no injections, no random draws — random
-// retvals draw at fire time), so memoization is never observable:
-// memocheck.sh requires byte-identical reports between memoized and
-// -memo=false sweeps across engines, worker counts, restore modes,
-// eviction pressure, -max-crashes and -resume. On a heavy-startup
-// exhaustive matrix the A/B measures 3.06x (BenchmarkSweepMemo,
-// BENCH_sweep.json); the same record documents when it does not pay
-// (short prefixes, 2-member groups).
+// runs the restored template on the block engine, through the same
+// scheduler loop as an unbroken run, to just before the N-th arrival
+// at the function's stub entry (a block start), freezing registers,
+// CoW page tables, kernel FS/FD/pipe state, cycle counters and the
+// mid-round scheduler position as a mid-execution vm.Snapshot, paired
+// with a controller.Checkpoint of evaluator call counts and the
+// injection-log prefix so post-restore trigger decisions are
+// bit-identical. Group members restore from the pair and run only
+// their suffix; a prefix that terminates before its site serves its
+// report to every member outright. Cached prefixes live in a
+// byte-budgeted LRU shared by all workers (-memo-budget, default 256
+// MiB; Snapshot.Footprint is the unit), with single-member groups
+// skipped — a prefix would amortise over nothing. Soundness rests on
+// determinism: same-site plans evaluate calls 1..N-1 identically
+// (per-call cycle charges depend only on the trigger count, no
+// injections, no random draws — random retvals draw at fire time), so
+// memoization is never observable: memocheck.sh requires
+// byte-identical reports between memoized and -memo=false sweeps
+// across engines, worker counts, restore modes, eviction pressure,
+// -max-crashes and -resume. On a heavy-startup exhaustive matrix the
+// A/B measures 3.06x (BenchmarkSweepMemo, BENCH_sweep.json); the same
+// record documents when it does not pay (short prefixes, 2-member
+// groups).
 //
 // # Fault models
 //

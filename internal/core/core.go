@@ -101,9 +101,10 @@
 // (memo.go, on by default; SweepOptions.NoMemo opts out): experiments
 // whose faultload has a deterministic first-fire site
 // (scenario.FirstFireSite) are grouped by site, each group's prefix is
-// executed once to just before the trigger call (vm.System.RunBreak)
-// and frozen as a mid-execution snapshot plus controller checkpoint,
-// and members restore from it to run only their suffix. The cache is a
+// executed once, on the same engine and scheduler loop as a full run,
+// to just before the trigger call (vm.System.RunBreak) and frozen as a
+// mid-execution snapshot plus controller checkpoint, and members
+// restore from it to run only their suffix. The cache is a
 // byte-budgeted LRU shared across workers; SweepResult.Memo reports
 // its hit statistics. The rendered report stays byte-identical either
 // way (scripts/memocheck.sh).

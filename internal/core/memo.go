@@ -17,15 +17,16 @@ import (
 // the same deterministic prefix from the entry point up to the call its
 // fault first becomes fireable at — all E errno variants of one
 // (function, call-N) cell pay that prefix E times. The memoizer groups
-// experiments by their static first-fire site (scenario.FirstFireSite),
-// runs the prefix once per group to just before the site
-// (vm.System.RunBreak), freezes guest + controller state as a
-// mid-execution vm.Snapshot plus controller.Checkpoint, and restores
-// every group member from the pair. Determinism makes this exact:
-// same-site plans evaluate calls 1..N-1 identically (same per-call
-// cycle charges, no injections, no random draws), so the restored runs
-// are bit-identical to unbroken ones and the rendered report matches
-// the non-memoized sweep byte for byte (scripts/memocheck.sh).
+// experiments by their static first-fire site
+// (scenario.FirstFireSite), runs the prefix once per group, at full
+// block-engine speed, to just before the site (vm.System.RunBreak),
+// freezes guest + controller state as a mid-execution vm.Snapshot
+// plus controller.Checkpoint, and restores every group member from
+// the pair. Determinism makes this exact: same-site plans evaluate
+// calls 1..N-1 identically (same per-call cycle charges, no
+// injections, no random draws), so the restored runs are
+// bit-identical to unbroken ones and the rendered report matches the
+// non-memoized sweep byte for byte (scripts/memocheck.sh).
 //
 // Cached prefixes live in a byte-budgeted LRU shared by all sweep
 // workers; a first acquirer builds the entry while later members of the

@@ -32,7 +32,11 @@
 // boundary, keeping round-robin scheduling, budget checks and ErrIdle/
 // ErrDeadlock detection decision-for-decision identical to EngineStep;
 // the lockstep differential test (exec_test.go) enforces the contract
-// instruction-slice by instruction-slice.
+// instruction-slice by instruction-slice. Block starts also serve
+// RunBreak: every path to a block start, function-symbol entries
+// included, enters the dispatch loop there, so checking the breakpoint
+// at each dispatch sees every arrival the step engine's per-instruction
+// check sees (break_parity_test.go).
 package vm
 
 import (
@@ -106,6 +110,13 @@ func compileExec(im *Image) *execCode {
 		return idx, true
 	}
 	leaders := cfg.StreamLeaders(insts, local)
+	// Every function-symbol entry starts a block, so a RunBreak
+	// breakpoint on a function sees each arrival at a block entry.
+	for _, fs := range im.funcsVA {
+		if i, ok := local(int32(fs.va)); ok {
+			leaders[i] = true
+		}
+	}
 	ec := &execCode{
 		ends:  make([]int32, len(insts)),
 		chain: make([]int32, len(insts)),
@@ -130,6 +141,13 @@ func compileExec(im *Image) *execCode {
 		}
 	}
 	return ec
+}
+
+// starts reports whether a block begins at instruction i: every path
+// to i — a branch, a call or return, straight-line fall-through —
+// enters the dispatch loop there.
+func (ec *execCode) starts(i int) bool {
+	return i == 0 || ec.ends[i-1] == int32(i)
 }
 
 // coverRange sets the coverage bits for instruction indexes [lo, hi]
@@ -188,6 +206,23 @@ func (p *Proc) stepOnce() (int, bool) {
 	return 0, false
 }
 
+// breakEntry handles a block entry at the armed breakpoint: count the
+// arrival, and stop there (cont=false) if it is the target one.
+// Otherwise the instruction at va runs on the reference interpreter and
+// the arrival flag clears once the PC moves on, exactly as the step
+// engine's per-instruction check would leave it.
+func (p *Proc) breakEntry(im *Image, idx, ran int) (int, bool) {
+	p.PC = im.TextBase + uint32(idx)*isa.Size
+	if p.atBreak() {
+		return ran, false
+	}
+	m, cont := p.stepOnce()
+	if p.PC != p.Sys.stop.va {
+		p.atStop = false
+	}
+	return ran + m, cont
+}
+
 // runSliceBlocks executes up to n instructions by dispatching whole
 // superblock runs; returns how many ran. Runs never cross the slice
 // boundary: a block longer than the slice remainder is split and the
@@ -199,7 +234,7 @@ func (p *Proc) runSliceBlocks(n int) int {
 		m, cont := p.execBlock(n - ran)
 		ran += m
 		if !cont {
-			break // blocked in a syscall: yield the slice
+			break // blocked in a syscall or at the breakpoint: yield the slice
 		}
 	}
 	return ran
@@ -208,7 +243,8 @@ func (p *Proc) runSliceBlocks(n int) int {
 // execBlock executes up to max instructions by dispatching superblock
 // runs and following chain links between them. It returns how many
 // instructions advanced and whether the process can keep running this
-// slice (false = blocked in a syscall, PC unchanged). Every path
+// slice (false = blocked in a syscall, or stopped at the RunBreak
+// target arrival; PC unchanged either way). Every path
 // through here is behaviourally identical to iterating step(): same
 // kills, same cycle counts, same coverage, same PC at every observable
 // boundary.
@@ -219,6 +255,9 @@ func (p *Proc) execBlock(max int) (int, bool) {
 	}
 	im := p.imageAt(p.PC)
 	if im == nil {
+		if p.Sys.stop.armed && p.atBreak() {
+			return 0, false
+		}
 		p.kill(SigSEGV)
 		return 1, true
 	}
@@ -239,9 +278,19 @@ func (p *Proc) execBlock(max int) (int, bool) {
 	// only when control leaves the loop; every exit arm sets it first.
 	ec := im.exec
 	regs := &p.Regs
+	// stop is the armed breakpoint's index in this image, -1 when
+	// RunBreak is not running or va lies elsewhere: unbroken runs pay
+	// one compare per dispatched block.
+	stop := -1
+	if p.Sys.stop.armed {
+		stop = p.Sys.stop.indexIn(im)
+	}
 	ran := 0
 dispatch:
 	for {
+		if idx == stop {
+			return p.breakEntry(im, idx, ran)
+		}
 		end := int(ec.ends[idx])
 		if lim := idx + (max - ran); lim < end {
 			end = lim

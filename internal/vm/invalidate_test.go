@@ -341,6 +341,18 @@ func TestEngineAllocFree(t *testing.T) {
 			if allocs > 0 {
 				t.Errorf("engine %s allocates %.1f objects per 50k instructions, want 0", engine, allocs)
 			}
+			// RunBreak shares the scheduler loop: arming, stopping on the
+			// loop head's 1000th arrival and recording the round allocate
+			// nothing either.
+			main, _ := sys.procs[0].Images[0].SymbolVA("main")
+			allocs = testing.AllocsPerRun(10, func() {
+				if hit, err := sys.RunBreak(main, 1000, 0); !hit || err != nil {
+					t.Fatalf("RunBreak = (%v, %v)", hit, err)
+				}
+			})
+			if allocs > 0 {
+				t.Errorf("engine %s RunBreak allocates %.1f objects per call, want 0", engine, allocs)
+			}
 		})
 	}
 }

@@ -59,7 +59,7 @@ type Snapshot struct {
 	kern        *kernel.Snapshot
 	nextPID     int
 	totalCycles uint64
-	resume      *schedResume
+	resume      schedResume
 	procs       []procSnap
 }
 
@@ -123,10 +123,7 @@ func (s *System) Snapshot() (*Snapshot, error) {
 		kern:        s.kern.Snapshot(),
 		nextPID:     s.nextPID,
 		totalCycles: s.TotalCycles,
-	}
-	if s.resume != nil {
-		r := *s.resume
-		snap.resume = &r
+		resume:      s.resume,
 	}
 	for name, f := range s.programs {
 		snap.programs[name] = f
@@ -206,10 +203,7 @@ func (s *Snapshot) Restore() *System {
 		kern:        s.kern.Restore(),
 		nextPID:     s.nextPID,
 		TotalCycles: s.totalCycles,
-	}
-	if s.resume != nil {
-		r := *s.resume
-		sys.resume = &r
+		resume:      s.resume,
 	}
 	for name, f := range s.programs {
 		sys.programs[name] = f

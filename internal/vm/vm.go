@@ -238,6 +238,11 @@ type Proc struct {
 	parent   *Proc
 	children []*Proc
 	reaped   bool
+	// stopCount and atStop are this process's arrivals at an armed
+	// RunBreak breakpoint; atStop is set while the PC has stayed on it
+	// since the last counted arrival.
+	stopCount int32
+	atStop    bool
 }
 
 // segment is one mapping of a process address space. Exactly one of
@@ -339,12 +344,15 @@ type System struct {
 	kern     *kernel.Kernel
 	procs    []*Proc
 	nextPID  int
-	// resume, when non-nil, is the partially-completed scheduler round a
+	// resume, when pending, is the partially-completed scheduler round a
 	// RunBreak stop left behind; the next schedule call finishes it
 	// before starting fresh rounds. Snapshot/Restore carry it so a
 	// system restored from a mid-execution snapshot replays the exact
 	// slice boundaries of an unbroken run.
-	resume *schedResume
+	resume schedResume
+	// stop is the breakpoint RunBreak arms for the duration of its
+	// schedule call (zero otherwise).
+	stop breakpoint
 	// TotalCycles accumulates cycles across all processes.
 	TotalCycles uint64
 }
@@ -920,37 +928,55 @@ func (s *System) RunUntil(cond func() bool, budget uint64) error {
 	return s.schedule(cond, s.TotalCycles, budget, ErrIdle)
 }
 
-// schedule is the one round-robin scheduler loop behind Run and RunUntil
-// (Run is RunUntil(nil, budget) with an absolute budget origin and
-// ErrDeadlock as its no-progress verdict: a wedged Run can never make
-// progress again, while a wedged RunUntil is merely idle until the
-// workload driver feeds more input). Budget exhaustion is checked after
-// every time slice against s.TotalCycles - start.
+// schedule is the one round-robin scheduler loop behind Run, RunUntil
+// and RunBreak (Run is RunUntil(nil, budget) with an absolute budget
+// origin and ErrDeadlock as its no-progress verdict: a wedged Run can
+// never make progress again, while a wedged RunUntil is merely idle
+// until the workload driver feeds more input). Budget exhaustion is
+// checked after every time slice against s.TotalCycles - start. When
+// RunBreak has armed a breakpoint and a slice stops on it, schedule
+// records the interrupted round in s.resume and returns nil; a later
+// call finishes that round first, so every slice boundary lands where
+// an unbroken run puts it.
 func (s *System) schedule(cond func() bool, start, budget uint64, stall error) error {
-	if err, done := s.resumeRound(start, budget, stall); done {
-		return err
-	}
+	r, resumed := s.resume, s.resume.pending
+	s.resume = schedResume{}
 	for {
-		if cond != nil && cond() {
-			return nil
-		}
-		alive, progress := 0, false
-		for _, p := range s.procs {
-			if p.Exited {
-				continue
+		if !resumed {
+			if cond != nil && cond() {
+				return nil
 			}
-			alive++
-			if p.runSlice(s.opts.TimeSlice) > 0 {
-				progress = true
+			r = schedResume{nprocs: len(s.procs)}
+		}
+		for i := r.procIdx; i < r.nprocs; i++ {
+			p := s.procs[i]
+			slice := s.opts.TimeSlice
+			if resumed && i == r.procIdx {
+				slice = r.sliceLeft
+			} else {
+				if p.Exited {
+					continue
+				}
+				r.alive++
+			}
+			ran := p.runSlice(slice)
+			if ran > 0 {
+				r.progress = true
+			}
+			if s.stop.hit || s.stop.err != nil {
+				r.procIdx, r.sliceLeft, r.pending = i, slice-ran, true
+				s.resume = r
+				return nil
 			}
 			if budget > 0 && s.TotalCycles-start >= budget {
 				return ErrBudget
 			}
 		}
-		if alive == 0 {
+		resumed = false
+		if r.alive == 0 {
 			return nil
 		}
-		if !progress {
+		if !r.progress {
 			return stall
 		}
 	}
@@ -965,6 +991,7 @@ func (s *System) schedule(cond func() bool, start, budget uint64, stall error) e
 // and cross-process interleaving lands on exactly the cycle it would
 // have in an unbroken run.
 type schedResume struct {
+	pending   bool // a stopped round is waiting to be finished
 	procIdx   int  // round position: the process that was mid-slice
 	sliceLeft int  // instructions left in its interrupted slice
 	alive     int  // live processes already counted this round (procIdx included)
@@ -972,142 +999,104 @@ type schedResume struct {
 	nprocs    int  // processes in the round when it started (later spawns join the next)
 }
 
-// resumeRound finishes a round interrupted by RunBreak. It returns
-// done=true when the scheduler must stop inside the resumed round
-// (budget exhausted, all processes exited, or no progress) and
-// done=false when the round completed and normal rounds should follow.
-func (s *System) resumeRound(start, budget uint64, stall error) (error, bool) {
-	r := s.resume
-	if r == nil {
-		return nil, false
-	}
-	s.resume = nil
-	alive, progress := r.alive, r.progress
-	n := r.nprocs
-	if n > len(s.procs) {
-		n = len(s.procs)
-	}
-	for i := r.procIdx; i < n; i++ {
-		p := s.procs[i]
-		slice := s.opts.TimeSlice
-		if i == r.procIdx {
-			slice = r.sliceLeft
-		} else {
-			if p.Exited {
-				continue
-			}
-			alive++
-		}
-		if p.runSlice(slice) > 0 {
-			progress = true
-		}
-		if budget > 0 && s.TotalCycles-start >= budget {
-			return ErrBudget, true
-		}
-	}
-	if alive == 0 {
-		return nil, true
-	}
-	if !progress {
-		return stall, true
-	}
-	return nil, false
+// breakpoint is the stop condition RunBreak arms for one schedule call.
+// Both engines count each process's arrivals at va (Proc.stopCount)
+// and set hit when one makes its target-th; the block engine checks
+// only at block entries, so it sets err instead when va is not a block
+// start in an image it runs. Either ends the schedule call.
+type breakpoint struct {
+	armed  bool
+	hit    bool
+	va     uint32
+	target int32
+	err    error
 }
 
-// breakState tracks breakpoint arrivals for one process during RunBreak.
-// atVA suppresses double counting when a slice ends (or a blocked
-// syscall retries) with the PC parked on the breakpoint address.
-type breakState struct {
-	count int32
-	atVA  bool
+// indexIn returns va's instruction index in im, or -1 when va lies
+// outside im's text. A va inside the text that does not start a block
+// records b.err (and also yields -1): the block engine would miss
+// straight-line arrivals there.
+func (b *breakpoint) indexIn(im *Image) int {
+	off := b.va - im.TextBase
+	if b.va < im.TextBase || off >= uint32(len(im.text)) {
+		return -1
+	}
+	i := int(off / isa.Size)
+	if off%isa.Size != 0 || im.exec == nil || !im.exec.starts(i) {
+		if b.err == nil {
+			b.err = fmt.Errorf("vm: RunBreak va %#x is not a block start in %s", b.va, im.File.Name)
+		}
+		return -1
+	}
+	return i
 }
 
 // RunBreak runs like Run(budget) but stops the whole system just before
-// the target-th arrival of any process's PC at va (arrivals are counted
-// across all processes). On a hit it returns (true, nil) with the
-// system frozen before the instruction at va executes and the
-// scheduler's mid-round position recorded, so Snapshot/Restore/Run
-// continues with slice boundaries, budget checks and interleavings
-// identical to an unbroken Run — the memoized-sweep prefix contract.
-// When every process exits (nil), the system deadlocks (ErrDeadlock) or
-// the budget runs out (ErrBudget) before the arrival, it returns
-// (false, err) with cycle accounting identical to Run's.
+// the target-th arrival of one process's PC at va. Arrivals are counted
+// per process: the stop comes when any single process makes its
+// target-th, matching the per-process trigger evaluators whose call
+// counts a memoized prefix must reproduce. An arrival is counted once
+// when a slice ends (or a blocked instruction yields) with the PC
+// parked on va. On a hit it returns (true, nil) with the system frozen
+// before the instruction at va executes and the scheduler's mid-round
+// position recorded, so Snapshot/Restore/Run continues with slice
+// boundaries, budget checks and interleavings identical to an unbroken
+// Run — the memoized-sweep prefix contract. When every process exits
+// (nil), the system deadlocks (ErrDeadlock) or the budget runs out
+// (ErrBudget) before the arrival, it returns (false, err) with cycle
+// accounting identical to Run's.
 //
-// The instruction at va must not be able to block (true for interceptor
-// stub prologues, whose first instruction is a lea). The prefix executes
-// on the step engine regardless of Options.Engine — both engines are
-// decision-for-decision identical, so the stopped state is the one
-// either engine reaches.
+// The prefix runs through the same scheduler loop and engine as Run.
+// The block engine checks for va where it enters a block, so on that
+// engine va must be a block start (every function-symbol entry is one)
+// in each image that contains it; otherwise RunBreak returns an error,
+// before running when a live process maps that image. The instruction
+// at va must not be able to block (true for interceptor stub
+// prologues, whose first instruction is a lea).
 func (s *System) RunBreak(va uint32, target int32, budget uint64) (bool, error) {
 	if target <= 0 {
 		return false, fmt.Errorf("vm: RunBreak target %d not positive", target)
 	}
-	states := make(map[*Proc]*breakState)
-	for {
-		alive, progress := 0, false
-		nprocs := len(s.procs)
-		for i := 0; i < nprocs; i++ {
-			p := s.procs[i]
-			if p.Exited {
-				continue
+	s.stop = breakpoint{armed: true, va: va, target: target}
+	for _, p := range s.procs {
+		p.stopCount, p.atStop = 0, false
+		if s.opts.Engine != EngineStep && !p.Exited {
+			for _, im := range p.Images {
+				s.stop.indexIn(im)
 			}
-			alive++
-			st := states[p]
-			if st == nil {
-				st = &breakState{}
-				states[p] = st
-			}
-			ran, hit := p.runSliceBreak(s.opts.TimeSlice, va, target, st)
-			if ran > 0 {
-				progress = true
-			}
-			if hit {
-				s.resume = &schedResume{
-					procIdx:   i,
-					sliceLeft: s.opts.TimeSlice - ran,
-					alive:     alive,
-					progress:  progress,
-					nprocs:    nprocs,
-				}
-				return true, nil
-			}
-			if budget > 0 && s.TotalCycles >= budget {
-				return false, ErrBudget
-			}
-		}
-		if alive == 0 {
-			return false, nil
-		}
-		if !progress {
-			return false, ErrDeadlock
 		}
 	}
+	var err error
+	if s.stop.err == nil {
+		err = s.schedule(nil, 0, budget, ErrDeadlock)
+	}
+	hit, bad := s.stop.hit, s.stop.err
+	s.stop = breakpoint{}
+	if bad != nil {
+		return false, bad
+	}
+	return hit, err
 }
 
-// runSliceBreak is the step engine's runSlice with an arrival check
-// before every instruction. It returns how many instructions ran and
-// whether the target arrival was reached (the instruction at va not yet
-// executed).
-func (p *Proc) runSliceBreak(n int, va uint32, target int32, st *breakState) (int, bool) {
-	ran := 0
-	for ran < n && !p.Exited {
-		if p.PC == va {
-			if !st.atVA {
-				st.atVA = true
-				st.count++
-				if st.count == target {
-					return ran, true
-				}
-			}
-		} else {
-			st.atVA = false
-		}
-		if !p.step() {
-			break // blocked in a syscall: yield the slice
-		}
-		ran++
+// atBreak counts an arrival at the armed breakpoint and reports whether
+// it is this process's target-th. The step engine calls it before every
+// instruction; the block engine at every block entry (see execBlock).
+func (p *Proc) atBreak() bool {
+	b := &p.Sys.stop
+	if p.PC != b.va {
+		p.atStop = false
+		return false
 	}
-	return ran, false
+	if p.atStop {
+		return false // parked on va since the last count
+	}
+	p.atStop = true
+	p.stopCount++
+	if p.stopCount == b.target {
+		b.hit = true
+		return true
+	}
+	return false
 }
 
 // runSlice executes up to n instructions on the configured engine;
@@ -1117,14 +1106,16 @@ func (p *Proc) runSliceBreak(n int, va uint32, target int32, st *breakState) (in
 // check) is identical between them.
 func (p *Proc) runSlice(n int) int {
 	if p.Sys.opts.Engine == EngineStep {
+		armed := p.Sys.stop.armed
 		ran := 0
-		for i := 0; i < n && !p.Exited; i++ {
-			advanced := p.step()
-			if advanced {
-				ran++
-			} else {
+		for ran < n && !p.Exited {
+			if armed && p.atBreak() {
+				break // stopped before the target arrival executes
+			}
+			if !p.step() {
 				break // blocked in a syscall: yield the slice
 			}
+			ran++
 		}
 		return ran
 	}

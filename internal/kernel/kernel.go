@@ -88,7 +88,6 @@ type sock struct {
 
 type fdTable struct {
 	files map[int32]*file
-	next  int32
 }
 
 // New creates an empty kernel.
@@ -122,7 +121,7 @@ func (k *Kernel) FileData(path string) ([]byte, bool) {
 func (k *Kernel) NewProcess(pid int) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	k.tables[pid] = &fdTable{files: make(map[int32]*file), next: 3}
+	k.tables[pid] = &fdTable{files: make(map[int32]*file)}
 }
 
 // ReleaseProcess closes all descriptors of an exiting process.
@@ -142,16 +141,16 @@ func (k *Kernel) ReleaseProcess(pid int) {
 func (k *Kernel) table(pid int) *fdTable {
 	t := k.tables[pid]
 	if t == nil {
-		t = &fdTable{files: make(map[int32]*file), next: 3}
+		t = &fdTable{files: make(map[int32]*file)}
 		k.tables[pid] = t
 	}
 	return t
 }
 
-// install places an open-file description at the next free descriptor
-// of t, enforcing the table cap (caller holds k.mu). The cap is MaxFDs,
-// shrunk to the armed fd-pressure limit when that degradation is in
-// effect; EMFILE under the shrunk limit marks the degradation tripped.
+// install places an open-file description at the lowest free
+// descriptor of t at or above 3, as POSIX does, enforcing the table cap
+// (caller holds k.mu). The cap is MaxFDs, shrunk to the armed
+// fd-pressure limit when that degradation is in effect; EMFILE under the shrunk limit marks the degradation tripped.
 // This is the single descriptor-allocation authority — Open, Pipe, Dup,
 // Socket and Accept all go through it, so the boundary check cannot
 // drift between paths.
@@ -166,17 +165,16 @@ func (k *Kernel) install(t *fdTable, f *file) int32 {
 		}
 		return -EMFILE
 	}
-	fd := t.next
+	fd := int32(3)
 	for t.files[fd] != nil {
 		fd++
 	}
-	t.next = fd + 1
 	t.files[fd] = f
 	return fd
 }
 
 // Dup implements sys_dup: fd's open-file description is installed at
-// the next free descriptor, sharing position and pipe/socket identity.
+// the lowest free descriptor, sharing position and pipe/socket identity.
 // Returns the new fd or -errno; at the table cap it fails with EMFILE —
 // the same check as every other allocation path.
 func (k *Kernel) Dup(pid int, fd int32) int32 {

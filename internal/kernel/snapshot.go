@@ -128,7 +128,7 @@ func (k *Kernel) cloneLocked() *Kernel {
 		out.fs[path] = cloneInode(n)
 	}
 	for pid, t := range k.tables {
-		ct := &fdTable{files: make(map[int32]*file, len(t.files)), next: t.next}
+		ct := &fdTable{files: make(map[int32]*file, len(t.files))}
 		for fd, f := range t.files {
 			ct.files[fd] = cloneFile(f)
 		}

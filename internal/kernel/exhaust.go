@@ -6,7 +6,7 @@
 // return ENOSPC after the quota is consumed, and fd pressure shrinks
 // the effective descriptor-table headroom so allocations return EMFILE.
 // The armed/tripped state is part of the kernel's resource state proper:
-// Snapshot/Restore carry it (cloneLocked copies it bit-identically), and
+// Snapshot/Restore carry it (clone copies it bit-identically), and
 // the controller's mid-execution Checkpoint moves it across memoized
 // prefix restores, so degradation campaigns stay byte-identical across
 // CoW/flat restores and memo on/off.
@@ -52,8 +52,6 @@ func (s DegradationState) Tripped() bool { return s.DiskTripped || s.FDsTripped 
 // with ENOSPC. Re-arming resets the written counter and the tripped
 // flag — a sticky trigger that re-fires restarts the quota.
 func (k *Kernel) ArmDiskQuota(after int64) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	k.ex.diskArmed = true
 	k.ex.diskQuota = after
 	k.ex.diskWritten = 0
@@ -66,9 +64,7 @@ func (k *Kernel) ArmDiskQuota(after int64) {
 // (descriptor tables are per-process but the degradation models a
 // system-wide resource), and never exceeds MaxFDs.
 func (k *Kernel) ArmFDPressure(pid int, slots int32) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	limit := len(k.table(pid).files) + int(slots)
+	limit := k.table(pid).n + int(slots)
 	if limit > MaxFDs {
 		limit = MaxFDs
 	}
@@ -79,8 +75,6 @@ func (k *Kernel) ArmFDPressure(pid int, slots int32) {
 
 // Degradation exports the current degradation state.
 func (k *Kernel) Degradation() DegradationState {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	return DegradationState{
 		DiskArmed:   k.ex.diskArmed,
 		DiskQuota:   k.ex.diskQuota,
@@ -95,8 +89,6 @@ func (k *Kernel) Degradation() DegradationState {
 // SetDegradation overwrites the degradation state — the restore half of
 // a controller checkpoint carrying armed state across a memoized prefix.
 func (k *Kernel) SetDegradation(st DegradationState) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	k.ex = exhaustState{
 		diskArmed:   st.DiskArmed,
 		diskQuota:   st.DiskQuota,
@@ -109,7 +101,7 @@ func (k *Kernel) SetDegradation(st DegradationState) {
 }
 
 // diskRemaining returns how many bytes may still be written under an
-// armed quota (caller holds k.mu). Unarmed: effectively unlimited.
+// armed quota. Unarmed: effectively unlimited.
 func (k *Kernel) diskRemaining() int64 {
 	if !k.ex.diskArmed {
 		return 1 << 62

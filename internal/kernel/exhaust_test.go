@@ -133,14 +133,14 @@ func TestFDBoundaryAtMaxFDs(t *testing.T) {
 		t.Fatalf("pipe at MaxFDs errno = %d, want EMFILE", errno)
 	}
 
-	// One slot free: a pipe needs two, so it must fail with EMFILE AND
-	// roll back the read end it managed to install.
+	// One slot free: a pipe needs two, so it must fail with EMFILE and
+	// leave no descriptor behind.
 	k.Close(1, fds[0])
-	before := len(k.table(1).files)
+	before := k.table(1).n
 	if _, _, errno := k.Pipe(1); errno != EMFILE {
 		t.Fatalf("pipe with 1 slot errno = %d, want EMFILE", errno)
 	}
-	if after := len(k.table(1).files); after != before {
+	if after := k.table(1).n; after != before {
 		t.Fatalf("pipe leaked descriptors: %d -> %d", before, after)
 	}
 	// A single-fd allocation still fits in that slot.
@@ -155,7 +155,7 @@ func TestFDBoundaryAtMaxFDs(t *testing.T) {
 	if errno != 0 || rfd < 0 || wfd < 0 {
 		t.Fatalf("pipe with 2 slots = (%d,%d,%d)", rfd, wfd, errno)
 	}
-	if got := len(k.table(1).files); got != MaxFDs {
+	if got := k.table(1).n; got != MaxFDs {
 		t.Fatalf("table population = %d, want %d", got, MaxFDs)
 	}
 }

@@ -1,9 +1,6 @@
 package kernel
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Open flags understood by the synthetic kernel (Linux-flavoured).
 const (
@@ -18,6 +15,15 @@ const (
 // MaxFDs is the per-process file-descriptor table size (EMFILE beyond it).
 const MaxFDs = 64
 
+// firstFD is the lowest descriptor allocation hands out: 0-2 are the
+// standard streams, which only fd inheritance (InstallAt) fills.
+const firstFD = 3
+
+// fdSlots is the descriptor table's slot count. At most MaxFDs
+// descriptors are live, so the lowest free one at or above firstFD is
+// never beyond firstFD+MaxFDs-1.
+const fdSlots = firstFD + MaxFDs
+
 // pipeCap is the pipe buffer capacity in bytes.
 const pipeCap = 4096
 
@@ -29,8 +35,14 @@ const pipeCap = 4096
 // All operations are deterministic; the kernel injects no spontaneous
 // faults of its own — faults come from the LFI controller at the library
 // boundary, as in the paper.
+//
+// A Kernel has a single owner and takes no lock: it belongs to one
+// vm.System, and every call into it — guest syscalls, host functions,
+// workload drivers through Conn, controller checkpoints — comes from the
+// goroutine driving that System. Concurrent campaigns give each System
+// its own Kernel (Snapshot.Restore); the frozen snapshot template is the
+// only kernel state shared between goroutines, and it is never written.
 type Kernel struct {
-	mu        sync.Mutex
 	fs        map[string]*inode
 	tables    map[int]*fdTable // pid -> descriptors
 	listeners map[int32]*listener
@@ -80,14 +92,49 @@ type listener struct {
 
 // sock is a bidirectional loopback byte stream. The "a" side is the VM
 // process; the "b" side is either another VM socket or a host Conn.
+//
+// The open-file descriptions of both VM ends live inside the sock, so a
+// connection costs one allocation: b is the file socket() returns,
+// which becomes the connecting end, and a is the file accept()
+// installs. A sock is dequeued from a backlog at most once, so a is
+// filled at most once.
 type sock struct {
 	a2b, b2a []byte
 	aOpen    bool
 	bOpen    bool
+	a, b     file
 }
 
+// fdTable is one process's descriptor table: a dense slot array
+// indexed by descriptor, and the count of live descriptors the MaxFDs
+// cap applies to.
 type fdTable struct {
-	files map[int32]*file
+	files [fdSlots]*file
+	n     int
+}
+
+// get returns the open file at fd, or nil when fd is not open.
+func (t *fdTable) get(fd int32) *file {
+	if fd < 0 || fd >= fdSlots {
+		return nil
+	}
+	return t.files[fd]
+}
+
+// put installs f at a free in-range slot.
+func (t *fdTable) put(fd int32, f *file) {
+	t.files[fd] = f
+	t.n++
+}
+
+// lowestFree returns the lowest free descriptor at or above firstFD.
+// The caller has checked that t has room (n < MaxFDs), so one exists.
+func (t *fdTable) lowestFree() int32 {
+	fd := int32(firstFD)
+	for t.files[fd] != nil {
+		fd++
+	}
+	return fd
 }
 
 // New creates an empty kernel.
@@ -101,15 +148,11 @@ func New() *Kernel {
 
 // AddFile installs a file into the in-memory file system.
 func (k *Kernel) AddFile(path string, data []byte) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	k.fs[path] = &inode{data: append([]byte(nil), data...)}
 }
 
 // FileData returns a copy of the named file's current contents.
 func (k *Kernel) FileData(path string) ([]byte, bool) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	n, ok := k.fs[path]
 	if !ok {
 		return nil, false
@@ -119,21 +162,19 @@ func (k *Kernel) FileData(path string) ([]byte, bool) {
 
 // NewProcess allocates a descriptor table for a process.
 func (k *Kernel) NewProcess(pid int) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.tables[pid] = &fdTable{files: make(map[int32]*file)}
+	k.tables[pid] = &fdTable{}
 }
 
 // ReleaseProcess closes all descriptors of an exiting process.
 func (k *Kernel) ReleaseProcess(pid int) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	t := k.tables[pid]
 	if t == nil {
 		return
 	}
-	for fd := range t.files {
-		k.closeLocked(t, fd)
+	for fd, f := range t.files {
+		if f != nil {
+			k.closeFD(t, int32(fd))
+		}
 	}
 	delete(k.tables, pid)
 }
@@ -141,36 +182,32 @@ func (k *Kernel) ReleaseProcess(pid int) {
 func (k *Kernel) table(pid int) *fdTable {
 	t := k.tables[pid]
 	if t == nil {
-		t = &fdTable{files: make(map[int32]*file)}
+		t = &fdTable{}
 		k.tables[pid] = t
 	}
 	return t
 }
 
-// install places an open-file description at the lowest free
-// descriptor of t at or above 3, as POSIX does, enforcing the table cap
-// (caller holds k.mu). The cap is MaxFDs, shrunk to the armed
-// fd-pressure limit when that degradation is in effect; EMFILE under the shrunk limit marks the degradation tripped.
-// This is the single descriptor-allocation authority — Open, Pipe, Dup,
-// Socket and Accept all go through it, so the boundary check cannot
-// drift between paths.
-func (k *Kernel) install(t *fdTable, f *file) int32 {
+// room reports whether t can take need more descriptors, enforcing
+// the table cap. The cap is MaxFDs, shrunk to the armed fd-pressure
+// limit when that degradation is in effect; EMFILE under the shrunk
+// limit marks the degradation tripped. This is the single
+// descriptor-allocation authority — Open, Pipe, Dup, Socket and Accept
+// all ask it before building anything, so the boundary check cannot
+// drift between paths and a failing allocation allocates nothing.
+// Descriptors are handed out lowest-free first (fdTable.lowestFree).
+func (k *Kernel) room(t *fdTable, need int) bool {
 	max := MaxFDs
 	if k.ex.fdsArmed && k.ex.fdsLimit < max {
 		max = k.ex.fdsLimit
 	}
-	if len(t.files) >= max {
+	if t.n+need > max {
 		if max < MaxFDs {
 			k.ex.fdsTripped = true
 		}
-		return -EMFILE
+		return false
 	}
-	fd := int32(3)
-	for t.files[fd] != nil {
-		fd++
-	}
-	t.files[fd] = f
-	return fd
+	return true
 }
 
 // Dup implements sys_dup: fd's open-file description is installed at
@@ -178,17 +215,16 @@ func (k *Kernel) install(t *fdTable, f *file) int32 {
 // Returns the new fd or -errno; at the table cap it fails with EMFILE —
 // the same check as every other allocation path.
 func (k *Kernel) Dup(pid int, fd int32) int32 {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	t := k.table(pid)
-	f := t.files[fd]
+	f := t.get(fd)
 	if f == nil {
 		return -EBADF
 	}
-	nfd := k.install(t, f)
-	if nfd < 0 {
-		return nfd
+	if !k.room(t, 1) {
+		return -EMFILE
 	}
+	nfd := t.lowestFree()
+	t.put(nfd, f)
 	if f.kind == filePipe {
 		if f.rdEnd {
 			f.pipe.readers++
@@ -200,12 +236,11 @@ func (k *Kernel) Dup(pid int, fd int32) int32 {
 }
 
 // InstallAt force-installs a shared open file at a specific descriptor in
-// a (child) process — the fd-inheritance half of spawn.
+// a (child) process — the fd-inheritance half of spawn. It reports false
+// when fromFD is not open or fd is outside the table.
 func (k *Kernel) InstallAt(pid int, fd int32, from int, fromFD int32) bool {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	src := k.table(from).files[fromFD]
-	if src == nil {
+	src := k.table(from).get(fromFD)
+	if src == nil || fd < 0 || fd >= fdSlots {
 		return false
 	}
 	if src.kind == filePipe {
@@ -215,14 +250,20 @@ func (k *Kernel) InstallAt(pid int, fd int32, from int, fromFD int32) bool {
 			src.pipe.writers++
 		}
 	}
-	k.table(pid).files[fd] = src
+	t := k.table(pid)
+	if t.files[fd] == nil {
+		t.n++
+	}
+	t.files[fd] = src
 	return true
 }
 
-// Open implements sys_open. Returns fd or -errno.
+// Open implements sys_open. Returns fd or -errno. Errors are checked in
+// the order ENOENT, ENOSPC, EMFILE, and all of them before the open has
+// any effect: like Linux, which allocates the descriptor first, an open
+// that fails leaves the file system untouched — no node is created and
+// O_TRUNC truncates nothing.
 func (k *Kernel) Open(pid int, path string, flags int32) int32 {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	node, exists := k.fs[path]
 	if !exists {
 		if flags&OCreat == 0 {
@@ -234,6 +275,12 @@ func (k *Kernel) Open(pid int, path string, flags int32) int32 {
 			k.ex.diskTripped = true
 			return -ENOSPC
 		}
+	}
+	t := k.table(pid)
+	if !k.room(t, 1) {
+		return -EMFILE
+	}
+	if !exists {
 		node = &inode{}
 		k.fs[path] = node
 	}
@@ -244,13 +291,13 @@ func (k *Kernel) Open(pid int, path string, flags int32) int32 {
 	if flags&OAppend != 0 {
 		f.pos = int32(len(node.data))
 	}
-	return k.install(k.table(pid), f)
+	fd := t.lowestFree()
+	t.put(fd, f)
+	return fd
 }
 
 // Unlink implements sys_unlink.
 func (k *Kernel) Unlink(pid int, path string) int32 {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	if _, ok := k.fs[path]; !ok {
 		return -ENOENT
 	}
@@ -260,19 +307,19 @@ func (k *Kernel) Unlink(pid int, path string) int32 {
 
 // Close implements sys_close.
 func (k *Kernel) Close(pid int, fd int32) int32 {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	t := k.table(pid)
-	if t.files[fd] == nil {
+	if t.get(fd) == nil {
 		return -EBADF
 	}
-	k.closeLocked(t, fd)
+	k.closeFD(t, fd)
 	return 0
 }
 
-func (k *Kernel) closeLocked(t *fdTable, fd int32) {
+// closeFD releases the open descriptor fd of t.
+func (k *Kernel) closeFD(t *fdTable, fd int32) {
 	f := t.files[fd]
-	delete(t.files, fd)
+	t.files[fd] = nil
+	t.n--
 	switch f.kind {
 	case filePipe:
 		if f.rdEnd {
@@ -304,9 +351,7 @@ func (k *Kernel) closeLocked(t *fdTable, fd int32) {
 // Read implements sys_read. blocked=true means the caller must retry (the
 // VM keeps the process on the syscall instruction).
 func (k *Kernel) Read(pid int, fd int32, n int32) (data []byte, ret int32, blocked bool) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	f := k.table(pid).files[fd]
+	f := k.table(pid).get(fd)
 	if f == nil || n < 0 {
 		if f == nil {
 			return nil, -EBADF, false
@@ -345,16 +390,14 @@ func (k *Kernel) Read(pid int, fd int32, n int32) (data []byte, ret int32, block
 		f.pipe.buf = f.pipe.buf[n:]
 		return out, n, false
 	case fileSocket:
-		return k.sockRecvLocked(f, n)
+		return sockRecv(f, n)
 	}
 	return nil, -EINVAL, false
 }
 
 // Write implements sys_write.
 func (k *Kernel) Write(pid int, fd int32, data []byte) (ret int32, blocked bool) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	f := k.table(pid).files[fd]
+	f := k.table(pid).get(fd)
 	if f == nil {
 		return -EBADF, false
 	}
@@ -376,13 +419,19 @@ func (k *Kernel) Write(pid int, fd int32, data []byte) (ret int32, blocked bool)
 				data = data[:rem]
 			}
 		}
-		end := int(f.pos) + len(data)
-		if end > len(f.node.data) {
-			grown := make([]byte, end)
-			copy(grown, f.node.data)
-			f.node.data = grown
+		// A write past the end grows the inode with amortized append;
+		// an appending writer (a WAL) would otherwise copy the whole
+		// file on every write. A hole left by a truncation behind this
+		// descriptor's offset reads as zeroes.
+		node := f.node
+		if end := int(f.pos) + len(data); end > len(node.data) {
+			if hole := int(f.pos) - len(node.data); hole > 0 {
+				node.data = append(node.data, make([]byte, hole)...)
+			}
+			node.data = append(node.data[:f.pos], data...)
+		} else {
+			copy(node.data[f.pos:], data)
 		}
-		copy(f.node.data[f.pos:], data)
 		f.pos += int32(len(data))
 		if k.ex.diskArmed {
 			k.ex.diskWritten += int64(len(data))
@@ -406,47 +455,44 @@ func (k *Kernel) Write(pid int, fd int32, data []byte) (ret int32, blocked bool)
 		f.pipe.buf = append(f.pipe.buf, data[:n]...)
 		return int32(n), false
 	case fileSocket:
-		return k.sockSendLocked(f, data)
+		return sockSend(f, data)
 	}
 	return -EINVAL, false
 }
 
 // Pipe implements sys_pipe, returning the read and write descriptors.
-// Pipe creation is all-or-nothing: if the second descriptor does not
-// fit under the table cap, the first is rolled back and EMFILE is
-// returned with no fd leaked. Both ends allocate through install, so
-// the boundary check is identical to Open/Dup's (>= the effective cap)
-// instead of the old separate `+2 >` pre-check.
+// Pipe creation is all-or-nothing: unless both descriptors fit under
+// the table cap it returns EMFILE and allocates nothing.
 func (k *Kernel) Pipe(pid int) (rfd, wfd, errno int32) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	t := k.table(pid)
+	if !k.room(t, 2) {
+		return 0, 0, EMFILE
+	}
 	p := &pipe{readers: 1, writers: 1}
-	rfd = k.install(t, &file{kind: filePipe, pipe: p, rdEnd: true})
-	if rfd < 0 {
-		return 0, 0, EMFILE
-	}
-	wfd = k.install(t, &file{kind: filePipe, pipe: p})
-	if wfd < 0 {
-		k.closeLocked(t, rfd)
-		return 0, 0, EMFILE
-	}
+	rfd = t.lowestFree()
+	t.put(rfd, &file{kind: filePipe, pipe: p, rdEnd: true})
+	wfd = t.lowestFree()
+	t.put(wfd, &file{kind: filePipe, pipe: p})
 	return rfd, wfd, 0
 }
 
 // Socket implements sys_socket.
 func (k *Kernel) Socket(pid int) int32 {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.install(k.table(pid), &file{kind: fileSocket, sock: &sock{aOpen: true, bOpen: false}})
+	t := k.table(pid)
+	if !k.room(t, 1) {
+		return -EMFILE
+	}
+	s := &sock{aOpen: true}
+	s.b = file{kind: fileSocket, sock: s}
+	fd := t.lowestFree()
+	t.put(fd, &s.b)
+	return fd
 }
 
 // Listen implements sys_listen: binds the descriptor to a port and makes
 // it a listener.
 func (k *Kernel) Listen(pid int, fd, port int32) int32 {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	f := k.table(pid).files[fd]
+	f := k.table(pid).get(fd)
 	if f == nil {
 		return -EBADF
 	}
@@ -465,9 +511,8 @@ func (k *Kernel) Listen(pid int, fd, port int32) int32 {
 
 // Accept implements sys_accept.
 func (k *Kernel) Accept(pid int, fd int32) (ret int32, blocked bool) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	f := k.table(pid).files[fd]
+	t := k.table(pid)
+	f := t.get(fd)
 	if f == nil {
 		return -EBADF, false
 	}
@@ -477,24 +522,28 @@ func (k *Kernel) Accept(pid int, fd int32) (ret int32, blocked bool) {
 	if len(f.lst.backlog) == 0 {
 		return 0, true
 	}
-	// Install before dequeue: a failed allocation (EMFILE under fd
+	// Allocate before dequeue: a failed allocation (EMFILE under fd
 	// pressure) must not drop the established connection — it stays
 	// queued and a later accept, once a descriptor frees up, serves it.
-	s := f.lst.backlog[0]
-	nfd := k.install(k.table(pid), &file{kind: fileSocket, sock: s})
-	if nfd < 0 {
-		return nfd, false
+	if !k.room(t, 1) {
+		return -EMFILE, false
 	}
-	f.lst.backlog = f.lst.backlog[1:]
+	s := f.lst.backlog[0]
+	s.a = file{kind: fileSocket, sock: s}
+	nfd := t.lowestFree()
+	t.put(nfd, &s.a)
+	// Shift rather than reslice, so a steady connect/accept cycle
+	// reuses the backlog's array instead of reallocating it.
+	n := copy(f.lst.backlog, f.lst.backlog[1:])
+	f.lst.backlog[n] = nil
+	f.lst.backlog = f.lst.backlog[:n]
 	return nfd, false
 }
 
 // Connect implements sys_connect: connects a VM socket to a VM listener
 // on the loopback "network".
 func (k *Kernel) Connect(pid int, fd, port int32) int32 {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	f := k.table(pid).files[fd]
+	f := k.table(pid).get(fd)
 	if f == nil {
 		return -EBADF
 	}
@@ -507,14 +556,21 @@ func (k *Kernel) Connect(pid int, fd, port int32) int32 {
 	}
 	// One shared stream pair: the acceptor holds the "a" view, the
 	// connector the mirrored "b" view (send and recv buffers swapped).
-	s := &sock{aOpen: true, bOpen: true}
-	f.sock = s
+	// A socket that has never connected owns its sock outright (sends
+	// on it fail before buffering anything), so that sock becomes the
+	// connection; a reconnecting socket gets a fresh one.
+	s := f.sock
+	if f != &s.b || f.mirror {
+		s = &sock{}
+		f.sock = s
+	}
+	s.aOpen, s.bOpen = true, true
 	f.mirror = true
 	l.backlog = append(l.backlog, s)
 	return 0
 }
 
-func (k *Kernel) sockSendLocked(f *file, data []byte) (int32, bool) {
+func sockSend(f *file, data []byte) (int32, bool) {
 	s := f.sock
 	peerOpen := s.bOpen
 	if f.mirror {
@@ -531,7 +587,7 @@ func (k *Kernel) sockSendLocked(f *file, data []byte) (int32, bool) {
 	return int32(len(data)), false
 }
 
-func (k *Kernel) sockRecvLocked(f *file, n int32) ([]byte, int32, bool) {
+func sockRecv(f *file, n int32) ([]byte, int32, bool) {
 	s := f.sock
 	buf := &s.b2a
 	peerOpen := s.bOpen
@@ -568,8 +624,6 @@ type Conn struct {
 // Dial connects the host side to a VM listener port. It fails with
 // ECONNREFUSED semantics if nothing is listening.
 func (k *Kernel) Dial(port int32) (*Conn, error) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	l, ok := k.listeners[port]
 	if !ok || l.closed {
 		return nil, fmt.Errorf("kernel: dial port %d: connection refused", port)
@@ -581,15 +635,11 @@ func (k *Kernel) Dial(port int32) (*Conn, error) {
 
 // Send enqueues bytes for the VM side to recv.
 func (c *Conn) Send(data []byte) {
-	c.k.mu.Lock()
-	defer c.k.mu.Unlock()
 	c.s.b2a = append(c.s.b2a, data...)
 }
 
 // Recv drains whatever the VM side has sent so far.
 func (c *Conn) Recv() []byte {
-	c.k.mu.Lock()
-	defer c.k.mu.Unlock()
 	out := c.s.a2b
 	c.s.a2b = nil
 	return out
@@ -597,21 +647,15 @@ func (c *Conn) Recv() []byte {
 
 // PeerClosed reports whether the VM side has closed the connection.
 func (c *Conn) PeerClosed() bool {
-	c.k.mu.Lock()
-	defer c.k.mu.Unlock()
 	return !c.s.aOpen
 }
 
 // Pending reports whether unread VM->host bytes are buffered.
 func (c *Conn) Pending() bool {
-	c.k.mu.Lock()
-	defer c.k.mu.Unlock()
 	return len(c.s.a2b) > 0
 }
 
 // Close closes the host side of the connection.
 func (c *Conn) Close() {
-	c.k.mu.Lock()
-	defer c.k.mu.Unlock()
 	c.s.bOpen = false
 }

@@ -28,21 +28,14 @@ func (k *Kernel) Snapshot() *Snapshot {
 // is immutable, so concurrent Restores copy without taking any lock —
 // no convoy on the per-experiment hot path.
 func (s *Snapshot) Restore() *Kernel {
-	return s.frozen.cloneLocked()
+	return s.frozen.clone()
 }
 
-// clone deep-copies a live kernel under its lock.
-func (k *Kernel) clone() *Kernel {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.cloneLocked()
-}
-
-// cloneLocked deep-copies the kernel, preserving aliasing: every *file,
+// clone deep-copies the kernel, preserving aliasing: every *file,
 // *inode, *pipe, *sock and *listener reachable from more than one place
-// maps to exactly one copy. The caller must hold k.mu or otherwise
-// guarantee k is not being mutated (frozen snapshot templates).
-func (k *Kernel) cloneLocked() *Kernel {
+// maps to exactly one copy. Only reads k, so concurrent clones of a
+// frozen snapshot template need no lock.
+func (k *Kernel) clone() *Kernel {
 	out := New()
 	inodes := make(map[*inode]*inode)
 	pipes := make(map[*pipe]*pipe)
@@ -98,7 +91,18 @@ func (k *Kernel) cloneLocked() *Kernel {
 		if c, ok := files[f]; ok {
 			return c
 		}
-		c := &file{
+		// A file embedded in its sock clones into the cloned sock, so
+		// the clone keeps the one-allocation connection layout.
+		var c *file
+		switch {
+		case f.sock != nil && f == &f.sock.a:
+			c = &cloneSock(f.sock).a
+		case f.sock != nil && f == &f.sock.b:
+			c = &cloneSock(f.sock).b
+		default:
+			c = new(file)
+		}
+		*c = file{
 			kind:   f.kind,
 			node:   cloneInode(f.node),
 			pos:    f.pos,
@@ -128,7 +132,7 @@ func (k *Kernel) cloneLocked() *Kernel {
 		out.fs[path] = cloneInode(n)
 	}
 	for pid, t := range k.tables {
-		ct := &fdTable{files: make(map[int32]*file, len(t.files))}
+		ct := &fdTable{n: t.n}
 		for fd, f := range t.files {
 			ct.files[fd] = cloneFile(f)
 		}

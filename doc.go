@@ -104,16 +104,30 @@
 // links (and straight-line fall-through) within the remaining time
 // slice without leaving the image, so a branchy guest resolves its
 // image and materialises its PC once per slice instead of once per
-// block; the links are static per immutable image, never cross a
-// slice boundary, and computed transfers (JmpI/CallR/Ret — including
-// DlNext cross-image calls) exit dispatch, so there is nothing to
-// invalidate. Cycles (Proc.Cycles, System.TotalCycles) and
+// block; the links are static per immutable image and never cross a
+// slice boundary, so there is nothing to invalidate. Transfers whose
+// target is only known at run time continue the loop too: after a
+// call (a host call included), a return, a computed jump or a
+// syscall that completed, dispatch stays in the loop when the new PC
+// is an aligned address inside the same image and the slice budget
+// allows, re-entering where a fresh dispatch would — through the
+// RunBreak breakpoint check and the slice split — so a guest spinning
+// on a failing syscall behind in-image calls never leaves the loop
+// there. Cross-image transfers (the DlNext tail jump of an
+// interceptor stub, calls into another library) and blocked syscalls
+// return to the slice loop, which resolves the PC afresh. Each image's
+// direct call targets carry a shadow-stack label resolved once at
+// relocation, so a call pushes its Frame without an image or symbol
+// search. Cycles (Proc.Cycles, System.TotalCycles) and
 // instruction coverage are accumulated per block and folded in at
 // block exit, before any control transfer, and a per-process two-entry
 // read/write segment-window cache gives loads, stores and stack
-// push/pop direct little-endian slice access without the segment scan
-// (invalidated when Brk moves the heap's backing array; restores start
-// cold). BenchmarkVMExec records 2.5-3.2x instruction throughput over
+// push/pop direct little-endian slice access without the segment scan.
+// On a miss the slow path consults four recently used windows before
+// searching the segments, enough for a loop touching its stack, its
+// data, a library's data and TLS (all windows are dropped when Brk
+// moves the heap's backing array, a CoW page's read windows when the
+// page is privatized; restores start cold). BenchmarkVMExec records 2.5-3.2x instruction throughput over
 // the legacy per-instruction interpreter depending on kernel, and
 // BenchmarkSweepSnapshot improves ~1.5x end to end (BENCH_vm.json;
 // BenchmarkVMExec runs each kernel as a step/block sub-benchmark pair,

@@ -18,10 +18,11 @@
 //
 // Write-barrier placement: all writes funnel through the slow paths
 // (writeWordSlow, writeByteSlow, WriteBytes) because the fast paths
-// only ever hit the wrc window, and wrc is only ever installed over a
-// page that privatize has already copied. Reads may hit shared pages
-// through rdc — harmless — but the first write to a page must drop an
-// rdc window aliasing that page's shared view, or reads would keep
+// only ever hit the wrc window, and wrc — like every recent window
+// marked writable — is only ever installed over a page that privatize
+// has already copied. Reads may hit shared pages through rdc and the
+// recent windows — harmless — but the first write to a page must drop
+// every window aliasing that page's shared view, or reads would keep
 // serving template bytes the writes no longer reach (the
 // cow-privatize-drops-read-window regression case).
 package vm
@@ -132,17 +133,23 @@ func (s *segment) materialize() {
 }
 
 // privatize is the write barrier: it gives the process a private copy
-// of one CoW page before the first write lands, and drops a read
-// window aliasing the shared view so later reads cannot serve stale
-// template bytes. Returns the (now writable) page view. pi must be in
+// of one CoW page before the first write lands, and drops the read
+// windows (rdc and any recent one) aliasing the shared view so later
+// reads cannot serve stale template bytes. Returns the (now writable) page view. pi must be in
 // bounds; sg.cow must be non-nil.
 func (p *Proc) privatize(sg *segment, pi uint32) []byte {
 	c := sg.cow
 	if !c.dirty[pi] {
 		c.pages[pi] = append([]byte(nil), c.pages[pi]...)
 		c.dirty[pi] = true
-		if p.rdc.base == sg.base+pi<<pageShift {
+		base := sg.base + pi<<pageShift
+		if p.rdc.base == base {
 			p.rdc = memWindow{}
+		}
+		for i := range p.wins {
+			if p.wins[i].base == base {
+				p.wins[i] = recentWin{}
+			}
 		}
 	}
 	return c.pages[pi]

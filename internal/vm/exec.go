@@ -23,8 +23,11 @@
 // Superblock chaining extends the amortisation across runs: each direct
 // branch carries a compile-time link to its in-image target (execCode
 // chain), and the dispatch loop follows links — and straight-line
-// fall-through — without leaving execBlock, so loop-heavy guests pay
-// the image resolution once per time slice instead of once per block;
+// fall-through — without leaving execBlock. Calls, returns, computed
+// jumps and completed syscalls keep the loop going too, whenever their
+// run-time target is inside the same image (stay), so a guest spinning
+// through in-image calls and syscalls pays the image resolution once
+// per time slice instead of once per block;
 // cycles (Proc.Cycles, System.TotalCycles) and coverage are folded in
 // at run exit — before any control transfer, so a host function, a
 // syscall or the scheduler observes exactly the counters the reference
@@ -81,11 +84,12 @@ type execCode struct {
 	//
 	// The table needs no runtime invalidation because it is structural:
 	// like ends it is derived from the immutable post-relocation
-	// instruction stream, so snapshot restores share it safely; an
-	// engine switch takes effect at the next slice because chaining
-	// never crosses the slice boundary (the ran/max budget below); and
-	// DlNext-resolved cross-image transfers go through computed jumps
-	// (JmpI/CallR), which always exit the dispatch loop and re-resolve.
+	// instruction stream, so snapshot restores share it safely, and
+	// chaining never crosses the slice boundary (the ran/max budget
+	// below). Transfers whose target is only known at run time — calls,
+	// returns, computed jumps (the DlNext tail jump among them) and
+	// syscall resumes — are not in the table: stay range-checks each
+	// against the current image as it happens.
 	chain []int32
 }
 
@@ -221,6 +225,24 @@ func (p *Proc) breakEntry(im *Image, idx, ran int) (int, bool) {
 		p.atStop = false
 	}
 	return ran + m, cont
+}
+
+// stay reports whether the dispatch loop can continue at p.PC after a
+// control transfer resolved at run time — a call (host calls
+// included), a return, a computed jump or a completed syscall — and at
+// which instruction index. It can when the process is still running,
+// the slice budget allows (ran < max), and p.PC is an aligned address
+// inside im's text. The loop then re-enters at the top of dispatch,
+// which runs the breakpoint check and the budget split exactly as a
+// fresh execBlock call would; anywhere else execBlock returns and the
+// next call resolves the PC from scratch.
+func (p *Proc) stay(im *Image, ran, max int) (int, bool) {
+	off := p.PC - im.TextBase
+	if ran >= max || p.Exited || off%isa.Size != 0 {
+		return 0, false
+	}
+	idx := int(off / isa.Size)
+	return idx, idx < len(im.Insts)
 }
 
 // runSliceBlocks executes up to n instructions by dispatching whole
@@ -490,40 +512,60 @@ dispatch:
 				p.PC = im.TextBase + uint32(idx+k+1)*isa.Size
 				return ran, true
 
+			// Calls (host calls included), returns, computed jumps and
+			// completed syscalls set p.PC at run time; the dispatch loop
+			// stays on it when it lands inside this image (stay).
 			case isa.OpCall:
 				// Park PC on the call before dispatching: doCall sets PC on
 				// success, and on a push fault it kills with PC at the call —
 				// the step engine's resting state.
 				p.chargeRun(im, idx, idx+k)
+				ran += k + 1
 				p.PC = im.TextBase + uint32(idx+k)*isa.Size
-				p.doCall(uint32(in.Imm), p.PC+isa.Size)
-				return ran + k + 1, true
+				p.doCall(uint32(in.Imm), p.PC+isa.Size, im.callLabel(idx+k))
+				if t, ok := p.stay(im, ran, max); ok {
+					idx = t
+					continue dispatch
+				}
+				return ran, true
 			case isa.OpCallR:
 				p.chargeRun(im, idx, idx+k)
+				ran += k + 1
 				p.PC = im.TextBase + uint32(idx+k)*isa.Size
-				p.doCall(regs[in.A&regMask], p.PC+isa.Size)
-				return ran + k + 1, true
+				p.doCall(regs[in.A&regMask], p.PC+isa.Size, nil)
+				if t, ok := p.stay(im, ran, max); ok {
+					idx = t
+					continue dispatch
+				}
+				return ran, true
 			case isa.OpJmpI:
-				// Computed jumps always exit the dispatch loop — this is
-				// what makes the chain table safe against DlNext-resolved
-				// cross-image transfers without runtime invalidation.
 				p.chargeRun(im, idx, idx+k)
+				ran += k + 1
 				p.PC = regs[in.A&regMask]
-				return ran + k + 1, true
+				if t, ok := p.stay(im, ran, max); ok {
+					idx = t
+					continue dispatch
+				}
+				return ran, true
 			case isa.OpRet:
 				p.chargeRun(im, idx, idx+k)
+				ran += k + 1
 				p.PC = im.TextBase + uint32(idx+k)*isa.Size
 				v, err := p.ReadWord(regs[isa.SP])
 				if err != nil {
 					p.kill(SigSEGV)
-					return ran + k + 1, true
+					return ran, true
 				}
 				regs[isa.SP] += 4
 				p.PC = uint32(v)
 				if len(p.CallStack) > 0 {
 					p.CallStack = p.CallStack[:len(p.CallStack)-1]
 				}
-				return ran + k + 1, true
+				if t, ok := p.stay(im, ran, max); ok {
+					idx = t
+					continue dispatch
+				}
+				return ran, true
 
 			case isa.OpHalt:
 				p.chargeRun(im, idx, idx+k)
@@ -542,7 +584,12 @@ dispatch:
 				if !p.doSyscall(p.PC + isa.Size) {
 					return ran + k, false
 				}
-				return ran + k + 1, true
+				ran += k + 1
+				if t, ok := p.stay(im, ran, max); ok {
+					idx = t
+					continue dispatch
+				}
+				return ran, true
 
 			case isa.OpLea:
 				regs[in.A&regMask] = uint32(in.Imm)

@@ -170,6 +170,72 @@ func TestSegmentCacheInvalidation(t *testing.T) {
 				t.Fatal("untouched page marked dirty")
 			}
 		}},
+		{"brk-drops-recent-windows", func(t *testing.T) {
+			p := memProc(64)
+			if err := p.WriteWord(heapBase, 1); err != nil {
+				t.Fatal(err)
+			}
+			if p.recent(heapBase, 4, true) == nil {
+				t.Fatal("recent window not primed")
+			}
+			if ret := p.Brk(heapBase + 4096); ret < 0 {
+				t.Fatalf("brk: %d", ret)
+			}
+			for _, w := range p.wins {
+				if w.data != nil {
+					t.Fatal("Brk must drop the recent windows too")
+				}
+			}
+		}},
+		{"cow-privatize-drops-recent-window", func(t *testing.T) {
+			// A recent window over a shared page must go when the page
+			// is privatized, even by a write that installs no window of
+			// its own (WriteBytes).
+			p := memProc(0)
+			template := make([]byte, 2*pageSize)
+			p.heap.data = nil
+			p.heap.cow = &cowSeg{
+				length: len(template),
+				pages:  pageViews(template),
+				dirty:  make([]bool, 2),
+			}
+			p.brk = heapBase + uint32(len(template))
+			// Remember page 0's shared view, then move rdc to page 1.
+			if _, err := p.ReadByteAt(heapBase + 5); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.ReadByteAt(heapBase + pageSize); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.WriteBytes(heapBase+5, []byte{0x42}); err != nil {
+				t.Fatal(err)
+			}
+			if v, _ := p.ReadByteAt(heapBase + 5); v != 0x42 {
+				t.Fatalf("read after WriteBytes = %#x, want 0x42 (stale recent window)", v)
+			}
+			if template[5] != 0 {
+				t.Fatal("write leaked into the shared template page")
+			}
+		}},
+		{"recent-window-serves-write-only-when-private", func(t *testing.T) {
+			// A read remembers a shared CoW page as read-only: a later
+			// write must still go through the barrier.
+			p := memProc(0)
+			template := make([]byte, pageSize)
+			p.heap.data = nil
+			p.heap.cow = &cowSeg{length: len(template), pages: pageViews(template), dirty: make([]bool, 1)}
+			p.brk = heapBase + uint32(len(template))
+			if _, err := p.ReadWord(heapBase); err != nil {
+				t.Fatal(err)
+			}
+			p.rdc = memWindow{}
+			if err := p.WriteWord(heapBase, 0x0D0C0B0A); err != nil {
+				t.Fatal(err)
+			}
+			if !p.heap.cow.dirty[0] || template[0] != 0 {
+				t.Fatal("write through a remembered shared window skipped the barrier")
+			}
+		}},
 		{"window-rejects-other-segment", func(t *testing.T) {
 			p := memProc(64)
 			lo := &segment{base: 0x1000, data: make([]byte, 64), writable: true, name: "lo"}

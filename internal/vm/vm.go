@@ -105,6 +105,30 @@ type Image struct {
 	// index, resolved at relocation for images whose code uses dlnext
 	// (nil otherwise). It is immutable and shared like exec.
 	next []nextTarget
+	// callees[i]-1 indexes labels for the direct call at instruction i
+	// (0 elsewhere, and for host targets, which push no frame): the
+	// shadow-stack label of every direct call target, resolved once at
+	// relocation so the block engine's calls skip the image and symbol
+	// searches. Images without such calls get no table. Immutable and
+	// shared like next.
+	callees []int32
+	labels  []frameLabel
+}
+
+// frameLabel names a call target in its shadow-stack Frame.
+type frameLabel struct {
+	sym, mod string
+}
+
+// callLabel returns the precomputed label of the direct call at
+// instruction i, or nil when the call needs no frame.
+func (im *Image) callLabel(i int) *frameLabel {
+	if i < len(im.callees) {
+		if j := im.callees[i]; j > 0 {
+			return &im.labels[j-1]
+		}
+	}
+	return nil
 }
 
 // nextTarget is one resolved dlnext operand; ok is false when no image
@@ -226,11 +250,15 @@ type Proc struct {
 	// process makes.
 	hc HostCall
 
-	segs     []*segment
-	lastSeg  *segment
-	lastImg  *Image
-	rdc      memWindow // last segment hit by a word/byte read
-	wrc      memWindow // last writable segment hit by a word/byte write
+	segs    []*segment
+	lastSeg *segment
+	lastImg *Image
+	rdc     memWindow // last segment hit by a word/byte read
+	wrc     memWindow // last writable segment hit by a word/byte write
+	// wins are the recently used windows the memory slow paths check
+	// before searching the segments; winNext is the next one to replace.
+	wins     [numWins]recentWin
+	winNext  int
 	brk      uint32
 	heap     *segment
 	blocked  bool
@@ -276,11 +304,51 @@ type memWindow struct {
 	data []byte
 }
 
-// invalidateMemCache drops both cache windows; called when a segment's
+// numWins is how many recently used windows a process keeps beyond rdc
+// and wrc. A guest loop typically touches its stack, its own data, a
+// library's data and TLS; four windows hold all of them, so a loop that
+// alternates between them refills rdc/wrc without a segment search.
+const numWins = 4
+
+// recentWin is one recently used window. writable marks windows a
+// write may use: flat writable segments and already-private CoW pages.
+type recentWin struct {
+	memWindow
+	writable bool
+}
+
+// recent returns the recent window holding n bytes at addr — a
+// writable one if write is set — or nil.
+func (p *Proc) recent(addr uint32, n uint64, write bool) *memWindow {
+	for i := range p.wins {
+		w := &p.wins[i]
+		if off := addr - w.base; uint64(off)+n <= uint64(len(w.data)) && (w.writable || !write) {
+			return &w.memWindow
+		}
+	}
+	return nil
+}
+
+// remember records a window the slow path just installed, replacing
+// the entry for the same base (a CoW page that became private) or
+// else the oldest one.
+func (p *Proc) remember(w memWindow, writable bool) {
+	for i := range p.wins {
+		if p.wins[i].base == w.base && p.wins[i].data != nil {
+			p.wins[i] = recentWin{w, writable}
+			return
+		}
+	}
+	p.wins[p.winNext] = recentWin{w, writable}
+	p.winNext = (p.winNext + 1) % numWins
+}
+
+// invalidateMemCache drops every cache window; called when a segment's
 // backing array may have been reallocated (Brk).
 func (p *Proc) invalidateMemCache() {
 	p.rdc = memWindow{}
 	p.wrc = memWindow{}
+	p.wins = [numWins]recentWin{}
 }
 
 // MemoryError reports an invalid VM memory access.
@@ -575,8 +643,47 @@ func (s *System) relocate(p *Proc) error {
 		// concurrently restored systems without synchronisation.
 		im.exec = compileExec(im)
 		im.next = s.resolveNextTable(p, im)
+		p.resolveCallLabels(im)
 	}
 	return nil
+}
+
+// resolveCallLabels fills im.callees and im.labels: one label per
+// distinct direct call target that pushes a frame. Like the dlnext
+// table it depends only on the process's fixed image list, so one
+// resolution serves every restore of the image.
+func (p *Proc) resolveCallLabels(im *Image) {
+	var index map[uint32]int32
+	for i, in := range im.Insts {
+		target := uint32(in.Imm)
+		if in.Op != isa.OpCall || isHostTarget(target) {
+			continue
+		}
+		if im.callees == nil {
+			im.callees = make([]int32, len(im.Insts))
+			index = make(map[uint32]int32)
+		}
+		j, ok := index[target]
+		if !ok {
+			im.labels = append(im.labels, p.labelAt(target))
+			j = int32(len(im.labels))
+			index[target] = j
+		}
+		im.callees[i] = j
+	}
+}
+
+// labelAt names the function containing a call target, for its Frame.
+func (p *Proc) labelAt(target uint32) frameLabel {
+	if im := p.imageAt(target); im != nil {
+		return frameLabel{sym: im.FuncNameAt(target), mod: im.File.Name}
+	}
+	return frameLabel{}
+}
+
+// isHostTarget reports whether a call to target enters a host function.
+func isHostTarget(target uint32) bool {
+	return target >= hostBase && target != exitSentinel
 }
 
 // resolveNextTable resolves every import of an image that executes
@@ -704,6 +811,10 @@ func (p *Proc) ReadWord(addr uint32) (int32, error) {
 }
 
 func (p *Proc) readWordSlow(addr uint32) (int32, error) {
+	if w := p.recent(addr, 4, false); w != nil {
+		p.rdc = *w
+		return int32(binary.LittleEndian.Uint32(w.data[addr-w.base:])), nil
+	}
 	sg, err := p.seg(addr, false)
 	if err != nil {
 		return 0, err
@@ -714,6 +825,7 @@ func (p *Proc) readWordSlow(addr uint32) (int32, error) {
 	}
 	if sg.cow == nil {
 		p.rdc = memWindow{base: sg.base, data: sg.data}
+		p.remember(p.rdc, sg.writable)
 		return int32(binary.LittleEndian.Uint32(sg.data[off:])), nil
 	}
 	// CoW segments get page-granular windows: adjacent pages are not
@@ -721,6 +833,7 @@ func (p *Proc) readWordSlow(addr uint32) (int32, error) {
 	pi, po := off>>pageShift, off&pageMask
 	if pg := sg.cow.pages[pi]; uint64(po)+4 <= uint64(len(pg)) {
 		p.rdc = memWindow{base: sg.base + pi<<pageShift, data: pg}
+		p.remember(p.rdc, sg.cow.dirty[pi])
 		return int32(binary.LittleEndian.Uint32(pg[po:])), nil
 	}
 	// The word straddles a page boundary: assemble it byte-wise
@@ -743,6 +856,11 @@ func (p *Proc) WriteWord(addr uint32, v int32) error {
 }
 
 func (p *Proc) writeWordSlow(addr uint32, v int32) error {
+	if w := p.recent(addr, 4, true); w != nil {
+		p.wrc = *w
+		binary.LittleEndian.PutUint32(w.data[addr-w.base:], uint32(v))
+		return nil
+	}
 	sg, err := p.seg(addr, true)
 	if err != nil {
 		return err
@@ -753,6 +871,7 @@ func (p *Proc) writeWordSlow(addr uint32, v int32) error {
 	}
 	if sg.cow == nil {
 		p.wrc = memWindow{base: sg.base, data: sg.data}
+		p.remember(p.wrc, true)
 		binary.LittleEndian.PutUint32(sg.data[off:], uint32(v))
 		return nil
 	}
@@ -762,6 +881,7 @@ func (p *Proc) writeWordSlow(addr uint32, v int32) error {
 	pg := p.privatize(sg, pi)
 	if uint64(po)+4 <= uint64(len(pg)) {
 		p.wrc = memWindow{base: sg.base + pi<<pageShift, data: pg}
+		p.remember(p.wrc, true)
 		binary.LittleEndian.PutUint32(pg[po:], uint32(v))
 		return nil
 	}
@@ -786,6 +906,10 @@ func (p *Proc) ReadByteAt(addr uint32) (byte, error) {
 }
 
 func (p *Proc) readByteSlow(addr uint32) (byte, error) {
+	if w := p.recent(addr, 1, false); w != nil {
+		p.rdc = *w
+		return w.data[addr-w.base], nil
+	}
 	sg, err := p.seg(addr, false)
 	if err != nil {
 		return 0, err
@@ -793,11 +917,13 @@ func (p *Proc) readByteSlow(addr uint32) (byte, error) {
 	off := addr - sg.base
 	if sg.cow == nil {
 		p.rdc = memWindow{base: sg.base, data: sg.data}
+		p.remember(p.rdc, sg.writable)
 		return sg.data[off], nil
 	}
 	pi := off >> pageShift
 	pg := sg.cow.pages[pi]
 	p.rdc = memWindow{base: sg.base + pi<<pageShift, data: pg}
+	p.remember(p.rdc, sg.cow.dirty[pi])
 	return pg[off&pageMask], nil
 }
 
@@ -811,6 +937,11 @@ func (p *Proc) WriteByteAt(addr uint32, v byte) error {
 }
 
 func (p *Proc) writeByteSlow(addr uint32, v byte) error {
+	if w := p.recent(addr, 1, true); w != nil {
+		p.wrc = *w
+		w.data[addr-w.base] = v
+		return nil
+	}
 	sg, err := p.seg(addr, true)
 	if err != nil {
 		return err
@@ -818,12 +949,14 @@ func (p *Proc) writeByteSlow(addr uint32, v byte) error {
 	off := addr - sg.base
 	if sg.cow == nil {
 		p.wrc = memWindow{base: sg.base, data: sg.data}
+		p.remember(p.wrc, true)
 		sg.data[off] = v
 		return nil
 	}
 	pi := off >> pageShift
 	pg := p.privatize(sg, pi)
 	p.wrc = memWindow{base: sg.base + pi<<pageShift, data: pg}
+	p.remember(p.wrc, true)
 	pg[off&pageMask] = v
 	return nil
 }
@@ -1307,9 +1440,9 @@ func (p *Proc) step() bool {
 		}
 
 	case isa.OpCall:
-		return p.doCall(uint32(in.Imm), next)
+		return p.doCall(uint32(in.Imm), next, nil)
 	case isa.OpCallR:
-		return p.doCall(p.Regs[in.A], next)
+		return p.doCall(p.Regs[in.A], next, nil)
 	case isa.OpJmpI:
 		p.PC = p.Regs[in.A]
 		return true
@@ -1350,14 +1483,19 @@ func (p *Proc) step() bool {
 	return true
 }
 
-func (p *Proc) doCall(target, retPC uint32) bool {
+// doCall pushes retPC and transfers to target. A host function runs to
+// completion and returns to retPC; any other target gets a shadow-stack
+// frame named lbl, or named by an image and symbol search when lbl is
+// nil (computed calls, and every call on the step engine, which stays
+// the reference for the block engine's precomputed labels).
+func (p *Proc) doCall(target, retPC uint32, lbl *frameLabel) bool {
 	// Push the return address.
 	p.Regs[isa.SP] -= 4
 	if err := p.WriteWord(p.Regs[isa.SP], int32(retPC)); err != nil {
 		p.kill(SigSEGV)
 		return true
 	}
-	if target >= hostBase && target != exitSentinel {
+	if isHostTarget(target) {
 		idx := int(target-hostBase) / 8
 		if idx < 0 || idx >= len(p.Sys.hosts) {
 			p.kill(SigSEGV)
@@ -1374,13 +1512,13 @@ func (p *Proc) doCall(target, retPC uint32) bool {
 		p.PC = retPC
 		return true
 	}
-	sym := ""
-	mod := ""
-	if im := p.imageAt(target); im != nil {
-		sym = im.FuncNameAt(target)
-		mod = im.File.Name
+	var l frameLabel
+	if lbl != nil {
+		l = *lbl
+	} else {
+		l = p.labelAt(target)
 	}
-	p.CallStack = append(p.CallStack, Frame{FuncVA: target, Symbol: sym, Module: mod, RetPC: retPC})
+	p.CallStack = append(p.CallStack, Frame{FuncVA: target, Symbol: l.sym, Module: l.mod, RetPC: retPC})
 	p.PC = target
 	return true
 }

@@ -121,19 +121,16 @@ func (t *fdTable) get(fd int32) *file {
 	return t.files[fd]
 }
 
-// put installs f at a free in-range slot.
-func (t *fdTable) put(fd int32, f *file) {
-	t.files[fd] = f
-	t.n++
-}
-
-// lowestFree returns the lowest free descriptor at or above firstFD.
-// The caller has checked that t has room (n < MaxFDs), so one exists.
-func (t *fdTable) lowestFree() int32 {
+// add installs f at the lowest free descriptor at or above firstFD, as
+// POSIX allocates, and returns it. The caller has checked room, so
+// fewer than MaxFDs descriptors are live and a free slot exists.
+func (t *fdTable) add(f *file) int32 {
 	fd := int32(firstFD)
 	for t.files[fd] != nil {
 		fd++
 	}
+	t.files[fd] = f
+	t.n++
 	return fd
 }
 
@@ -195,7 +192,6 @@ func (k *Kernel) table(pid int) *fdTable {
 // descriptor-allocation authority — Open, Pipe, Dup, Socket and Accept
 // all ask it before building anything, so the boundary check cannot
 // drift between paths and a failing allocation allocates nothing.
-// Descriptors are handed out lowest-free first (fdTable.lowestFree).
 func (k *Kernel) room(t *fdTable, need int) bool {
 	max := MaxFDs
 	if k.ex.fdsArmed && k.ex.fdsLimit < max {
@@ -223,8 +219,7 @@ func (k *Kernel) Dup(pid int, fd int32) int32 {
 	if !k.room(t, 1) {
 		return -EMFILE
 	}
-	nfd := t.lowestFree()
-	t.put(nfd, f)
+	nfd := t.add(f)
 	if f.kind == filePipe {
 		if f.rdEnd {
 			f.pipe.readers++
@@ -258,11 +253,10 @@ func (k *Kernel) InstallAt(pid int, fd int32, from int, fromFD int32) bool {
 	return true
 }
 
-// Open implements sys_open. Returns fd or -errno. Errors are checked in
-// the order ENOENT, ENOSPC, EMFILE, and all of them before the open has
-// any effect: like Linux, which allocates the descriptor first, an open
-// that fails leaves the file system untouched — no node is created and
-// O_TRUNC truncates nothing.
+// Open implements sys_open. Returns fd or -errno. An open that fails
+// has no effect: every error (ENOENT, ENOSPC, EMFILE, in that order) is
+// found before a node is created or O_TRUNC truncates, just as Linux
+// allocates the descriptor before it touches the file.
 func (k *Kernel) Open(pid int, path string, flags int32) int32 {
 	node, exists := k.fs[path]
 	if !exists {
@@ -291,9 +285,7 @@ func (k *Kernel) Open(pid int, path string, flags int32) int32 {
 	if flags&OAppend != 0 {
 		f.pos = int32(len(node.data))
 	}
-	fd := t.lowestFree()
-	t.put(fd, f)
-	return fd
+	return t.add(f)
 }
 
 // Unlink implements sys_unlink.
@@ -469,10 +461,8 @@ func (k *Kernel) Pipe(pid int) (rfd, wfd, errno int32) {
 		return 0, 0, EMFILE
 	}
 	p := &pipe{readers: 1, writers: 1}
-	rfd = t.lowestFree()
-	t.put(rfd, &file{kind: filePipe, pipe: p, rdEnd: true})
-	wfd = t.lowestFree()
-	t.put(wfd, &file{kind: filePipe, pipe: p})
+	rfd = t.add(&file{kind: filePipe, pipe: p, rdEnd: true})
+	wfd = t.add(&file{kind: filePipe, pipe: p})
 	return rfd, wfd, 0
 }
 
@@ -484,9 +474,7 @@ func (k *Kernel) Socket(pid int) int32 {
 	}
 	s := &sock{aOpen: true}
 	s.b = file{kind: fileSocket, sock: s}
-	fd := t.lowestFree()
-	t.put(fd, &s.b)
-	return fd
+	return t.add(&s.b)
 }
 
 // Listen implements sys_listen: binds the descriptor to a port and makes
@@ -530,8 +518,7 @@ func (k *Kernel) Accept(pid int, fd int32) (ret int32, blocked bool) {
 	}
 	s := f.lst.backlog[0]
 	s.a = file{kind: fileSocket, sock: s}
-	nfd := t.lowestFree()
-	t.put(nfd, &s.a)
+	nfd := t.add(&s.a)
 	// Shift rather than reslice, so a steady connect/accept cycle
 	// reuses the backlog's array instead of reallocating it.
 	n := copy(f.lst.backlog, f.lst.backlog[1:])

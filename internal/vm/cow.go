@@ -135,8 +135,8 @@ func (s *segment) materialize() {
 // privatize is the write barrier: it gives the process a private copy
 // of one CoW page before the first write lands, and drops the read
 // windows (rdc and any recent one) aliasing the shared view so later
-// reads cannot serve stale template bytes. Returns the (now writable) page view. pi must be in
-// bounds; sg.cow must be non-nil.
+// reads cannot serve stale template bytes. Returns the (now writable)
+// page view. pi must be in bounds; sg.cow must be non-nil.
 func (p *Proc) privatize(sg *segment, pi uint32) []byte {
 	c := sg.cow
 	if !c.dirty[pi] {

@@ -227,22 +227,21 @@ func (p *Proc) breakEntry(im *Image, idx, ran int) (int, bool) {
 	return ran + m, cont
 }
 
-// stay reports whether the dispatch loop can continue at p.PC after a
-// control transfer resolved at run time — a call (host calls
-// included), a return, a computed jump or a completed syscall — and at
-// which instruction index. It can when the process is still running,
-// the slice budget allows (ran < max), and p.PC is an aligned address
-// inside im's text. The loop then re-enters at the top of dispatch,
-// which runs the breakpoint check and the budget split exactly as a
-// fresh execBlock call would; anywhere else execBlock returns and the
-// next call resolves the PC from scratch.
-func (p *Proc) stay(im *Image, ran, max int) (int, bool) {
+// stay returns the instruction index at which the dispatch loop
+// continues after a control transfer resolved at run time — a call
+// (host calls included), a return, a computed jump or a completed
+// syscall — or -1 when execBlock must return instead. The loop
+// continues when the process is still running, the slice budget allows
+// (ran < max) and p.PC is an aligned address inside im's text; it
+// re-enters at the top of dispatch, which runs the breakpoint check and
+// the budget split exactly as a fresh execBlock call would. Anywhere
+// else the next execBlock call resolves the PC from scratch.
+func (p *Proc) stay(im *Image, ran, max int) int {
 	off := p.PC - im.TextBase
-	if ran >= max || p.Exited || off%isa.Size != 0 {
-		return 0, false
+	if ran >= max || p.Exited || off%isa.Size != 0 || int(off/isa.Size) >= len(im.Insts) {
+		return -1
 	}
-	idx := int(off / isa.Size)
-	return idx, idx < len(im.Insts)
+	return int(off / isa.Size)
 }
 
 // runSliceBlocks executes up to n instructions by dispatching whole
@@ -515,26 +514,20 @@ dispatch:
 			// Calls (host calls included), returns, computed jumps and
 			// completed syscalls set p.PC at run time; the dispatch loop
 			// stays on it when it lands inside this image (stay).
-			case isa.OpCall:
+			case isa.OpCall, isa.OpCallR:
 				// Park PC on the call before dispatching: doCall sets PC on
 				// success, and on a push fault it kills with PC at the call —
-				// the step engine's resting state.
+				// the step engine's resting state. Only direct calls have a
+				// precomputed label (callLabel is nil for CallR).
 				p.chargeRun(im, idx, idx+k)
 				ran += k + 1
 				p.PC = im.TextBase + uint32(idx+k)*isa.Size
-				p.doCall(uint32(in.Imm), p.PC+isa.Size, im.callLabel(idx+k))
-				if t, ok := p.stay(im, ran, max); ok {
-					idx = t
-					continue dispatch
+				target := uint32(in.Imm)
+				if in.Op == isa.OpCallR {
+					target = regs[in.A&regMask]
 				}
-				return ran, true
-			case isa.OpCallR:
-				p.chargeRun(im, idx, idx+k)
-				ran += k + 1
-				p.PC = im.TextBase + uint32(idx+k)*isa.Size
-				p.doCall(regs[in.A&regMask], p.PC+isa.Size, nil)
-				if t, ok := p.stay(im, ran, max); ok {
-					idx = t
+				p.doCall(target, p.PC+isa.Size, im.callLabel(idx+k))
+				if idx = p.stay(im, ran, max); idx >= 0 {
 					continue dispatch
 				}
 				return ran, true
@@ -542,8 +535,7 @@ dispatch:
 				p.chargeRun(im, idx, idx+k)
 				ran += k + 1
 				p.PC = regs[in.A&regMask]
-				if t, ok := p.stay(im, ran, max); ok {
-					idx = t
+				if idx = p.stay(im, ran, max); idx >= 0 {
 					continue dispatch
 				}
 				return ran, true
@@ -561,8 +553,7 @@ dispatch:
 				if len(p.CallStack) > 0 {
 					p.CallStack = p.CallStack[:len(p.CallStack)-1]
 				}
-				if t, ok := p.stay(im, ran, max); ok {
-					idx = t
+				if idx = p.stay(im, ran, max); idx >= 0 {
 					continue dispatch
 				}
 				return ran, true
@@ -585,8 +576,7 @@ dispatch:
 					return ran + k, false
 				}
 				ran += k + 1
-				if t, ok := p.stay(im, ran, max); ok {
-					idx = t
+				if idx = p.stay(im, ran, max); idx >= 0 {
 					continue dispatch
 				}
 				return ran, true

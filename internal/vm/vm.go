@@ -334,7 +334,7 @@ func (p *Proc) recent(addr uint32, n uint64, write bool) *memWindow {
 // else the oldest one.
 func (p *Proc) remember(w memWindow, writable bool) {
 	for i := range p.wins {
-		if p.wins[i].base == w.base && p.wins[i].data != nil {
+		if p.wins[i].base == w.base {
 			p.wins[i] = recentWin{w, writable}
 			return
 		}

@@ -227,6 +227,37 @@ func (p *Proc) breakEntry(im *Image, idx, ran int) (int, bool) {
 	return ran + m, cont
 }
 
+// transfer executes the call, computed jump, return or syscall at
+// instruction i of im, whose run execBlock has already charged. PC is
+// parked on i first — the step engine's resting state for a call whose
+// push faults, a blocked syscall and an exiting one — and the transfer
+// moves it to its target. It reports false when the syscall blocked.
+func (p *Proc) transfer(im *Image, i int, in isa.Inst) bool {
+	p.PC = im.TextBase + uint32(i)*isa.Size
+	switch in.Op {
+	case isa.OpCall:
+		p.doCall(uint32(in.Imm), p.PC+isa.Size, im.callLabel(i))
+	case isa.OpCallR:
+		p.doCall(p.Regs[in.A&regMask], p.PC+isa.Size, nil)
+	case isa.OpJmpI:
+		p.PC = p.Regs[in.A&regMask]
+	case isa.OpRet:
+		v, err := p.ReadWord(p.Regs[isa.SP])
+		if err != nil {
+			p.kill(SigSEGV)
+			return true
+		}
+		p.Regs[isa.SP] += 4
+		p.PC = uint32(v)
+		if len(p.CallStack) > 0 {
+			p.CallStack = p.CallStack[:len(p.CallStack)-1]
+		}
+	case isa.OpSyscall:
+		return p.doSyscall(p.PC + isa.Size)
+	}
+	return true
+}
+
 // stay returns the instruction index at which the dispatch loop
 // continues after a control transfer resolved at run time — a call
 // (host calls included), a return, a computed jump or a completed
@@ -511,48 +542,16 @@ dispatch:
 				p.PC = im.TextBase + uint32(idx+k+1)*isa.Size
 				return ran, true
 
-			// Calls (host calls included), returns, computed jumps and
-			// completed syscalls set p.PC at run time; the dispatch loop
-			// stays on it when it lands inside this image (stay).
-			case isa.OpCall, isa.OpCallR:
-				// Park PC on the call before dispatching: doCall sets PC on
-				// success, and on a push fault it kills with PC at the call —
-				// the step engine's resting state. Only direct calls have a
-				// precomputed label (callLabel is nil for CallR).
+			case isa.OpCall, isa.OpCallR, isa.OpJmpI, isa.OpRet, isa.OpSyscall:
+				// A transfer resolved at run time: fold the run, let
+				// transfer set p.PC, and stay in the loop when the target
+				// is in this image. A blocked syscall yields the slice
+				// with PC parked on it and the syscall not counted.
 				p.chargeRun(im, idx, idx+k)
+				if !p.transfer(im, idx+k, in) {
+					return ran + k, false
+				}
 				ran += k + 1
-				p.PC = im.TextBase + uint32(idx+k)*isa.Size
-				target := uint32(in.Imm)
-				if in.Op == isa.OpCallR {
-					target = regs[in.A&regMask]
-				}
-				p.doCall(target, p.PC+isa.Size, im.callLabel(idx+k))
-				if idx = p.stay(im, ran, max); idx >= 0 {
-					continue dispatch
-				}
-				return ran, true
-			case isa.OpJmpI:
-				p.chargeRun(im, idx, idx+k)
-				ran += k + 1
-				p.PC = regs[in.A&regMask]
-				if idx = p.stay(im, ran, max); idx >= 0 {
-					continue dispatch
-				}
-				return ran, true
-			case isa.OpRet:
-				p.chargeRun(im, idx, idx+k)
-				ran += k + 1
-				p.PC = im.TextBase + uint32(idx+k)*isa.Size
-				v, err := p.ReadWord(regs[isa.SP])
-				if err != nil {
-					p.kill(SigSEGV)
-					return ran, true
-				}
-				regs[isa.SP] += 4
-				p.PC = uint32(v)
-				if len(p.CallStack) > 0 {
-					p.CallStack = p.CallStack[:len(p.CallStack)-1]
-				}
 				if idx = p.stay(im, ran, max); idx >= 0 {
 					continue dispatch
 				}
@@ -563,23 +562,6 @@ dispatch:
 				p.PC = im.TextBase + uint32(idx+k)*isa.Size
 				p.exit(int32(regs[isa.R0]))
 				return ran + k + 1, true
-			case isa.OpSyscall:
-				// Park PC on the syscall before trapping: a blocked syscall
-				// (PC unchanged, retried next slice, one cycle per attempt)
-				// and an exiting one (SysExit/SysAbort leave PC in place)
-				// both rest exactly where the step engine rests. The run's
-				// straight-line prefix has already executed and never
-				// replays. doSyscall advances PC itself on completion.
-				p.chargeRun(im, idx, idx+k)
-				p.PC = im.TextBase + uint32(idx+k)*isa.Size
-				if !p.doSyscall(p.PC + isa.Size) {
-					return ran + k, false
-				}
-				ran += k + 1
-				if idx = p.stay(im, ran, max); idx >= 0 {
-					continue dispatch
-				}
-				return ran, true
 
 			case isa.OpLea:
 				regs[in.A&regMask] = uint32(in.Imm)

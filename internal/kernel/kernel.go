@@ -19,7 +19,7 @@ const MaxFDs = 64
 // standard streams, which only fd inheritance (InstallAt) fills.
 const firstFD = 3
 
-// fdSlots is the descriptor table's slot count. At most MaxFDs
+// fdSlots bounds the descriptor numbers a table holds. At most MaxFDs
 // descriptors are live, so the lowest free one at or above firstFD is
 // never beyond firstFD+MaxFDs-1.
 const fdSlots = firstFD + MaxFDs
@@ -105,17 +105,18 @@ type sock struct {
 	a, b     file
 }
 
-// fdTable is one process's descriptor table: a dense slot array
-// indexed by descriptor, and the count of live descriptors the MaxFDs
-// cap applies to.
+// fdTable is one process's descriptor table: a dense slice indexed by
+// descriptor, as long as the highest descriptor it has held (lowest-free
+// allocation keeps that short), and the count of live descriptors the
+// MaxFDs cap applies to.
 type fdTable struct {
-	files [fdSlots]*file
+	files []*file
 	n     int
 }
 
 // get returns the open file at fd, or nil when fd is not open.
 func (t *fdTable) get(fd int32) *file {
-	if fd < 0 || fd >= fdSlots {
+	if fd < 0 || int(fd) >= len(t.files) {
 		return nil
 	}
 	return t.files[fd]
@@ -123,15 +124,27 @@ func (t *fdTable) get(fd int32) *file {
 
 // add installs f at the lowest free descriptor at or above firstFD, as
 // POSIX allocates, and returns it. The caller has checked room, so
-// fewer than MaxFDs descriptors are live and a free slot exists.
+// fewer than MaxFDs descriptors are live and the descriptor stays below
+// fdSlots.
 func (t *fdTable) add(f *file) int32 {
-	fd := int32(firstFD)
-	for t.files[fd] != nil {
+	fd := firstFD
+	for fd < len(t.files) && t.files[fd] != nil {
 		fd++
 	}
+	t.set(fd, f)
+	return int32(fd)
+}
+
+// set installs f at descriptor fd (< fdSlots), growing the table to
+// reach it; a descriptor already open there is replaced.
+func (t *fdTable) set(fd int, f *file) {
+	for fd >= len(t.files) {
+		t.files = append(t.files, nil)
+	}
+	if t.files[fd] == nil {
+		t.n++
+	}
 	t.files[fd] = f
-	t.n++
-	return fd
 }
 
 // New creates an empty kernel.
@@ -245,11 +258,7 @@ func (k *Kernel) InstallAt(pid int, fd int32, from int, fromFD int32) bool {
 			src.pipe.writers++
 		}
 	}
-	t := k.table(pid)
-	if t.files[fd] == nil {
-		t.n++
-	}
-	t.files[fd] = src
+	k.table(pid).set(int(fd), src)
 	return true
 }
 

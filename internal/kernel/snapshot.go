@@ -132,9 +132,11 @@ func (k *Kernel) clone() *Kernel {
 		out.fs[path] = cloneInode(n)
 	}
 	for pid, t := range k.tables {
-		ct := &fdTable{n: t.n}
+		ct := &fdTable{files: make([]*file, len(t.files)), n: t.n}
 		for fd, f := range t.files {
-			ct.files[fd] = cloneFile(f)
+			if f != nil {
+				ct.files[fd] = cloneFile(f)
+			}
 		}
 		out.tables[pid] = ct
 	}

@@ -546,7 +546,8 @@ dispatch:
 				// A transfer resolved at run time: fold the run, let
 				// transfer set p.PC, and stay in the loop when the target
 				// is in this image. A blocked syscall yields the slice
-				// with PC parked on it and the syscall not counted.
+				// with PC parked on it: each attempt costs a cycle, as on
+				// the step engine, but no step of the slice.
 				p.chargeRun(im, idx, idx+k)
 				if !p.transfer(im, idx+k, in) {
 					return ran + k, false

@@ -8,10 +8,9 @@ test:
 race:
 	go test -race ./internal/core/... ./internal/campaign/... ./internal/controller/... ./internal/vm/... ./internal/kernel/...
 
-# Prefix-memoization A/B (memoized vs plain snapshot sweep) plus the
-# end-to-end determinism check; baseline in BENCH_sweep.json.
+# Prefix-memoization A/B (memoized vs plain snapshot sweep); baseline in
+# BENCH_sweep.json. Memo determinism is checked by TestSweepMemoIdentical.
 bench-memo:
 	go test -run '^$$' -bench 'BenchmarkSweepMemo|BenchmarkSweepSnapshot' -benchtime 3s .
-	./scripts/memocheck.sh
 
 verify: test race

@@ -611,8 +611,8 @@ func memoBenchTarget(b *testing.B) (core.CampaignConfig, profile.Set) {
 
 // BenchmarkSweepMemo A/Bs prefix memoization on the heavy-startup
 // exhaustive matrix: memo is the snapshot executor with the prefix
-// cache (the default), nomemo the same executor with -memo=false.
-// Reports are byte-identical (scripts/memocheck.sh); the ratio is the
+// cache (the default), nomemo the same executor with NoMemo set.
+// Reports are byte-identical (TestSweepMemoIdentical); the ratio is the
 // shared-prefix cost the memo cache eliminates, net of its prefix
 // runs. Recorded in BENCH_sweep.json.
 func BenchmarkSweepMemo(b *testing.B) {

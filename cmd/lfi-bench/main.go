@@ -30,8 +30,6 @@ func run() error {
 	txns := flag.Int("txns", 200, "table4 transactions per cell")
 	seed := flag.Int64("seed", 42, "table1 corpus seed")
 	jobs := flag.Int("j", 0, "parallel workers (0 = GOMAXPROCS for sweeps; sequential for the efficiency timing series)")
-	snapshot := flag.Bool("snapshot", false, "run sweeps on the fork-server runtime (restore from one post-load snapshot)")
-	memo := flag.Bool("memo", true, "with -snapshot: share each trigger site's pre-fault prefix across errno variants (prefix memoization)")
 	flag.Parse()
 
 	sel := map[string]bool{}
@@ -91,7 +89,7 @@ func run() error {
 	}
 	if sel["robustness"] {
 		section("§2 Robustness comparison")
-		r, err := experiments.Robustness(*jobs, *snapshot, *memo)
+		r, err := experiments.Robustness(*jobs)
 		if err != nil {
 			return err
 		}
@@ -104,7 +102,7 @@ func run() error {
 	}
 	if sel["availability"] {
 		section("Availability under fault")
-		r, err := experiments.Availability(*jobs, *snapshot)
+		r, err := experiments.Availability(*jobs)
 		if err != nil {
 			return err
 		}

@@ -12,9 +12,9 @@
 //	lfi build prog.mc -o prog.slef [-exe]
 //	lfi plan -kind random -p 10 -seed 7 -profile libc.profile.xml -o plan.xml
 //	lfi plan -check plan.xml [-profile libc.profile.xml]
-//	lfi sweep -app app.slef -lib libc.slef -profile libc.profile.xml -j 8 -snapshot -prune
+//	lfi sweep -app app.slef -lib libc.slef -profile libc.profile.xml -j 8 -prune
 //	lfi sweep ... -store campaign/ -resume -triage -escalate
-//	lfi sweep -avail minidb -j 8 -snapshot -store campaign/ -triage
+//	lfi sweep -avail minidb -j 8 -store campaign/ -triage
 //	lfi sweep ... -order=static   # audit-prioritised execution order
 //	lfi audit -lib libc.slef [-profile libc.profile.xml] app.slef
 //	lfi disasm lib.slef [-func name]
@@ -498,7 +498,10 @@ func availTarget(server string) (core.CampaignConfig, profile.Set, error) {
 // campaign per (function, error code) in the profiles, distributed over a
 // worker pool, rendered as the per-fault outcome matrix. Profiles may be
 // loaded from -profile files or derived on the fly by profiling the
-// application's libraries.
+// application's libraries. Every run restores from one post-load
+// snapshot of the target with the sweep's stub surface preloaded, and
+// experiments sharing a trigger site share its pre-fault prefix
+// (core.SweepOptions.Snapshot with memoization on).
 func cmdSweep(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	app := fs.String("app", "", "application SLEF to sweep")
@@ -510,12 +513,9 @@ func cmdSweep(args []string) error {
 	budget := fs.Uint64("budget", 0, "per-run cycle budget (0 = default)")
 	progress := fs.Bool("progress", false, "print live progress to stderr")
 	heur := fs.Bool("heuristics", false, "enable the §3.1 filtering heuristics for in-process profiling")
-	snapshot := fs.Bool("snapshot", false, "fork-server runtime: restore every run from one post-load snapshot")
-	memo := fs.Bool("memo", true, "prefix memoization: run the shared pre-fault prefix once per trigger site (with -snapshot; report stays byte-identical)")
-	memoBudget := fs.Int64("memo-budget", 0, "prefix snapshot cache budget in bytes (0 = default 256 MiB)")
 	prune := fs.Bool("prune", false, "skip experiments whose function the baseline never calls (coverage-informed)")
 	faults := fs.String("faults", "errno", "fault models to sweep: errno (error-return stores), degradation (latency + resource exhaustion), or all")
-	avail := fs.String("avail", "", "traffic-driven availability sweep against a built-in server guest (minidb, minidb-nr, httpd, httpd-mp); replaces -app/-lib/-profile/-faults")
+	avail := fs.String("avail", "", "traffic-driven availability sweep against a built-in server guest (minidb, minidb-nr, httpd, httpd-mp); replaces -app/-lib/-profile/-faults/-heuristics")
 	storeDir := fs.String("store", "", "persistent campaign store directory (append-only JSONL, written live)")
 	resume := fs.Bool("resume", false, "skip experiments already completed in -store (report stays byte-identical)")
 	triage := fs.Bool("triage", false, "after the sweep, print crash clusters deduped by stack hash (needs -store)")
@@ -524,18 +524,19 @@ func cmdSweep(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// -memo/-memo-budget only act on the snapshot executor. They default
-	// on, so only an explicitly passed flag without -snapshot is a
-	// contradiction worth failing fast on (it used to be silently
-	// ignored).
-	if !*snapshot {
-		explicit := map[string]bool{}
-		fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-		if explicit["memo"] && *memo {
-			return fmt.Errorf("sweep: -memo needs -snapshot (prefix memoization runs on the snapshot executor)")
-		}
-		if explicit["memo-budget"] {
-			return fmt.Errorf("sweep: -memo-budget needs -snapshot (prefix memoization runs on the snapshot executor)")
+	if *avail != "" {
+		// The availability target brings its own programs, profile and
+		// fault matrix; an explicitly passed flag it would replace is a
+		// contradiction, not something to ignore silently.
+		var replaced []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "app", "lib", "profile", "faults", "heuristics":
+				replaced = append(replaced, "-"+f.Name)
+			}
+		})
+		if len(replaced) > 0 {
+			return fmt.Errorf("sweep: -avail replaces %s", strings.Join(replaced, ", "))
 		}
 	}
 	if *app == "" && *avail == "" {
@@ -583,8 +584,7 @@ func cmdSweep(args []string) error {
 
 	opts := core.SweepOptions{
 		Workers: *jobs, MaxCrashes: *maxCrashes,
-		Snapshot: *snapshot, PruneUncalled: *prune,
-		NoMemo: !*memo, MemoBudget: *memoBudget,
+		Snapshot: true, PruneUncalled: *prune,
 	}
 	if *progress {
 		opts.Progress = func(p core.SweepProgress) {

@@ -185,17 +185,17 @@ func TestCLISweep(t *testing.T) {
 		t.Errorf("in-process-profiled sweep malformed:\n%s", out2)
 	}
 
-	// The fork-server runtime and baseline-informed pruning must render
-	// the exact same report as the fresh-spawn sweep.
+	// Baseline-informed pruning must render the exact same report as
+	// the unpruned sweep.
 	base := captureStdout(t, func() error {
 		return run([]string{"sweep", "-app", appPath, "-lib", libPath, "-profile", profPath, "-j", "4"})
 	})
-	snap := captureStdout(t, func() error {
+	pruned := captureStdout(t, func() error {
 		return run([]string{"sweep", "-app", appPath, "-lib", libPath,
-			"-profile", profPath, "-j", "4", "-snapshot", "-prune"})
+			"-profile", profPath, "-j", "4", "-prune"})
 	})
-	if snap != base {
-		t.Errorf("-snapshot -prune report differs from fresh-spawn:\n--- fresh ---\n%s--- snapshot ---\n%s", base, snap)
+	if pruned != base {
+		t.Errorf("-prune report differs from the unpruned sweep:\n--- unpruned ---\n%s--- pruned ---\n%s", base, pruned)
 	}
 
 	if err := run([]string{"sweep"}); err == nil {
@@ -265,12 +265,12 @@ int main(void) {
 	if resumed != fresh {
 		t.Errorf("resumed report differs from fresh:\n--- fresh ---\n%s--- resumed ---\n%s", fresh, resumed)
 	}
-	// Resume is idempotent and executor-independent.
+	// Resume is idempotent and worker-count-independent.
 	again := captureStdout(t, func() error {
-		return run(append(base, "-j", "1", "-store", storeDir, "-resume", "-snapshot"))
+		return run(append(base, "-j", "1", "-store", storeDir, "-resume"))
 	})
 	if again != fresh {
-		t.Errorf("snapshot resume differs from fresh:\n%s\nvs\n%s", fresh, again)
+		t.Errorf("single-worker resume differs from fresh:\n%s\nvs\n%s", fresh, again)
 	}
 
 	// Phase 3: triage + escalation render after the (unchanged) report.
@@ -356,30 +356,29 @@ func TestCLIErrors(t *testing.T) {
 			t.Errorf("args %v: expected error", args)
 		}
 	}
-}
-
-// TestCLISweepMemoFlagContradictions: -memo/-memo-budget act on the
-// snapshot executor only, so passing them without -snapshot fails fast
-// instead of being silently ignored. Validation runs before any asset
-// loads, so a bogus app path proves the error is the flag check's.
-func TestCLISweepMemoFlagContradictions(t *testing.T) {
-	for _, args := range [][]string{
-		{"sweep", "-app", "/nonexistent", "-memo"},
-		{"sweep", "-app", "/nonexistent", "-memo=true"},
-		{"sweep", "-app", "/nonexistent", "-memo-budget", "1"},
-		{"sweep", "-app", "/nonexistent", "-memo=false", "-memo-budget", "4096"},
+	// Flag errors that must name the flag. They are caught before any
+	// asset loads or any run starts, so bogus paths prove the error is
+	// the flag check's.
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		// The executor is not a user choice: snapshot restores with
+		// prefix memoization is the only sweep runtime.
+		{[]string{"sweep", "-app", "/nonexistent", "-snapshot"}, "-snapshot"},
+		{[]string{"sweep", "-app", "/nonexistent", "-memo=false"}, "-memo"},
+		{[]string{"sweep", "-app", "/nonexistent", "-memo-budget", "1"}, "-memo-budget"},
+		{[]string{"sweep", "-avail", "minidb", "-app", "/nonexistent"}, "-avail replaces -app"},
+		{[]string{"sweep", "-avail", "minidb", "-lib", "/nonexistent"}, "-avail replaces -lib"},
+		{[]string{"sweep", "-avail", "minidb", "-profile", "/nonexistent"}, "-avail replaces -profile"},
+		{[]string{"sweep", "-avail", "minidb", "-faults", "errno"}, "-avail replaces -faults"},
+		{[]string{"sweep", "-avail", "minidb", "-heuristics=false"}, "-avail replaces -heuristics"},
+		{[]string{"sweep", "-avail", "bogus", "-app", "/x", "-faults", "all"}, "-avail replaces -app, -faults"},
 	} {
-		err := run(args)
-		if err == nil || !strings.Contains(err.Error(), "needs -snapshot") {
-			t.Errorf("args %v: err = %v, want needs -snapshot", args, err)
+		err := run(c.args)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("args %v: err = %v, want it to name %q", c.args, err, c.want)
 		}
-	}
-	// Explicitly disabling memoization without -snapshot is consistent,
-	// not a contradiction: the command proceeds past flag validation
-	// (and then fails on the unreadable app, not the flags).
-	err := run([]string{"sweep", "-app", "/nonexistent", "-memo=false"})
-	if err == nil || strings.Contains(err.Error(), "needs -snapshot") {
-		t.Errorf("-memo=false without -snapshot rejected: %v", err)
 	}
 }
 
@@ -400,7 +399,7 @@ func TestCLISweepFaultModels(t *testing.T) {
 
 	degr := captureStdout(t, func() error {
 		return run([]string{"sweep", "-app", appPath, "-lib", libPath,
-			"-profile", profPath, "-faults", "degradation", "-j", "4", "-snapshot"})
+			"-profile", profPath, "-faults", "degradation", "-j", "4"})
 	})
 	for _, want := range []string{"delay=", "exhaust=disk:after=", "exhaust=fds:slots="} {
 		if !strings.Contains(degr, want) {
@@ -411,19 +410,19 @@ func TestCLISweepFaultModels(t *testing.T) {
 		t.Errorf("degradation sweep rendered errno coordinates:\n%s", degr)
 	}
 
-	// Degradation reports are engine- and worker-independent, like
-	// errno reports.
+	// Degradation reports are worker-count-independent, like errno
+	// reports.
 	degr2 := captureStdout(t, func() error {
 		return run([]string{"sweep", "-app", appPath, "-lib", libPath,
 			"-profile", profPath, "-faults", "degradation", "-j", "1"})
 	})
 	if degr2 != degr {
-		t.Errorf("degradation report differs across executors:\n--- snapshot j4 ---\n%s--- fresh j1 ---\n%s", degr, degr2)
+		t.Errorf("degradation report differs across worker counts:\n--- j4 ---\n%s--- j1 ---\n%s", degr, degr2)
 	}
 
 	all := captureStdout(t, func() error {
 		return run([]string{"sweep", "-app", appPath, "-lib", libPath,
-			"-profile", profPath, "-faults", "all", "-j", "4", "-snapshot"})
+			"-profile", profPath, "-faults", "all", "-j", "4"})
 	})
 	if !strings.Contains(all, "errno=") || !strings.Contains(all, "exhaust=disk:after=") {
 		t.Errorf("-faults all missing a model family:\n%s", all)

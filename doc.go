@@ -8,29 +8,27 @@
 // Fault-injection campaigns — the product of libraries × functions ×
 // error codes that §2 sweeps over a workload — run on a parallel campaign
 // scheduler (core.RunExperiments): the experiment matrix is generated
-// deterministically, distributed over a pool of workers each owning a
-// private Campaign/vm.System, and reassembled in plan order, so the
+// deterministically, distributed over a pool of workers each running
+// on a private vm.System, and reassembled in plan order, so the
 // rendered robustness report is byte-identical at any worker count.
 // `lfi sweep -j N` and `lfi-bench -j N` expose the pool size; -max-crashes
 // stops a sweep at the N-th crash for triage.
 //
-// Sweeps optionally run on a fork-server snapshot runtime (ZOFI-style):
-// the whole load pipeline — text copy, relocation, instruction decode,
-// symbol maps, stub synthesis for the union of intercepted functions —
-// executes once into an immutable vm.Snapshot, and every experiment
-// (baseline included) restores from it copy-on-write, binding only its
-// own compiled faultload; decoded instructions, patched text and symbol
-// tables are shared read-only by all restores, and writable pages are
-// shared until first write (see below). The rendered
-// report stays byte-identical to the fresh-spawn executor's for
-// call-keyed faultloads — everything the sweep matrix generates; see
-// the SweepOptions.Snapshot caveat on <cycles> windows and tight
-// explicit budgets —
-// (`lfi sweep -snapshot`, `lfi-bench -snapshot`; BenchmarkSweepSnapshot
-// vs BenchmarkSweepParallel in BENCH_sweep.json records the campaign
-// throughput gain). Baseline-informed pruning (`lfi sweep -prune`)
-// additionally skips experiments whose functions the coverage-traced
-// baseline proves the workload never calls.
+// Sweeps run on one production executor, a fork-server snapshot
+// runtime (ZOFI-style): the whole load pipeline — text copy,
+// relocation, instruction decode, symbol maps, stub synthesis for the
+// union of intercepted functions — executes once into an immutable
+// vm.Snapshot, and every experiment (baseline included) restores from
+// it copy-on-write, binding only its own compiled faultload; decoded
+// instructions, patched text and symbol tables are shared read-only by
+// all restores, and writable pages are shared until first write (see
+// below). The fresh-spawn oracle (core.SweepOptions{}) rebuilds the
+// same template for every run, so cycle counts, injection logs and
+// reports are equal on both by construction (TestSweepSnapshotIdentical;
+// BenchmarkSweepSnapshot vs BenchmarkSweepParallel in BENCH_sweep.json
+// records the campaign throughput gain). Baseline-informed pruning
+// (`lfi sweep -prune`) additionally skips experiments whose functions
+// the coverage-traced baseline proves the workload never calls.
 //
 // # Persistent campaigns
 //
@@ -42,8 +40,9 @@
 // anywhere (the store recovers a torn trailing line on reopen) resumes
 // from exactly what it had: `lfi sweep -store d -resume` serves
 // completed keys from disk, runs only the remainder, and renders a
-// report byte-identical to a fresh full sweep on both executors at any
-// worker count, -max-crashes early stops included. On top of the store,
+// report byte-identical to a fresh full sweep at any worker count,
+// -max-crashes early stops included; a store filled by the fresh-spawn
+// oracle holds the same records as one filled by production. On top of the store,
 // `-triage` dedups crash records into clusters keyed by crash-stack
 // hash (controller.StackHash) and ranked by reach — how many distinct
 // faultloads arrive at the same failure site — and `-escalate` mints an
@@ -156,9 +155,10 @@
 // bit-identical to a fresh spawn while untouched pages stay
 // pointer-equal to the template (TestRestoreCoWIsolation),
 // FuzzRestoreCoW drives random write/brk/run/restore schedules against
-// the same oracle, and TestSweepSnapshotIdentical and
-// TestSweepEngineDifferential require byte-identical sweep reports
-// from fresh-spawn and CoW executors at 1, 4 and 8 workers.
+// the same oracle, TestSweepEngineDifferential requires byte-identical
+// sweep reports from both, and TestSweepSnapshotIdentical requires
+// equal per-experiment cycle counts and injection logs from the
+// fresh-spawn oracle and CoW restores at 1, 4 and 8 workers.
 // BenchmarkRestoreCoW measured 9.6x per restore+run over the deep-copy
 // restore it replaced, on a low-dirty-ratio guest (BENCH_vm.json
 // "restore").
@@ -187,16 +187,17 @@
 // bit-identical. Group members restore from the pair and run only
 // their suffix; a prefix that terminates before its site serves its
 // report to every member outright. Cached prefixes live in a
-// byte-budgeted LRU shared by all workers (-memo-budget, default 256
+// byte-budgeted LRU shared by all workers (core.DefaultMemoBudget, 256
 // MiB; Snapshot.Footprint is the unit), with single-member groups
 // skipped — a prefix would amortise over nothing. Soundness rests on
 // determinism: same-site plans evaluate calls 1..N-1 identically
 // (per-call cycle charges depend only on the trigger count, no
 // injections, no random draws — random retvals draw at fire time), so
-// memoization is never observable: memocheck.sh requires
-// byte-identical reports between memoized and -memo=false sweeps
-// across engines, worker counts, restore modes, eviction pressure,
-// -max-crashes and -resume. On a heavy-startup exhaustive matrix the
+// memoization is never observable: TestSweepMemoIdentical and its
+// siblings require byte-identical reports between memoized and
+// non-memoized sweeps across engines, worker counts, eviction
+// pressure, -max-crashes and -resume. `lfi sweep` always memoizes. On
+// a heavy-startup exhaustive matrix the
 // A/B measures 3.06x (BenchmarkSweepMemo, BENCH_sweep.json); the same
 // record documents when it does not pay (short prefixes, 2-member
 // groups).
@@ -236,9 +237,10 @@
 // tripped. Prefix memoization remains valid — the fire site is static
 // (FirstFireSite ignores delay/exhaust payloads) and degradation acts
 // only at or after the fire, so the shared prefix is strictly pre-fire
-// (Plan.Stateful documents the reasoning); faultcheck.sh enforces
-// byte-identical degradation reports across engines, worker counts,
-// fresh/CoW/flat restores, memo settings, -resume and replay.
+// (Plan.Stateful documents the reasoning); TestDegradationSweepDeterminism
+// requires byte-identical degradation reports across engines, the
+// fresh-spawn oracle and memo settings, and scripts/faultcheck.sh
+// across worker counts, -resume and replay.
 // `lfi sweep -faults degradation` runs the per-function degradation
 // matrix (`-faults all` concatenates it with the errno matrix), and
 // experiments.FaultModels (BENCH_faults.json) compares the two models'
@@ -268,9 +270,10 @@
 // wedged (stopped answering before the phases completed) or crashed
 // (a server process died — the crash stack comes from the dead server,
 // not the client). Classification happens in exactly one place on
-// every executor path, so availability reports stay byte-identical
-// across engines, worker counts, fresh/CoW/flat restores, memo
-// settings and -store/-resume (scripts/availcheck.sh, in CI).
+// every executor path, against a baseline run on the same guest, so
+// availability reports stay byte-identical across engines, worker
+// counts, the fresh-spawn oracle, memo settings and -store/-resume
+// (TestAvailabilitySweepDeterminism; scripts/availcheck.sh, in CI).
 // served=warmup/steady/post counts persist in campaign records,
 // -triage clusters non-recovered runs by (availability class, stack
 // hash), `lfi sweep -avail <server>` runs the matrix from the CLI,
@@ -305,8 +308,9 @@
 // call sites run first — the scheduler permutes only the execution
 // order and reassembles results in plan order, so the full-sweep
 // report stays byte-identical to the default across engines, worker
-// counts, restore modes and memo settings (scripts/auditcheck.sh, in
-// CI), while -max-crashes triage reaches crashing faults sooner; and
+// counts, the fresh-spawn oracle and memo settings
+// (TestExecOrderReportByteIdentical; scripts/auditcheck.sh, in CI),
+// while -max-crashes triage reaches crashing faults sooner; and
 // campaign records carry the target's class so -triage splits crash
 // clusters into statically predicted and surprises.
 // experiments.StaticAudit (BENCH_audit.json) measures both uses on a
@@ -322,7 +326,7 @@
 // slice boundary), same cycle counts at every observable boundary
 // (host calls, syscalls, budget checks, <cycles> triggers, profiler
 // charging), same coverage bits, same kills on the same instruction,
-// byte-identical sweep reports on both executors at any worker count.
+// byte-identical sweep reports at any worker count.
 // A lockstep differential test drives both engines one scheduler round
 // at a time comparing full machine state (internal/vm/exec_test.go),
 // and the sweep-level tests (TestSweepEngineDifferential, and a step

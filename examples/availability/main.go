@@ -11,7 +11,8 @@
 // or crashed (a server process died). The one-shot write errno the
 // retry absorbs turns into permanent degradation without it — and no
 // retry helps against a disk that stays full or a call that never
-// returns.
+// returns. The matrices run on the snapshot executor `lfi sweep -avail`
+// uses, so the latency envelope compares runs of one guest.
 //
 //	go run ./examples/availability
 package main
@@ -26,7 +27,7 @@ import (
 
 func main() {
 	workers := runtime.GOMAXPROCS(0)
-	res, err := experiments.Availability(workers, true)
+	res, err := experiments.Availability(workers)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,7 +9,8 @@
 // retry absorbs the one-shot errno fault, so the error-return sweep
 // calls that writer robust — but a disk that stays full defeats the
 // retry, and a stalled call hangs it: stateful failures the one-shot
-// model masks.
+// model masks. Both matrices run on the snapshot executor `lfi sweep`
+// uses: every run restores from one post-load snapshot per writer.
 //
 //	go run ./examples/degradation
 package main
@@ -24,7 +25,7 @@ import (
 
 func main() {
 	workers := runtime.GOMAXPROCS(0)
-	res, err := experiments.FaultModels(workers, true)
+	res, err := experiments.FaultModels(workers)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,8 +6,9 @@
 // fork-server runtime: the load pipeline executes once per app into a
 // vm.Snapshot and every experiment restores from it in O(writable
 // bytes), with prefix memoization sharing each trigger site's pre-fault
-// prefix across its errno variants. The report is byte-identical to a
-// sequential fresh-spawn sweep at any worker count.
+// prefix across its errno variants. That is the one executor `lfi
+// sweep` runs; the report is byte-identical at any worker count and to
+// the fresh-spawn oracle, which rebuilds the same guest for every run.
 //
 //	go run ./examples/robustness
 package main
@@ -22,7 +23,7 @@ import (
 
 func main() {
 	workers := runtime.GOMAXPROCS(0)
-	res, err := experiments.Robustness(workers, true, true)
+	res, err := experiments.Robustness(workers)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -17,14 +17,15 @@
 //
 //	store, _ := campaign.Open(dir)
 //	defer store.Close()
-//	res, _ := campaign.Sweep(cfg, exps, 0, core.SweepOptions{Workers: 8},
-//	    store, true /* resume */)
+//	res, _ := campaign.Sweep(cfg, exps, 0,
+//	    core.SweepOptions{Workers: 8, Snapshot: true}, store, true /* resume */)
 //
 // Resume serves completed keys from disk through the executor's Skip
 // hook and runs only the remainder; because entries are reassembled in
 // plan order regardless of origin, the resumed report is byte-identical
-// to a fresh full sweep — on both executors, at any worker count, with
-// -max-crashes early stops counting cached crashes in plan order.
+// to a fresh full sweep — whichever executor filled the store, at any
+// worker count, with -max-crashes early stops counting cached crashes
+// in plan order.
 //
 // Triage then folds the store's crash records into clusters keyed by
 // crash-stack hash (controller.StackHash) and ranked by reach — how

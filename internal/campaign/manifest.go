@@ -23,9 +23,10 @@ const ManifestFile = "manifest.json"
 // another target's cached outcomes. Sweep writes the manifest on the
 // store's first use and refuses a store whose manifest disagrees.
 //
-// The snapshot/fresh executor choice and the worker count are
-// deliberately absent: both are byte-identical by contract, so records
-// from either are interchangeable.
+// The executor (production snapshot restores or the fresh-spawn
+// oracle) and the worker count are deliberately absent: both executors
+// run the same guest, so their records — cycles, injection-log digest
+// and coverage included — are equal key by key and interchangeable.
 type Manifest struct {
 	// Executable is the campaign's target program name.
 	Executable string `json:"executable"`

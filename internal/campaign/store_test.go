@@ -3,6 +3,7 @@ package campaign_test
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -283,6 +284,44 @@ func TestSweepStoreResumeByteIdentical(t *testing.T) {
 		}
 		if err := s3.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+
+	// Phase 4: a store filled by the fresh-spawn oracle and one filled by
+	// the production executor (snapshot restores, memoized prefixes)
+	// hold the same record under every key — cycles, injection-log
+	// digest and coverage included — which is what lets either resume
+	// the other.
+	covCfg := cfg
+	covCfg.VM.Coverage = true
+	fill := func(opts core.SweepOptions) map[string]campaign.Record {
+		t.Helper()
+		s, err := campaign.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if _, err := campaign.Sweep(covCfg, core.PlanExperiments(set), 0, opts, s, false); err != nil {
+			t.Fatal(err)
+		}
+		return s.Completed()
+	}
+	oracle := fill(core.SweepOptions{Workers: 1})
+	prod := fill(core.SweepOptions{Workers: 4, Snapshot: true})
+	if len(prod) != len(oracle) {
+		t.Fatalf("production store has %d keys, oracle store %d", len(prod), len(oracle))
+	}
+	for key, o := range oracle {
+		p := prod[key]
+		if o.Coverage == 0 {
+			t.Errorf("%s: oracle record has no coverage", key)
+		}
+		if p.Cycles != o.Cycles || p.LogDigest != o.LogDigest || p.Coverage != o.Coverage {
+			t.Errorf("%s: production cycles=%d log=%q coverage=%d, oracle cycles=%d log=%q coverage=%d",
+				key, p.Cycles, p.LogDigest, p.Coverage, o.Cycles, o.LogDigest, o.Coverage)
+		}
+		if !reflect.DeepEqual(p, o) {
+			t.Errorf("%s: production record %+v, oracle %+v", key, p, o)
 		}
 	}
 }

@@ -164,8 +164,10 @@ func TestClassifyAvail(t *testing.T) {
 }
 
 // TestAvailabilitySweepDeterminism: availability reports must render
-// byte-identically across every executor configuration, on both
-// engines — the in-process half of scripts/availcheck.sh.
+// byte-identically across every executor configuration — the fresh-
+// spawn oracle, snapshot restores, memo off and starved — on both
+// engines. scripts/availcheck.sh checks the CLI's worker counts,
+// -store/-resume and -triage on top.
 func TestAvailabilitySweepDeterminism(t *testing.T) {
 	set := flagshipSet()
 	exps := core.AvailabilityExperiments(set, apps.AvailAfter)

@@ -38,12 +38,13 @@
 //	exps := core.PlanExperiments(set)                      // the matrix, in plan order
 //	res, _ := core.RunExperiments(cfg, exps, 0, core.SweepOptions{
 //	    Workers:    8,
+//	    Snapshot:   true,                 // the production executor
 //	    MaxCrashes: 5,                    // triage: stop at the 5th crash
 //	    Progress:   func(p core.SweepProgress) { ... },    // live tallies
 //	})
 //
-// Each worker owns a full Campaign (its own vm.System, controller and
-// evaluator); completions are re-ordered into plan order before they are
+// Each run owns a private vm.System, controller and evaluators;
+// completions are re-ordered into plan order before they are
 // committed, so the SweepResult — including early-stopped ones, whose
 // crash threshold is counted in plan order — renders byte-identical at
 // every worker count. Seeded random faultloads stay reproducible too:
@@ -51,55 +52,58 @@
 // scheduling.
 //
 // A single Campaign is not safe for concurrent use; concurrency comes
-// from running many of them. CampaignConfig inputs (Programs, Profiles,
+// from running many systems. CampaignConfig inputs (Programs, Profiles,
 // Files, Compiled) are shared across workers and must not be mutated
 // during a sweep — the VM loader copies text and data segments per
 // process, the controller treats profiles as immutable, and faultloads
-// are compiled once per campaign into an immutable
-// scenario.CompiledPlan (PlanExperiments pre-compiles each experiment's
-// single-trigger plan so all runs and workers share it), so sharing is
-// read-only.
+// are compiled once into an immutable scenario.CompiledPlan
+// (PlanExperiments pre-compiles each experiment's single-trigger plan
+// so all runs and workers share it), so sharing is read-only.
 //
-// # Snapshot campaigns
+// # The sweep executor
 //
-// With SweepOptions.Snapshot, the executor switches to a fork-server
-// runtime. Its lifecycle per sweep:
+// Every sweep runs one guest: the executable spawned with a single
+// interceptor stub library preloaded, synthesised for the union of
+// every function any experiment intercepts (ZOFI's fork-server trade;
+// a standalone Campaign instead preloads stubs for its own faultload's
+// functions, as the paper's controller does). Each run — the baseline
+// included — binds only its own compiled faultload to that surface
+// through a thin controller (controller.NewWithStubs); stubs for
+// functions the faultload does not name pass through. The production
+// executor, SweepOptions.Snapshot, pays the load pipeline once:
 //
 //  1. Template build (once): register programs and kernel files,
-//     synthesise one interceptor stub library for the union of every
-//     function any experiment intercepts, and spawn the executable
-//     with it preloaded — paying text copy, relocation, instruction
-//     decode and symbol-map construction exactly once.
+//     synthesise the union stub library, and spawn the executable with
+//     it preloaded — text copy, relocation, instruction decode and
+//     symbol-map construction happen exactly once.
 //  2. Freeze: vm.Snapshot captures the spawned system at the post-load
 //     entry point.
 //  3. Restore (per run, baseline included): Snapshot.Restore mints a
-//     private System in O(writable bytes) — writable data/TLS/stack/
-//     heap segments, registers, kernel FS/FD state and cycle counters
-//     are deep-copied; patched text, decoded instructions, symbol
-//     tables and the whole Image are shared immutably. The run then
-//     binds only its own faultload: a thin controller over the shared
-//     stub surface and compiled plan (controller.NewWithStubs), whose
-//     evaluators and log are the run's entire private state.
+//     private System — writable data/TLS/stack/heap pages are shared
+//     copy-on-write, registers, kernel FS/FD state and cycle counters
+//     are copied; patched text, decoded instructions, symbol tables and
+//     the whole Image are shared immutably.
 //
-// The concurrency contract: the Snapshot, StubSet and CompiledPlans
-// are immutable and shared by every worker; each restored System and
-// its controller belong to exactly one run and must not outlive it
-// into another. Stubs for functions the current faultload does not
-// name evaluate to pass-through, so the baseline (an empty plan) and
-// every experiment execute the same images — which is what makes the
-// snapshot report byte-identical to the fresh-spawn report, seeded
-// random faultloads and -max-crashes early stops included.
+// The zero SweepOptions is the fresh-spawn oracle: it rebuilds the same
+// template for every run instead of restoring it. Because both execute
+// the same guest, cycle counts, injection logs, budget verdicts,
+// availability envelopes and campaign-store records are equal by
+// construction, seeded random faultloads and -max-crashes early stops
+// included. The concurrency contract: the Snapshot, StubSet and
+// CompiledPlans are immutable and shared by every worker; each System
+// and its controller belong to exactly one run and must not outlive it
+// into another.
 //
-// SweepOptions.PruneUncalled adds baseline-informed pruning on either
-// executor: the baseline runs once with instruction coverage, and
-// experiments whose faultload only names functions the baseline never
-// executed are committed as not-triggered without spawning a run —
-// sound because the deterministic VM replays the baseline exactly
-// until a fault fires.
+// SweepOptions.PruneUncalled adds baseline-informed pruning: the
+// baseline runs once on a coverage-enabled build of the same template,
+// and experiments whose faultload only names functions the baseline
+// never executed are committed as not-triggered without spawning a
+// run — sound because the deterministic VM replays the baseline
+// exactly until a fault fires.
 //
 // The snapshot executor also memoizes shared pre-fault prefixes
-// (memo.go, on by default; SweepOptions.NoMemo opts out): experiments
-// whose faultload has a deterministic first-fire site
+// (memo.go, on by default; SweepOptions.NoMemo opts out for tests):
+// experiments whose faultload has a deterministic first-fire site
 // (scenario.FirstFireSite) are grouped by site, each group's prefix is
 // executed once, on the same engine and scheduler loop as a full run,
 // to just before the trigger call (vm.System.RunBreak) and frozen as a
@@ -107,7 +111,7 @@
 // restore from it to run only their suffix. The cache is a
 // byte-budgeted LRU shared across workers; SweepResult.Memo reports
 // its hit statistics. The rendered report stays byte-identical either
-// way (scripts/memocheck.sh).
+// way (TestSweepMemoIdentical).
 package core
 
 import (

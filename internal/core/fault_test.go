@@ -143,26 +143,18 @@ func TestDegradationSweepOutcomes(t *testing.T) {
 	}
 }
 
-// The degradation matrix must render byte-identically across every
-// executor configuration: both engines, fresh spawns, copy-on-write
-// snapshot restores, memoized prefixes (unbounded and evicting), and
-// any worker count. This is the in-process half of
-// scripts/faultcheck.sh.
+// The degradation matrix — alone and concatenated with the errno
+// matrix, as `lfi sweep -faults all` runs it, so errno and degradation
+// faultloads share memo groups — must render byte-identically across
+// every executor configuration: both engines, the fresh-spawn oracle,
+// copy-on-write snapshot restores, memoized prefixes (unbounded and
+// evicting), and any worker count.
 func TestDegradationSweepDeterminism(t *testing.T) {
 	set, lc, app := faultSet(t)
 	cfg := core.CampaignConfig{
 		Programs:   []*obj.File{lc, app},
 		Executable: "app",
 	}
-	run := func(opts core.SweepOptions) string {
-		t.Helper()
-		res, err := core.RunExperiments(cfg, core.DegradationExperiments(set), 0, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Render()
-	}
-	ref := run(core.SweepOptions{Workers: 1})
 	legs := map[string]core.SweepOptions{
 		"fresh-w4":        {Workers: 4},
 		"snapshot-cow-w1": {Workers: 1, Snapshot: true},
@@ -170,14 +162,29 @@ func TestDegradationSweepDeterminism(t *testing.T) {
 		"snapshot-nomemo": {Workers: 4, Snapshot: true, NoMemo: true},
 		"snapshot-memo-1": {Workers: 2, Snapshot: true, MemoBudget: 1},
 	}
-	// Every leg runs on the block engine and on its step-interpreter
-	// oracle; the reference is the block engine's.
-	for _, engine := range []string{vm.EngineBlock, vm.EngineStep} {
-		cfg.VM.Engine = engine
-		for name, opts := range legs {
-			if got := run(opts); got != ref {
-				t.Errorf("engine=%s %s report diverged from fresh single-worker reference:\n--- ref\n%s\n--- %s\n%s",
-					engine, name, ref, name, got)
+	for matrix, exps := range map[string][]core.Experiment{
+		"degradation": core.DegradationExperiments(set),
+		"all":         append(core.PlanExperiments(set), core.DegradationExperiments(set)...),
+	} {
+		run := func(opts core.SweepOptions) string {
+			t.Helper()
+			res, err := core.RunExperiments(cfg, exps, 0, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Render()
+		}
+		cfg.VM.Engine = vm.EngineBlock
+		ref := run(core.SweepOptions{Workers: 1})
+		// Every leg runs on the block engine and on its step-interpreter
+		// oracle; the reference is the block engine's.
+		for _, engine := range []string{vm.EngineBlock, vm.EngineStep} {
+			cfg.VM.Engine = engine
+			for name, opts := range legs {
+				if got := run(opts); got != ref {
+					t.Errorf("%s engine=%s %s report diverged from fresh single-worker reference:\n--- ref\n%s\n--- %s\n%s",
+						matrix, engine, name, ref, name, got)
+				}
 			}
 		}
 	}

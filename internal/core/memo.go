@@ -26,7 +26,7 @@ import (
 // calls 1..N-1 identically (same per-call cycle charges, no
 // injections, no random draws), so the restored runs are
 // bit-identical to unbroken ones and the rendered report matches the
-// non-memoized sweep byte for byte (scripts/memocheck.sh).
+// non-memoized sweep byte for byte (TestSweepMemoIdentical).
 //
 // Cached prefixes live in a byte-budgeted LRU shared by all sweep
 // workers; a first acquirer builds the entry while later members of the
@@ -255,19 +255,10 @@ func (r *snapshotRunner) runMemo(exp Experiment, key memoKey, base *Report, budg
 		entry.classify(e.term, base, r.cfg.Avail)
 		return entry, e.term, true, nil
 	}
-	sys := e.snap.Restore()
-	ctl := controller.NewWithStubs(r.stubs, exp.Compiled)
-	ctl.SeedCheckpoint(e.ckpt)
-	if err := ctl.Install(sys); err != nil {
+	// The budget is absolute: TotalCycles carries over the prefix.
+	rep, err := r.exec(e.snap.Restore(), exp.Compiled, e.ckpt, budget)
+	if err != nil {
 		return entry, nil, false, err
-	}
-	err := sys.Run(budget) // absolute budget: TotalCycles carries over the prefix
-	rep, rerr := assembleReport(err, sys, ctl, r.cfg.Avail)
-	if r.cfg.VM.Coverage {
-		rep.Coverage = coveredInsts(sys)
-	}
-	if rerr != nil {
-		return entry, nil, false, rerr
 	}
 	r.memo.note(func(s *MemoStats) { s.Restored++ })
 	entry.classify(rep, base, r.cfg.Avail)

@@ -204,7 +204,7 @@ func TestSweepMemoUnmemoizable(t *testing.T) {
 // TestSweepMemoEviction: a one-byte budget cannot hold any prefix
 // snapshot, so every sealed entry beyond the first is evicted and
 // groups whose members arrive after eviction rebuild the prefix —
-// reports must stay byte-identical regardless.
+// reports must stay byte-identical regardless, at 1, 4 and 8 workers.
 func TestSweepMemoEviction(t *testing.T) {
 	cfg, set := wideTarget(t)
 	ref, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0,
@@ -213,16 +213,18 @@ func TestSweepMemoEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := ref.Render()
-	got, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0,
-		core.SweepOptions{Workers: 1, Snapshot: true, MemoBudget: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := got.Render(); r != want {
-		t.Errorf("report differs under eviction pressure:\n--- nomemo ---\n%s--- memo ---\n%s", want, r)
-	}
-	if got.Memo.Evictions == 0 {
-		t.Errorf("stats: %+v, want evictions under a 1-byte budget", *got.Memo)
+	for _, workers := range []int{1, 4, 8} {
+		got, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0,
+			core.SweepOptions{Workers: workers, Snapshot: true, MemoBudget: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := got.Render(); r != want {
+			t.Errorf("workers=%d: report differs under eviction pressure:\n--- nomemo ---\n%s--- memo ---\n%s", workers, want, r)
+		}
+		if got.Memo.Evictions == 0 {
+			t.Errorf("workers=%d: stats: %+v, want evictions under a 1-byte budget", workers, *got.Memo)
+		}
 	}
 }
 

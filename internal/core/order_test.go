@@ -60,8 +60,8 @@ func auditRankFor(fn string) int {
 
 // TestExecOrderReportByteIdentical is the scheduler's determinism bar:
 // a statically reordered full sweep must render the exact same report
-// as the default plan order, at any worker count, on both engines and
-// both executors.
+// as the default plan order, at any worker count, on both engines, on
+// the fresh-spawn oracle and on snapshot restores with memo on and off.
 func TestExecOrderReportByteIdentical(t *testing.T) {
 	cfg, set := mixedTarget(t)
 	exps := core.PlanExperiments(set)
@@ -72,17 +72,18 @@ func TestExecOrderReportByteIdentical(t *testing.T) {
 	order := core.StaticOrder(exps, orderClasses)
 	for _, engine := range []string{vm.EngineBlock, vm.EngineStep} {
 		cfg.VM.Engine = engine
-		for _, snapshot := range []bool{false, true} {
+		for _, exec := range []core.SweepOptions{{}, {Snapshot: true, NoMemo: true}, {Snapshot: true}} {
 			for _, workers := range []int{1, 4, 8} {
-				res, err := core.RunExperiments(cfg, exps, 0, core.SweepOptions{
-					Workers: workers, Snapshot: snapshot, ExecOrder: order,
-				})
+				opts := exec
+				opts.Workers, opts.ExecOrder = workers, order
+				res, err := core.RunExperiments(cfg, exps, 0, opts)
 				if err != nil {
-					t.Fatalf("engine=%s snapshot=%v workers=%d: %v", engine, snapshot, workers, err)
+					t.Fatalf("engine=%s snapshot=%v nomemo=%v workers=%d: %v",
+						engine, exec.Snapshot, exec.NoMemo, workers, err)
 				}
 				if res.Render() != want.Render() {
-					t.Errorf("engine=%s snapshot=%v workers=%d: reordered report differs from plan order:\n--- default ---\n%s--- static ---\n%s",
-						engine, snapshot, workers, want.Render(), res.Render())
+					t.Errorf("engine=%s snapshot=%v nomemo=%v workers=%d: reordered report differs from plan order:\n--- default ---\n%s--- static ---\n%s",
+						engine, exec.Snapshot, exec.NoMemo, workers, want.Render(), res.Render())
 				}
 			}
 		}

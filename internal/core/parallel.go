@@ -24,40 +24,36 @@ type SweepOptions struct {
 	// Progress, when non-nil, is called after each experiment is
 	// committed to the report, in plan order, from a single goroutine.
 	Progress func(SweepProgress)
-	// Snapshot switches the executor to the fork-server runtime: the
-	// whole load pipeline (text copy, relocation, instruction decode,
-	// symbol maps, stub synthesis for the union of intercepted
-	// functions) runs once into an immutable vm.Snapshot, and every
-	// run — baseline included — restores from it copy-on-write,
-	// binding only its own compiled faultload. The rendered report is
-	// byte-identical to the fresh-spawn executor's for faultloads whose
-	// triggers key on calls (inject=, <calls>, probability, stacks,
-	// after-fault — everything PlanExperiments generates), with one
-	// caveat: the shared surface intercepts every swept function in
-	// every run, so virtual cycle counts run slightly higher than under
-	// the fresh executor's single-function stubs. A <cycles>-windowed
-	// trigger or a run sitting exactly at an explicit tight cycle
-	// budget can therefore classify differently; under the default
-	// budget and call-keyed triggers the reports match byte for byte.
+	// Snapshot selects how each run's template system is produced
+	// (snapshot.go). Every run executes the same guest either way: the
+	// executable spawned with one stub library preloaded for the union
+	// of every function the sweep intercepts, binding only its own
+	// compiled faultload. With Snapshot set — the production executor of
+	// `lfi sweep` — the template is built once, frozen as a vm.Snapshot
+	// and restored copy-on-write for every run, baseline included. The
+	// zero value rebuilds the template for every run: the fresh-spawn
+	// oracle that tests and the campaign benchmark check production
+	// against. Reports, cycle counts and injection logs are identical.
 	Snapshot bool
-	// NoMemo disables trigger-point prefix memoization. Under Snapshot,
-	// precompiled experiments sharing a deterministic first-fire site
-	// (scenario.FirstFireSite: same function, call number and trigger
-	// count, no probability/after-fault/sticky/pid/cycles conditions)
-	// are grouped: the deterministic prefix up to the site runs once per
-	// group into a mid-execution snapshot + controller checkpoint, and
-	// each member restores from it and runs only its suffix. Reports are
-	// byte-identical either way (scripts/memocheck.sh); the zero value
-	// keeps memoization on — the CLI's `-memo=false` escape hatch sets
-	// this. Ignored unless Snapshot is set.
+	// NoMemo disables trigger-point prefix memoization, an oracle and
+	// test selector. Under Snapshot, precompiled experiments sharing a
+	// deterministic first-fire site (scenario.FirstFireSite: same
+	// function, call number and trigger count, no probability/after-
+	// fault/sticky/pid/cycles conditions) are grouped: the deterministic
+	// prefix up to the site runs once per group into a mid-execution
+	// snapshot + controller checkpoint, and each member restores from it
+	// and runs only its suffix. Reports are byte-identical either way;
+	// the zero value keeps memoization on. Ignored unless Snapshot is
+	// set.
 	NoMemo bool
 	// MemoBudget caps the memo cache's resident snapshot bytes; 0 means
 	// DefaultMemoBudget. Least-recently-used prefixes are evicted (and
-	// rebuilt on demand) beyond the budget. Ignored when memoization is
-	// inactive.
+	// rebuilt on demand) beyond the budget; tests starve it to force
+	// evictions. Ignored when memoization is inactive.
 	MemoBudget int64
 	// PruneUncalled enables baseline-informed pruning: the baseline
-	// runs once with instruction coverage, and experiments whose
+	// runs once on a coverage-enabled build of the sweep's template (the
+	// guest every experiment runs), and experiments whose
 	// faultload only names functions the baseline never executed are
 	// committed as not-triggered without spawning a run (deterministic
 	// execution guarantees the run would replay the baseline exactly).
@@ -121,9 +117,10 @@ func (p SweepProgress) String() string {
 // RunExperiments is the campaign executor: it runs the clean baseline,
 // dispatches the experiments to a worker pool, and collects the entries
 // back into plan order. The paper's §2 sweep is
-// RunExperiments(cfg, PlanExperiments(set), budget, SweepOptions{Workers: n});
-// callers with custom faultloads (e.g. seeded random triggers) build
-// their own experiment list and execute it the same way.
+// RunExperiments(cfg, PlanExperiments(set), budget,
+// SweepOptions{Workers: n, Snapshot: true}); callers with custom
+// faultloads (e.g. seeded random triggers) build their own experiment
+// list and execute it the same way.
 func RunExperiments(cfg CampaignConfig, exps []Experiment, budget uint64, opts SweepOptions) (*SweepResult, error) {
 	if budget == 0 {
 		budget = DefaultSweepBudget
@@ -141,43 +138,11 @@ func RunExperiments(cfg CampaignConfig, exps []Experiment, budget uint64, opts S
 		}
 		return k
 	}
-	// A matrix that intercepts nothing — empty, or experiments whose
-	// faultloads name no functions — has nothing a snapshot would
-	// amortise: fall back to the fresh executor so the report matches
-	// it instead of failing to build a stub set.
-	var sr *snapshotRunner
-	if opts.Snapshot {
-		if fns := sweepFunctions(exps); len(fns) > 0 {
-			r, err := newSnapshotRunner(cfg, fns)
-			if err != nil {
-				return nil, err
-			}
-			sr = r
-			if !opts.NoMemo {
-				sr.memo = newMemoCache(opts.MemoBudget)
-				sr.memo.plan(exps)
-			}
-		}
+	r, err := newSnapshotRunner(cfg, exps, opts)
+	if err != nil {
+		return nil, err
 	}
-	// The baseline anchors outcome classification. With pruning it also
-	// collects the coverage-derived call set, which needs a fresh
-	// coverage-enabled campaign; otherwise it comes from a snapshot
-	// restore (pass-through stubs leave the exit code unchanged; sr is
-	// nil for an empty matrix even with opts.Snapshot) or a plain fresh
-	// spawn. All three produce the same exit code.
-	var (
-		base   *Report
-		called map[string]bool
-		err    error
-	)
-	switch {
-	case opts.PruneUncalled:
-		base, called, err = baselineCoverage(cfg, budget)
-	case sr != nil:
-		base, err = sr.baseline(budget)
-	default:
-		base, err = runBaseline(cfg, budget)
-	}
+	base, called, err := r.baseline(budget, opts.PruneUncalled)
 	if err != nil {
 		return nil, err
 	}
@@ -197,17 +162,7 @@ func RunExperiments(cfg CampaignConfig, exps []Experiment, budget uint64, opts S
 				return entry, true, nil
 			}
 		}
-		var (
-			entry  SweepEntry
-			rep    *Report
-			served bool
-			err    error
-		)
-		if sr != nil {
-			entry, rep, served, err = sr.run(exp, base, budget)
-		} else {
-			entry, rep, err = runExperiment(cfg, exp, base, budget)
-		}
+		entry, rep, served, err := r.run(exp, base, budget)
 		if err != nil {
 			return entry, served, err
 		}
@@ -217,8 +172,8 @@ func RunExperiments(cfg CampaignConfig, exps []Experiment, budget uint64, opts S
 		return entry, served, nil
 	}
 	res := &SweepResult{Executable: cfg.Executable, Baseline: base.Status.Code}
-	if sr != nil && sr.memo != nil {
-		defer func() { res.Memo = sr.memo.statsSnapshot() }()
+	if r.memo != nil {
+		defer func() { res.Memo = r.memo.statsSnapshot() }()
 	}
 
 	workers := opts.Workers
@@ -284,8 +239,8 @@ func RunExperiments(cfg CampaignConfig, exps []Experiment, budget uint64, opts S
 		}
 	}()
 
-	// Workers: one fresh Campaign per experiment, nothing shared but the
-	// read-only config.
+	// Workers: one private System per experiment, nothing shared but the
+	// read-only config and runner.
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

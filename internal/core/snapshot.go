@@ -10,22 +10,34 @@ import (
 	"lfi/internal/vm"
 )
 
-// snapshotRunner is the fork-server campaign executor. It pays the full
-// load pipeline once — program registration, kernel files, stub
-// synthesis for the union of every function the sweep intercepts, spawn
-// (text copy, relocation, decode, symbol maps) — and freezes the result
-// as a vm.Snapshot. Each experiment, and the baseline, then restores
-// from the snapshot in O(writable bytes) and binds only its own
-// compiled faultload to the shared stub surface.
+// snapshotRunner is the campaign executor. One template system serves
+// the whole sweep: the programs, the kernel files, the synthesised stub
+// library for the union of every function the sweep intercepts, and the
+// executable spawned with it preloaded. Every run — the baseline
+// included — executes that template and binds only its own compiled
+// faultload to the shared stub surface (controller.NewWithStubs), so
+// all runs of a sweep execute the same guest whichever way it is
+// produced:
+//
+//   - with snap set (production), the template is built once and frozen
+//     as a vm.Snapshot, and each run restores from it in O(writable
+//     bytes);
+//   - with snap nil (the fresh-spawn oracle of SweepOptions{}), every
+//     run builds the template anew.
+//
+// Cycle counts, injection logs, budget verdicts and availability
+// envelopes are therefore equal on both paths by construction.
 //
 // A runner is immutable after construction and safe for concurrent use
 // by any number of sweep workers: the snapshot, stub set and
 // pass-through plan are shared read-only, and every run owns a private
-// restored System plus a thin controller (evaluators and log).
+// System plus a thin controller (evaluators and log).
 type snapshotRunner struct {
-	cfg      CampaignConfig
-	snap     *vm.Snapshot
+	cfg CampaignConfig
+	// stubs is the union interception surface; nil when no experiment
+	// names a function, and the template then runs uninstrumented.
 	stubs    *controller.StubSet
+	snap     *vm.Snapshot
 	passthru *scenario.CompiledPlan // empty plan: the baseline's faultload
 	// stubVAs maps each intercepted function to its stub entry address
 	// in the template — the breakpoint targets of prefix memoization.
@@ -35,56 +47,68 @@ type snapshotRunner struct {
 	memo *memoCache
 }
 
-// sweepFunctions is the union of every function the sweep's faultloads
-// intercept — the snapshot template's stub surface.
-func sweepFunctions(exps []Experiment) []string {
+// newSnapshotRunner synthesises the sweep's stub surface and, under
+// opts.Snapshot, builds and freezes the template and plans the memo
+// cache.
+func newSnapshotRunner(cfg CampaignConfig, exps []Experiment, opts SweepOptions) (*snapshotRunner, error) {
+	r := &snapshotRunner{cfg: cfg, passthru: scenario.MustCompile(&scenario.Plan{}, nil)}
 	var fns []string
 	for i := range exps {
 		fns = append(fns, experimentFunctions(&exps[i])...)
 	}
-	return fns
-}
-
-// newSnapshotRunner builds the template system for a sweep and
-// snapshots it at the post-load entry point. fns must be non-empty
-// (RunExperiments falls back to the fresh executor otherwise — with
-// nothing to intercept there is nothing a snapshot would amortise).
-func newSnapshotRunner(cfg CampaignConfig, fns []string) (*snapshotRunner, error) {
-	stubs, err := controller.NewStubSet(fns)
+	if len(fns) > 0 {
+		stubs, err := controller.NewStubSet(fns)
+		if err != nil {
+			return nil, fmt.Errorf("core: sweep: %w", err)
+		}
+		r.stubs = stubs
+	}
+	if !opts.Snapshot {
+		return r, nil
+	}
+	sys, err := r.spawn(cfg.VM)
 	if err != nil {
-		return nil, fmt.Errorf("core: snapshot sweep: %w", err)
+		return nil, err
 	}
-	sys := vm.NewSystem(cfg.VM)
-	for _, f := range cfg.Programs {
-		sys.Register(f)
-	}
-	for path, data := range cfg.Files {
-		sys.Kernel().AddFile(path, data)
-	}
-	stubs.InstallTemplate(sys)
-	proc, err := sys.Spawn(cfg.Executable, vm.SpawnConfig{Preload: stubs.PreloadList()})
-	if err != nil {
+	if r.snap, err = sys.Snapshot(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	snap, err := sys.Snapshot()
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+	if r.stubs == nil || opts.NoMemo {
+		return r, nil
 	}
-	stubVAs := make(map[string]uint32)
-	if im, ok := proc.ImageByName(controller.StubLibName); ok {
-		for _, fn := range stubs.Functions() {
+	r.stubVAs = make(map[string]uint32)
+	if im, ok := sys.Procs()[0].ImageByName(controller.StubLibName); ok {
+		for _, fn := range r.stubs.Functions() {
 			if va, ok := im.SymbolVA(fn); ok {
-				stubVAs[fn] = va
+				r.stubVAs[fn] = va
 			}
 		}
 	}
-	return &snapshotRunner{
-		cfg:      cfg,
-		snap:     snap,
-		stubs:    stubs,
-		passthru: scenario.MustCompile(&scenario.Plan{}, nil),
-		stubVAs:  stubVAs,
-	}, nil
+	r.memo = newMemoCache(opts.MemoBudget)
+	r.memo.plan(exps)
+	return r, nil
+}
+
+// spawn builds the template system under the given VM options:
+// programs, kernel files, the stub surface, and the executable spawned
+// with it preloaded, stopped at its entry point.
+func (r *snapshotRunner) spawn(opts vm.Options) (*vm.System, error) {
+	sys := vm.NewSystem(opts)
+	for _, f := range r.cfg.Programs {
+		sys.Register(f)
+	}
+	for path, data := range r.cfg.Files {
+		sys.Kernel().AddFile(path, data)
+	}
+	var sc vm.SpawnConfig
+	if r.stubs != nil {
+		r.stubs.InstallTemplate(sys)
+		sc.Preload = r.stubs.PreloadList()
+	}
+	if _, err := sys.Spawn(r.cfg.Executable, sc); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	return sys, nil
 }
 
 // experimentFunctions lists the functions an experiment's faultload
@@ -99,15 +123,29 @@ func experimentFunctions(exp *Experiment) []string {
 	return nil
 }
 
-// exec restores one run from the snapshot, binds the faultload and
-// executes it to completion under the budget.
-func (r *snapshotRunner) exec(cp *scenario.CompiledPlan, budget uint64) (*Report, error) {
-	sys := r.snap.Restore()
-	// PassThrough stays false, mirroring runExperiment's explicit clear:
-	// sweep experiments always activate their faults on both executors.
-	ctl := controller.NewWithStubs(r.stubs, cp)
-	if err := ctl.Install(sys); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+// system returns a private template system for one run: a restore of
+// the snapshot, or on the oracle path a fresh build of the template.
+func (r *snapshotRunner) system() (*vm.System, error) {
+	if r.snap != nil {
+		return r.snap.Restore(), nil
+	}
+	return r.spawn(r.cfg.VM)
+}
+
+// exec binds the faultload to sys's stub surface — seeded from ck when
+// sys is a memoized prefix — and runs it to completion under the
+// budget. A surface-less template has nothing to bind and runs
+// uninstrumented.
+func (r *snapshotRunner) exec(sys *vm.System, cp *scenario.CompiledPlan, ck *controller.Checkpoint, budget uint64) (*Report, error) {
+	var ctl *controller.Controller
+	if r.stubs != nil {
+		ctl = controller.NewWithStubs(r.stubs, cp)
+		if ck != nil {
+			ctl.SeedCheckpoint(ck)
+		}
+		if err := ctl.Install(sys); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
 	}
 	err := sys.Run(budget) // sequenced: status/cycles are read post-run
 	rep, rerr := assembleReport(err, sys, ctl, r.cfg.Avail)
@@ -117,26 +155,65 @@ func (r *snapshotRunner) exec(cp *scenario.CompiledPlan, budget uint64) (*Report
 	return rep, rerr
 }
 
-// baseline runs the clean reference from the snapshot: the shared stub
-// surface with an empty faultload is a pure pass-through, so the exit
-// code matches a fresh uninstrumented spawn.
-func (r *snapshotRunner) baseline(budget uint64) (*Report, error) {
-	rep, err := r.exec(r.passthru, budget)
+// baseline runs the clean reference that anchors outcome and
+// availability classification: the template with the pass-through
+// faultload, whose stubs all call through. With prune it runs on a
+// coverage-enabled build of the same template and also returns every
+// exported function the run executed, in any process and any loaded
+// module — the call set of baseline-informed pruning (pruneEntry). An
+// experiment whose faultload names only functions outside it can never
+// fire, because the deterministic VM replays the baseline exactly until
+// a fault changes control flow.
+func (r *snapshotRunner) baseline(budget uint64, prune bool) (*Report, map[string]bool, error) {
+	var (
+		sys *vm.System
+		err error
+	)
+	if prune {
+		opts := r.cfg.VM
+		opts.Coverage = true
+		sys, err = r.spawn(opts)
+	} else {
+		sys, err = r.system()
+	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	rep, err := r.exec(sys, r.passthru, nil, budget)
+	if err != nil {
+		return nil, nil, err
 	}
 	if err := checkBaseline(rep, r.cfg.Avail); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return rep, nil
+	if !prune {
+		return rep, nil, nil
+	}
+	called := make(map[string]bool)
+	for _, p := range sys.Procs() {
+		for _, im := range p.Images {
+			for _, sym := range im.File.Symbols {
+				if sym.Kind != obj.SymFunc || !sym.Exported || called[sym.Name] {
+					continue
+				}
+				for off := sym.Off; off < sym.Off+sym.Size; off += isa.Size {
+					if im.Covered(off) {
+						called[sym.Name] = true
+						break
+					}
+				}
+			}
+		}
+	}
+	return rep, called, nil
 }
 
-// run executes one experiment on the snapshot executor. Precompiled
-// experiments whose faultload has a deterministic first-fire site
-// shared with at least one other experiment go through the prefix memo
-// cache (memo.go); everything else runs in full via runPlain. The
-// served flag is true when the entry was satisfied without a
-// member-specific run (terminated shared prefix).
+// run executes one experiment. Precompiled experiments whose faultload
+// has a deterministic first-fire site shared with at least one other
+// experiment go through the prefix memo cache (memo.go); everything
+// else runs in full via runPlain. The served flag is true when the
+// entry was satisfied without a member-specific run (terminated shared
+// prefix).
 func (r *snapshotRunner) run(exp Experiment, base *Report, budget uint64) (SweepEntry, *Report, bool, error) {
 	if r.memo != nil && exp.Compiled != nil {
 		site, reason := exp.Compiled.FirstFireSite()
@@ -154,18 +231,17 @@ func (r *snapshotRunner) run(exp Experiment, base *Report, budget uint64) (Sweep
 	return entry, rep, false, err
 }
 
-// runPlain executes one experiment from the snapshot and classifies it
-// — the restore-path twin of runExperiment, returning the run report
-// for OnResult observers alongside the entry.
+// runPlain executes one experiment in full and classifies it, returning
+// the run report for OnResult observers alongside the entry. An
+// experiment without a faultload binds the pass-through plan and so
+// classifies not-triggered; a faultload that names no function has no
+// fault to inject and fails the sweep, in plan order.
 func (r *snapshotRunner) runPlain(exp Experiment, base *Report, budget uint64) (SweepEntry, *Report, error) {
 	entry := exp.entry()
 	cp := exp.Compiled
 	switch {
 	case cp != nil:
 	case exp.Plan == nil:
-		// The fresh path runs a plan-less experiment uninstrumented and
-		// classifies it not-triggered; the pass-through surface is its
-		// restore-side equivalent (no trigger can fire).
 		cp = r.passthru
 	default:
 		var err error
@@ -174,61 +250,19 @@ func (r *snapshotRunner) runPlain(exp Experiment, base *Report, budget uint64) (
 			return entry, nil, fmt.Errorf("core: %w", err)
 		}
 	}
-	// Match the fresh path's contract: a supplied faultload with no
-	// triggers is an error there (the per-experiment stub library would
-	// be empty), so it must fail here too, in the same plan-order
-	// position.
 	if cp != r.passthru && len(cp.Functions()) == 0 {
 		return entry, nil, fmt.Errorf("core: controller: %w", controller.ErrNoTriggers)
 	}
-	rep, err := r.exec(cp, budget)
+	sys, err := r.system()
+	if err != nil {
+		return entry, nil, err
+	}
+	rep, err := r.exec(sys, cp, nil, budget)
 	if err != nil {
 		return entry, nil, err
 	}
 	entry.classify(rep, base, r.cfg.Avail)
 	return entry, rep, nil
-}
-
-// baselineCoverage runs the clean baseline once with instruction
-// coverage enabled and reports its exit code plus every exported
-// function the run executed (in any process, in any loaded module).
-// It feeds baseline-informed pruning: an experiment whose faultload
-// only names functions outside this set can never fire, because the
-// deterministic VM replays the baseline exactly until a fault changes
-// control flow.
-func baselineCoverage(cfg CampaignConfig, budget uint64) (*Report, map[string]bool, error) {
-	covCfg := cfg
-	covCfg.Plan = nil
-	covCfg.Compiled = nil
-	covCfg.VM.Coverage = true
-	c, err := NewCampaign(covCfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	rep, err := c.Run(budget)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := checkBaseline(rep, cfg.Avail); err != nil {
-		return nil, nil, err
-	}
-	called := make(map[string]bool)
-	for _, p := range c.System().Procs() {
-		for _, im := range p.Images {
-			for _, sym := range im.File.Symbols {
-				if sym.Kind != obj.SymFunc || !sym.Exported || called[sym.Name] {
-					continue
-				}
-				for off := sym.Off; off < sym.Off+sym.Size; off += isa.Size {
-					if im.Covered(off) {
-						called[sym.Name] = true
-						break
-					}
-				}
-			}
-		}
-	}
-	return rep, called, nil
 }
 
 // pruneEntry short-circuits an experiment the baseline proves inert:

@@ -2,35 +2,123 @@ package core_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
+	"lfi/internal/controller"
 	"lfi/internal/core"
 	"lfi/internal/libc"
 	"lfi/internal/scenario"
 )
 
-// TestSweepSnapshotIdentical is the acceptance bar for the fork-server
-// runtime: at 1, 4 and 8 workers the snapshot-restore sweep renders a
-// byte-identical SweepResult to the fresh-spawn sweep.
+// runObs is what an OnResult observer sees of one experiment: its
+// entry and, unless it was pruned without a run, the guest cycle count
+// and injection-log digest of its run.
+type runObs struct {
+	entry  core.SweepEntry
+	pruned bool
+	cycles uint64
+	digest string
+}
+
+// observedSweep runs exps and records, per experiment key, the entry,
+// the guest cycle count and the injection-log digest of its run.
+func observedSweep(cfg core.CampaignConfig, exps []core.Experiment, budget uint64, opts core.SweepOptions) (*core.SweepResult, map[string]runObs, error) {
+	var mu sync.Mutex
+	obs := make(map[string]runObs, len(exps))
+	opts.OnResult = func(exp *core.Experiment, entry core.SweepEntry, rep *core.Report) {
+		o := runObs{entry: entry, pruned: rep == nil}
+		if rep != nil {
+			o.cycles, o.digest = rep.Cycles, controller.LogDigest(rep.Injections)
+		}
+		mu.Lock()
+		obs[exp.Key()] = o
+		mu.Unlock()
+	}
+	res, err := core.RunExperiments(cfg, exps, budget, opts)
+	return res, obs, err
+}
+
+// TestSweepSnapshotIdentical is the acceptance bar for the one
+// production executor: the fresh-spawn oracle ({Workers: 1}), plain
+// snapshot restores and memoized restores build the same guest, so
+// every experiment runs for the same number of cycles, logs the same
+// injections and renders the same row — at the default budget and at a
+// tight one, where both must succeed or fail alike. An independent leg
+// runs each experiment alone through NewCampaign (the per-faultload
+// interceptor) and checks it classifies as the sweep does.
 func TestSweepSnapshotIdentical(t *testing.T) {
 	cfg, set := mixedTarget(t)
-	fresh, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0, core.SweepOptions{Workers: 1})
+	exps := core.PlanExperiments(set)
+	legs := []struct {
+		name string
+		opts core.SweepOptions
+	}{
+		{"snapshot-j4", core.SweepOptions{Workers: 4, Snapshot: true, NoMemo: true}},
+		{"memo-j1", core.SweepOptions{Workers: 1, Snapshot: true}},
+		{"memo-j4", core.SweepOptions{Workers: 4, Snapshot: true}},
+		{"memo-j8", core.SweepOptions{Workers: 8, Snapshot: true}},
+	}
+	var ref *core.SweepResult // the oracle at the default budget
+	for _, budget := range []uint64{0, 300} {
+		fresh, want, ferr := observedSweep(cfg, exps, budget, core.SweepOptions{Workers: 1})
+		if budget == 0 {
+			if ferr != nil {
+				t.Fatal(ferr)
+			}
+			if r := fresh.Render(); !strings.Contains(r, "crash") || !strings.Contains(r, "not-triggered") {
+				t.Fatalf("target does not cover enough outcomes:\n%s", r)
+			}
+			ref = fresh
+		}
+		for _, leg := range legs {
+			got, obs, err := observedSweep(cfg, exps, budget, leg.opts)
+			if (err == nil) != (ferr == nil) || (err != nil && err.Error() != ferr.Error()) {
+				t.Errorf("budget=%d %s: err = %v, oracle err = %v", budget, leg.name, err, ferr)
+				continue
+			}
+			if err != nil {
+				continue
+			}
+			if got.Render() != fresh.Render() {
+				t.Errorf("budget=%d %s: report differs from the oracle:\n--- oracle ---\n%s--- got ---\n%s",
+					budget, leg.name, fresh.Render(), got.Render())
+			}
+			if len(obs) != len(want) {
+				t.Errorf("budget=%d %s: %d runs observed, oracle %d", budget, leg.name, len(obs), len(want))
+			}
+			for key, w := range want {
+				if g := obs[key]; g != w {
+					t.Errorf("budget=%d %s: %s: run %+v, oracle %+v", budget, leg.name, key, g, w)
+				}
+			}
+		}
+	}
+
+	base, err := core.NewCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fresh.Render()
-	if !strings.Contains(want, "crash") || !strings.Contains(want, "not-triggered") {
-		t.Fatalf("target does not cover enough outcomes:\n%s", want)
+	baseRep, err := base.Run(core.DefaultSweepBudget)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4, 8} {
-		snap, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0,
-			core.SweepOptions{Workers: workers, Snapshot: true})
+	for i, exp := range exps {
+		one := cfg
+		one.Compiled = exp.Compiled
+		c, err := core.NewCampaign(one)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatal(err)
 		}
-		if got := snap.Render(); got != want {
-			t.Errorf("workers=%d snapshot report differs from fresh-spawn:\n--- fresh ---\n%s--- snapshot ---\n%s",
-				workers, want, got)
+		rep, err := c.Run(core.DefaultSweepBudget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := ref.Entries[i]
+		if got := core.Classify(rep, baseRep.Status.Code); got != e.Outcome ||
+			rep.Status.Code != e.ExitCode || rep.Status.Signal != e.Signal {
+			t.Errorf("%s: alone %s (exit %d, signal %d), in the sweep %s (exit %d, signal %d)",
+				exp.Key(), got, rep.Status.Code, rep.Status.Signal, e.Outcome, e.ExitCode, e.Signal)
 		}
 	}
 }
@@ -149,29 +237,49 @@ func TestSweepSnapshotExecutorParityEdges(t *testing.T) {
 
 // TestSweepPruneUncalledIdentical: baseline-informed pruning must not
 // change the rendered report — it only skips runs the baseline proves
-// inert (here: the write experiments; mixedApp never calls write).
+// inert (here: the write experiments; mixedApp never calls write). The
+// experiments it does run see the same guest as the unpruned oracle's
+// (same cycles, same injection log), and the ones it prunes are exactly
+// those whose oracle run injected nothing.
 func TestSweepPruneUncalledIdentical(t *testing.T) {
 	cfg, set := mixedTarget(t)
-	fresh, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0, core.SweepOptions{Workers: 1})
+	fresh, want, err := observedSweep(cfg, core.PlanExperiments(set), 0, core.SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fresh.Render()
-	if !strings.Contains(want, "not-triggered") {
-		t.Fatalf("target has no prunable experiment:\n%s", want)
+	if !strings.Contains(fresh.Render(), "not-triggered") {
+		t.Fatalf("target has no prunable experiment:\n%s", fresh.Render())
 	}
 	for _, opts := range []core.SweepOptions{
 		{Workers: 1, PruneUncalled: true},
 		{Workers: 4, PruneUncalled: true},
 		{Workers: 4, PruneUncalled: true, Snapshot: true},
 	} {
-		res, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0, opts)
+		res, obs, err := observedSweep(cfg, core.PlanExperiments(set), 0, opts)
 		if err != nil {
 			t.Fatalf("%+v: %v", opts, err)
 		}
-		if got := res.Render(); got != want {
+		if got := res.Render(); got != fresh.Render() {
 			t.Errorf("opts %+v: pruned report differs:\n--- unpruned ---\n%s--- pruned ---\n%s",
-				opts, want, got)
+				opts, fresh.Render(), got)
+		}
+		pruned := 0
+		for key, w := range want {
+			g, ok := obs[key]
+			switch {
+			case !ok:
+				t.Errorf("opts %+v: %s not observed", opts, key)
+			case g.pruned:
+				pruned++
+				if g.entry != w.entry || w.digest != "" {
+					t.Errorf("opts %+v: %s pruned as %+v, oracle %+v", opts, key, g.entry, w)
+				}
+			case g != w:
+				t.Errorf("opts %+v: %s: run %+v, oracle %+v", opts, key, g, w)
+			}
+		}
+		if pruned == 0 {
+			t.Errorf("opts %+v: nothing pruned", opts)
 		}
 	}
 }

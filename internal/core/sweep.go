@@ -344,26 +344,6 @@ func checkBaseline(rep *Report, avail *AvailSpec) error {
 	return nil
 }
 
-// runBaseline executes the clean run that anchors outcome (and
-// availability) classification.
-func runBaseline(cfg CampaignConfig, budget uint64) (*Report, error) {
-	baseCfg := cfg
-	baseCfg.Plan = nil
-	baseCfg.Compiled = nil
-	baseline, err := NewCampaign(baseCfg)
-	if err != nil {
-		return nil, err
-	}
-	baseRep, err := baseline.Run(budget)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkBaseline(baseRep, cfg.Avail); err != nil {
-		return nil, err
-	}
-	return baseRep, nil
-}
-
 // entry seeds the report row for an experiment's coordinates.
 func (exp *Experiment) entry() SweepEntry {
 	return SweepEntry{
@@ -376,9 +356,8 @@ func (exp *Experiment) entry() SweepEntry {
 // the process-shaped Outcome against the baseline exit code and — when
 // the sweep runs under an availability spec — the service-level class
 // against the baseline's counters and cycle envelope. Every executor
-// path (fresh, snapshot, memo-restored, memo-terminal) funnels through
-// here, which is what keeps availability reports byte-identical across
-// engines and memo settings.
+// path (full run, memo-restored, memo-terminal) funnels through here,
+// against a baseline run on the same guest.
 func (e *SweepEntry) classify(rep *Report, base *Report, avail *AvailSpec) {
 	e.ExitCode = rep.Status.Code
 	e.Signal = rep.Status.Signal
@@ -390,29 +369,4 @@ func (e *SweepEntry) classify(rep *Report, base *Report, avail *AvailSpec) {
 	e.AvailBefore = rep.Avail.WarmOK
 	e.AvailDuring = rep.Avail.SteadyOK
 	e.AvailAfter = rep.Avail.PostOK
-}
-
-// runExperiment executes one experiment in a fresh Campaign (its own
-// vm.System, controller and evaluator) and classifies the reaction,
-// returning the full run report alongside the entry (for the OnResult
-// observers of persistent campaign stores). The compiled plan is
-// immutable and evaluator state is per-campaign, so the shared
-// CampaignConfig and Experiment are only ever read — this is what keeps
-// a many-worker sweep race-free.
-func runExperiment(cfg CampaignConfig, exp Experiment, base *Report, budget uint64) (SweepEntry, *Report, error) {
-	entry := exp.entry()
-	runCfg := cfg
-	runCfg.Plan = exp.Plan
-	runCfg.Compiled = exp.Compiled
-	runCfg.PassThrough = false
-	c, err := NewCampaign(runCfg)
-	if err != nil {
-		return entry, nil, err
-	}
-	rep, err := c.Run(budget)
-	if err != nil {
-		return entry, nil, err
-	}
-	entry.classify(rep, base, cfg.Avail)
-	return entry, rep, nil
 }

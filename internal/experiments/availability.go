@@ -33,9 +33,8 @@ type AvailabilityServer struct {
 // AvailabilityResult compares service availability across fault models
 // for the retrying and non-retrying servers.
 type AvailabilityResult struct {
-	Workers  int
-	Snapshot bool
-	Servers  []AvailabilityServer
+	Workers int
+	Servers []AvailabilityServer
 }
 
 // availabilityTarget builds the campaign for one server guest: libc +
@@ -79,21 +78,19 @@ func availabilityTarget(server string) (core.CampaignConfig, profile.Set, error)
 // budget-length delay, persistent disk exhaustion, fd-table
 // saturation), each windowed to fire mid-steady-state — and records
 // the availability class and per-phase service counts of every run.
-// Deterministic at any worker count, on either executor.
-func Availability(workers int, snapshot bool) (*AvailabilityResult, error) {
+// Deterministic at any worker count.
+func Availability(workers int) (*AvailabilityResult, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	res := &AvailabilityResult{Workers: workers, Snapshot: snapshot}
+	res := &AvailabilityResult{Workers: workers}
 	for _, server := range []string{"minidb", "minidb-nr"} {
 		cfg, set, err := availabilityTarget(server)
 		if err != nil {
 			return nil, err
 		}
 		exps := core.AvailabilityExperiments(set, apps.AvailAfter)
-		sr, err := core.RunExperiments(cfg, exps, 0, core.SweepOptions{
-			Workers: workers, Snapshot: snapshot,
-		})
+		sr, err := core.RunExperiments(cfg, exps, 0, core.SweepOptions{Workers: workers, Snapshot: true})
 		if err != nil {
 			return nil, fmt.Errorf("availability %s: %w", server, err)
 		}
@@ -141,12 +138,8 @@ func (r *AvailabilityResult) Classes(server string) map[core.AvailClass]int {
 // service-level terms.
 func (r *AvailabilityResult) Render() string {
 	var b strings.Builder
-	mode := "parallel sweep"
-	if r.Snapshot {
-		mode = "snapshot-restore sweep"
-	}
-	fmt.Fprintf(&b, "availability under fault: retrying vs non-retrying server (%s, %d workers)\n",
-		mode, r.Workers)
+	fmt.Fprintf(&b, "availability under fault: retrying vs non-retrying server (snapshot-restore sweep, %d workers)\n",
+		r.Workers)
 	for _, s := range r.Servers {
 		fmt.Fprintf(&b, "--- %s: availability matrix ---\n", s.Name)
 		b.WriteString(s.Sweep.Render())

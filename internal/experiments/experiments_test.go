@@ -77,7 +77,7 @@ func TestTable2SmallRows(t *testing.T) {
 }
 
 func TestRobustnessComparison(t *testing.T) {
-	r, err := Robustness(4, false, false)
+	r, err := Robustness(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,15 +87,7 @@ func TestRobustnessComparison(t *testing.T) {
 	if r.Crashes("sloppy") == 0 {
 		t.Error("sloppy build should crash under the sweep")
 	}
-	seq, err := Robustness(1, false, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := Robustness(4, true, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	memo, err := Robustness(4, true, true)
+	seq, err := Robustness(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,17 +95,11 @@ func TestRobustnessComparison(t *testing.T) {
 		if r.Apps[i].Result.Render() != seq.Apps[i].Result.Render() {
 			t.Errorf("%s: parallel and sequential robustness matrices differ", r.Apps[i].Name)
 		}
-		if r.Apps[i].Result.Render() != snap.Apps[i].Result.Render() {
-			t.Errorf("%s: snapshot and fresh-spawn robustness matrices differ", r.Apps[i].Name)
-		}
-		if r.Apps[i].Result.Render() != memo.Apps[i].Result.Render() {
-			t.Errorf("%s: memoized and fresh-spawn robustness matrices differ", r.Apps[i].Name)
-		}
 	}
-	for i := range memo.Apps {
-		st := memo.Apps[i].Result.Memo
+	for i := range r.Apps {
+		st := r.Apps[i].Result.Memo
 		if st == nil || st.Restored == 0 {
-			t.Errorf("%s: memoized sweep shared no prefixes: %+v", memo.Apps[i].Name, st)
+			t.Errorf("%s: memoized sweep shared no prefixes: %+v", r.Apps[i].Name, st)
 		}
 	}
 	t.Logf("\n%s", r.Render())
@@ -341,7 +327,7 @@ func contains(s []string, v string) bool {
 }
 
 func TestFaultModelsComparison(t *testing.T) {
-	r, err := FaultModels(4, true)
+	r, err := FaultModels(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,17 +350,17 @@ func TestFaultModelsComparison(t *testing.T) {
 	if r.Masked("retrying") == 0 {
 		t.Error("errno model masked no stateful failures of the retrying writer")
 	}
-	// Deterministic across executors and worker counts.
-	seq, err := FaultModels(1, false)
+	// Deterministic across worker counts.
+	seq, err := FaultModels(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range r.Apps {
 		if r.Apps[i].Errno.Render() != seq.Apps[i].Errno.Render() {
-			t.Errorf("%s: errno matrix differs across executors", r.Apps[i].Name)
+			t.Errorf("%s: errno matrix differs across worker counts", r.Apps[i].Name)
 		}
 		if r.Apps[i].Degradation.Render() != seq.Apps[i].Degradation.Render() {
-			t.Errorf("%s: degradation matrix differs across executors", r.Apps[i].Name)
+			t.Errorf("%s: degradation matrix differs across worker counts", r.Apps[i].Name)
 		}
 	}
 	report := r.Render()
@@ -391,7 +377,7 @@ func TestFaultModelsComparison(t *testing.T) {
 // non-retrying server degrades permanently, and neither retry helps
 // against persistent exhaustion or a budget-length stall.
 func TestAvailabilityComparison(t *testing.T) {
-	r, err := Availability(4, true)
+	r, err := Availability(4)
 	if err != nil {
 		t.Fatal(err)
 	}

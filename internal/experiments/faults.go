@@ -74,19 +74,18 @@ type FaultModelApp struct {
 // FaultModelsResult compares the error-return fault model against the
 // stateful degradation models over the same applications and profile.
 type FaultModelsResult struct {
-	Workers  int
-	Snapshot bool
-	Apps     []FaultModelApp
+	Workers int
+	Apps    []FaultModelApp
 }
 
 // FaultModels sweeps the retrying and checking journal writers under
 // (a) the one-shot error-return matrix (core.PlanExperiments) and
 // (b) the stateful degradation matrix (core.DegradationExperiments:
 // latency past the budget, disk exhaustion, fd pressure), on the same
-// restricted libc profile. Both sweeps run on the parallel scheduler;
-// with snapshot set they restore from a per-app snapshot with prefix
-// memoization. Results are deterministic at any worker count.
-func FaultModels(workers int, snapshot bool) (*FaultModelsResult, error) {
+// restricted libc profile. Both sweeps run on the parallel scheduler
+// and restore from a per-app snapshot with prefix memoization. Results
+// are deterministic at any worker count.
+func FaultModels(workers int) (*FaultModelsResult, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -116,7 +115,7 @@ func FaultModels(workers int, snapshot bool) (*FaultModelsResult, error) {
 	p.Functions = kept
 	set := profile.Set{libc.Name: p}
 
-	res := &FaultModelsResult{Workers: workers, Snapshot: snapshot}
+	res := &FaultModelsResult{Workers: workers}
 	for _, app := range []struct{ name, src string }{
 		{"retrying", retryingAppSrc},
 		{"checking", checkingAppSrc},
@@ -129,7 +128,7 @@ func FaultModels(workers int, snapshot bool) (*FaultModelsResult, error) {
 			Programs:   []*obj.File{lc, exe},
 			Executable: app.name,
 		}
-		opts := core.SweepOptions{Workers: workers, Snapshot: snapshot}
+		opts := core.SweepOptions{Workers: workers, Snapshot: true}
 		errnoRes, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0, opts)
 		if err != nil {
 			return nil, err
@@ -198,12 +197,8 @@ func (r *FaultModelsResult) Masked(app string) int {
 // Render prints both matrices per app and the comparison verdict.
 func (r *FaultModelsResult) Render() string {
 	var b strings.Builder
-	mode := "parallel sweep"
-	if r.Snapshot {
-		mode = "snapshot-restore sweep"
-	}
-	fmt.Fprintf(&b, "fault-model comparison: error-return vs stateful degradation (%s, %d workers)\n",
-		mode, r.Workers)
+	fmt.Fprintf(&b, "fault-model comparison: error-return vs stateful degradation (snapshot-restore sweep, %d workers)\n",
+		r.Workers)
 	for _, a := range r.Apps {
 		fmt.Fprintf(&b, "--- %s: error-return matrix ---\n", a.Name)
 		b.WriteString(a.Errno.Render())

@@ -73,20 +73,17 @@ type RobustnessApp struct {
 // RobustnessResult is the §2 systematic comparison: the same faultload
 // swept over a defensive and a sloppy implementation.
 type RobustnessResult struct {
-	Workers  int
-	Snapshot bool
-	Apps     []RobustnessApp
+	Workers int
+	Apps    []RobustnessApp
 }
 
 // Robustness runs the §2 robustness benchmark with a parallel campaign
 // scheduler: every (function, error code) experiment is an independent
 // run, distributed over the given number of workers (<= 0: GOMAXPROCS).
-// With snapshot set, runs restore from a per-app vm.Snapshot instead of
-// spawning fresh systems — the fork-server runtime; memo additionally
-// shares each trigger site's pre-fault prefix across its errno variants
-// (prefix memoization). The rendered result is identical at any worker
-// count and in every runtime combination.
-func Robustness(workers int, snapshot, memo bool) (*RobustnessResult, error) {
+// Runs restore from a per-app vm.Snapshot, and each trigger site's
+// pre-fault prefix is shared across its errno variants (prefix
+// memoization). The rendered result is identical at any worker count.
+func Robustness(workers int) (*RobustnessResult, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -116,7 +113,7 @@ func Robustness(workers int, snapshot, memo bool) (*RobustnessResult, error) {
 	p.Functions = kept
 	set := profile.Set{libc.Name: p}
 
-	res := &RobustnessResult{Workers: workers, Snapshot: snapshot}
+	res := &RobustnessResult{Workers: workers}
 	for _, app := range []struct{ name, src string }{
 		{"defensive", defensiveAppSrc},
 		{"sloppy", sloppyAppSrc},
@@ -131,7 +128,7 @@ func Robustness(workers int, snapshot, memo bool) (*RobustnessResult, error) {
 			Files:      map[string][]byte{"/etc/conf": []byte("mode=safe\n")},
 		}
 		sweep, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0,
-			core.SweepOptions{Workers: workers, Snapshot: snapshot, NoMemo: !memo})
+			core.SweepOptions{Workers: workers, Snapshot: true})
 		if err != nil {
 			return nil, err
 		}
@@ -153,11 +150,7 @@ func (r *RobustnessResult) Crashes(name string) int {
 // Render prints both matrices and the comparison verdict.
 func (r *RobustnessResult) Render() string {
 	var b strings.Builder
-	mode := "parallel sweep"
-	if r.Snapshot {
-		mode = "snapshot-restore sweep"
-	}
-	fmt.Fprintf(&b, "§2 — robustness comparison (%s, %d workers)\n", mode, r.Workers)
+	fmt.Fprintf(&b, "§2 — robustness comparison (snapshot-restore sweep, %d workers)\n", r.Workers)
 	for _, a := range r.Apps {
 		b.WriteString(a.Result.Render())
 	}

@@ -5,14 +5,13 @@
 #
 # Builds the lfi CLI, generates the demo libc + a target that opens and
 # writes a file (so disk exhaustion and fd pressure actually bind), runs
-# a non-memoized snapshot degradation sweep as the reference report,
-# then sweeps the same matrix at 1/4/8 workers across fresh spawns,
-# copy-on-write snapshot restores, and a starved -memo-budget.
-# Degradations mutate kernel state mid-run, so this is the strongest
-# determinism claim in the tree: armed quotas and shrunk fd tables must
-# restore bit-identically whichever executor ran them. The
-# step-interpreter oracle is checked in Go
-# (TestDegradationSweepDeterminism runs every leg on both engines).
+# a single-worker degradation sweep as the reference report, then
+# sweeps the same matrix at 4 and 8 workers. Degradations mutate kernel
+# state mid-run and ride memoized prefixes, so armed quotas and shrunk
+# fd tables must restore bit-identically whichever worker ran them.
+# Executor parity (the fresh-spawn oracle, memo off, a starved memo
+# budget, the step interpreter) is checked in Go:
+# TestDegradationSweepDeterminism runs every leg on both engines.
 #
 # Further legs: -faults all (errno + degradation concatenated),
 # -store/-resume bookkeeping of degradation records, and replay
@@ -53,9 +52,9 @@ EOF
 
 base="-app $work/app.slef -lib $work/libc.slef -profile $work/libc.so.profile.xml"
 
-echo "== non-memoized snapshot degradation sweep (reference) =="
+echo "== single-worker degradation sweep (reference) =="
 # shellcheck disable=SC2086
-"$work/lfi" sweep $base -faults degradation -j 4 -snapshot -memo=false >"$work/ref.txt"
+"$work/lfi" sweep $base -faults degradation -j 1 >"$work/ref.txt" 2>/dev/null
 grep '^summary:' "$work/ref.txt"
 for label in 'delay=' 'exhaust=disk:after=' 'exhaust=fds:slots='; do
 	if ! grep -q "$label" "$work/ref.txt"; then
@@ -64,31 +63,29 @@ for label in 'delay=' 'exhaust=disk:after=' 'exhaust=fds:slots='; do
 	fi
 done
 
-echo "== every executor configuration must match byte for byte =="
-for mode in "" "-snapshot" "-snapshot -memo-budget 1"; do
-	for j in 1 4 8; do
-		# shellcheck disable=SC2086
-		"$work/lfi" sweep $base -faults degradation -j "$j" $mode >"$work/got.txt" 2>/dev/null
-		if ! cmp -s "$work/ref.txt" "$work/got.txt"; then
-			echo "faultcheck: FAIL: report differs (j=$j mode='${mode:-fresh}')" >&2
-			diff "$work/ref.txt" "$work/got.txt" >&2 || true
-			exit 1
-		fi
-		echo "ok: j=$j mode='${mode:-fresh}'"
-	done
+echo "== every worker count must match byte for byte =="
+for j in 4 8; do
+	# shellcheck disable=SC2086
+	"$work/lfi" sweep $base -faults degradation -j "$j" >"$work/got.txt" 2>/dev/null
+	if ! cmp -s "$work/ref.txt" "$work/got.txt"; then
+		echo "faultcheck: FAIL: report differs (j=$j)" >&2
+		diff "$work/ref.txt" "$work/got.txt" >&2 || true
+		exit 1
+	fi
+	echo "ok: j=$j"
 done
 
 echo "== -faults all is the errno matrix plus the degradation matrix =="
 # shellcheck disable=SC2086
-"$work/lfi" sweep $base -faults all -j 4 -snapshot >"$work/all-memo.txt" 2>/dev/null
+"$work/lfi" sweep $base -faults all -j 4 >"$work/all-j4.txt" 2>/dev/null
 # shellcheck disable=SC2086
-"$work/lfi" sweep $base -faults all -j 1 >"$work/all-fresh.txt"
-if ! cmp -s "$work/all-memo.txt" "$work/all-fresh.txt"; then
-	echo "faultcheck: FAIL: -faults all differs between memoized and fresh executors" >&2
-	diff "$work/all-memo.txt" "$work/all-fresh.txt" >&2 || true
+"$work/lfi" sweep $base -faults all -j 1 >"$work/all-j1.txt" 2>/dev/null
+if ! cmp -s "$work/all-j4.txt" "$work/all-j1.txt"; then
+	echo "faultcheck: FAIL: -faults all differs between 4 workers and 1" >&2
+	diff "$work/all-j4.txt" "$work/all-j1.txt" >&2 || true
 	exit 1
 fi
-if ! grep -q 'errno=' "$work/all-memo.txt" || ! grep -q 'exhaust=disk:after=' "$work/all-memo.txt"; then
+if ! grep -q 'errno=' "$work/all-j4.txt" || ! grep -q 'exhaust=disk:after=' "$work/all-j4.txt"; then
 	echo "faultcheck: FAIL: -faults all is missing a fault-model family" >&2
 	exit 1
 fi
@@ -96,9 +93,9 @@ echo "ok: -faults all"
 
 echo "== degradation records resume from a persistent store =="
 # shellcheck disable=SC2086
-"$work/lfi" sweep $base -faults degradation -j 2 -snapshot -store "$work/campaign" >/dev/null 2>&1
+"$work/lfi" sweep $base -faults degradation -j 2 -store "$work/campaign" >/dev/null 2>&1
 # shellcheck disable=SC2086
-"$work/lfi" sweep $base -faults degradation -j 8 -snapshot -store "$work/campaign" -resume >"$work/resumed.txt" 2>/dev/null
+"$work/lfi" sweep $base -faults degradation -j 8 -store "$work/campaign" -resume >"$work/resumed.txt" 2>/dev/null
 if ! cmp -s "$work/ref.txt" "$work/resumed.txt"; then
 	echo "faultcheck: FAIL: resumed degradation report differs from reference" >&2
 	diff "$work/ref.txt" "$work/resumed.txt" >&2 || true

@@ -446,54 +446,6 @@ func cmdRun(args []string) error {
 	return nil
 }
 
-// availTarget assembles the traffic-driven availability campaign for a
-// built-in server guest: libc, the server (plus its worker binary for
-// the multi-process httpd), and the generated client driver that pumps
-// phased request traffic through the kernel's loopback sockets. The
-// fault space is restricted to the server-side calls every request
-// exercises, so a <calls after=N> window lands mid-steady-state.
-func availTarget(server string) (core.CampaignConfig, profile.Set, error) {
-	var fns, extra []string
-	switch server {
-	case "minidb", "minidb-nr":
-		fns = []string{"accept", "write"}
-	case "httpd":
-		fns = []string{"accept", "open"}
-	case "httpd-mp":
-		fns = []string{"accept", "open"}
-		extra = []string{"httpdw"}
-	default:
-		return core.CampaignConfig{}, nil, fmt.Errorf(
-			"sweep: -avail %q is not a built-in server guest (want minidb, minidb-nr, httpd or httpd-mp)", server)
-	}
-	lc, err := libc.Compile()
-	if err != nil {
-		return core.CampaignConfig{}, nil, err
-	}
-	client := apps.AvailClientName(server)
-	progs := []*obj.File{lc}
-	for _, n := range append([]string{server, client}, extra...) {
-		f, err := apps.Compile(n)
-		if err != nil {
-			return core.CampaignConfig{}, nil, fmt.Errorf("sweep: compile %s: %w", n, err)
-		}
-		progs = append(progs, f)
-	}
-	p := &profile.Profile{Library: libc.Name}
-	for _, fn := range fns {
-		p.Functions = append(p.Functions, profile.Function{
-			Name: fn, ErrorCodes: []profile.ErrorCode{{Retval: -1}},
-		})
-	}
-	cfg := core.CampaignConfig{
-		Programs:   progs,
-		Executable: client,
-		Files:      apps.WWWFiles(),
-		Avail:      &core.AvailSpec{Client: client},
-	}
-	return cfg, profile.Set{libc.Name: p}, nil
-}
-
 // cmdSweep runs the §2 robustness benchmark: one fault-injection
 // campaign per (function, error code) in the profiles, distributed over a
 // worker pool, rendered as the per-fault outcome matrix. Profiles may be
@@ -547,8 +499,8 @@ func cmdSweep(args []string) error {
 	var cfgC core.CampaignConfig
 	if *avail != "" {
 		var err error
-		if cfgC, set, err = availTarget(*avail); err != nil {
-			return err
+		if cfgC, set, err = apps.AvailCampaign(*avail); err != nil {
+			return fmt.Errorf("sweep: -avail: %w", err)
 		}
 	} else {
 		programs, err := loadPrograms(*app, *libFlag)

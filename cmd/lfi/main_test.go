@@ -4,6 +4,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -130,28 +131,42 @@ func TestCLIDisasmAndCFG(t *testing.T) {
 	}
 }
 
-// captureStdout runs fn with os.Stdout redirected and returns what it
-// printed.
+// captureOutput runs fn with os.Stdout and os.Stderr redirected and
+// returns what it printed to each, and its error.
+func captureOutput(t *testing.T, fn func() error) (stdout, stderr string, err error) {
+	t.Helper()
+	redirect := func(f **os.File) (restore func() string) {
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := *f
+		*f = w
+		outc := make(chan string, 1)
+		go func() {
+			b, _ := io.ReadAll(r)
+			outc <- string(b)
+		}()
+		return func() string {
+			w.Close()
+			*f = old
+			out := <-outc
+			r.Close()
+			return out
+		}
+	}
+	restoreOut, restoreErr := redirect(&os.Stdout), redirect(&os.Stderr)
+	err = fn()
+	return restoreOut(), restoreErr(), err
+}
+
+// captureStdout runs a command expected to succeed and returns what it
+// printed to stdout.
 func captureStdout(t *testing.T, fn func() error) string {
 	t.Helper()
-	old := os.Stdout
-	r, w, err := os.Pipe()
+	out, _, err := captureOutput(t, fn)
 	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	outc := make(chan string, 1)
-	go func() {
-		b, _ := io.ReadAll(r)
-		outc <- string(b)
-	}()
-	runErr := fn()
-	w.Close()
-	os.Stdout = old
-	out := <-outc
-	r.Close()
-	if runErr != nil {
-		t.Fatalf("command failed: %v\noutput:\n%s", runErr, out)
+		t.Fatalf("command failed: %v\noutput:\n%s", err, out)
 	}
 	return out
 }
@@ -206,18 +221,12 @@ func TestCLISweep(t *testing.T) {
 	}
 }
 
-// TestCLISweepStoreResume: the persistent campaign workflow end to end —
-// a max-crashes-truncated sweep fills the store halfway, the resumed
-// sweep prints a report byte-identical to a fresh full one, and -triage
-// and -escalate render their passes after it.
-func TestCLISweepStoreResume(t *testing.T) {
-	dir := t.TempDir()
-	libPath, profPath := writeDemoAssets(t, dir)
-	// An app with a crash path (unchecked malloc) so -max-crashes can
-	// truncate, plus two distinct tolerated functions (strcmp, strncmp)
-	// so escalation has pairs to mint. No file I/O: the CLI sweep
-	// installs no kernel files, so open would fail in the baseline too.
-	const crashAppSrc = `
+// crashAppSrc has a crash path (unchecked malloc) so -max-crashes can
+// truncate and the audit can front it, plus two distinct tolerated
+// functions (strcmp, strncmp) so escalation has pairs to mint. No file
+// I/O: the CLI sweep installs no kernel files, so open would fail in
+// the baseline too.
+const crashAppSrc = `
 needs "libc.so";
 extern int strcmp(byte *a, byte *b);
 extern int strncmp(byte *a, byte *b, int n);
@@ -234,6 +243,14 @@ int main(void) {
   return 0;
 }
 `
+
+// TestCLISweepStoreResume: the persistent campaign workflow end to end —
+// a max-crashes-truncated sweep fills the store halfway, the resumed
+// sweep prints a report byte-identical to a fresh full one, and -triage
+// and -escalate render their passes after it.
+func TestCLISweepStoreResume(t *testing.T) {
+	dir := t.TempDir()
+	libPath, profPath := writeDemoAssets(t, dir)
 	srcPath := filepath.Join(dir, "app.mc")
 	if err := os.WriteFile(srcPath, []byte(crashAppSrc), 0o644); err != nil {
 		t.Fatal(err)
@@ -244,7 +261,14 @@ int main(void) {
 	}
 	base := []string{"sweep", "-app", appPath, "-lib", libPath, "-profile", profPath}
 
-	fresh := captureStdout(t, func() error { return run(append(base, "-j", "4")) })
+	fresh, stats, err := captureOutput(t, func() error { return run(append(base, "-j", "4")) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Prefix-memoization stats go to stderr, never into the report.
+	if !regexp.MustCompile(`(?m)^memo:`).MatchString(stats) || strings.Contains(fresh, "memo:") {
+		t.Errorf("memo stats must go to stderr, not the report:\n--- stdout ---\n%s--- stderr ---\n%s", fresh, stats)
+	}
 
 	storeDir := filepath.Join(dir, "campaign")
 	// Phase 1: the "killed" campaign — truncated by -max-crashes.
@@ -283,6 +307,12 @@ int main(void) {
 	if !strings.Contains(out, "crash triage:") || !strings.Contains(out, "escalation:") {
 		t.Errorf("missing triage/escalation sections:\n%s", out)
 	}
+	again = captureStdout(t, func() error {
+		return run(append(base, "-j", "8", "-store", storeDir, "-resume", "-triage", "-escalate"))
+	})
+	if again != out {
+		t.Errorf("triage/escalation output differs across worker counts:\n--- j4 ---\n%s--- j8 ---\n%s", out, again)
+	}
 
 	// Flags that need the store must say so.
 	if err := run(append(base, "-resume")); err == nil {
@@ -290,6 +320,41 @@ int main(void) {
 	}
 	if err := run(append(base, "-triage")); err == nil {
 		t.Error("-triage without -store should fail")
+	}
+}
+
+// TestCLISweepAvailability: `lfi sweep -avail` end to end — the
+// reference report covers the availability classes and the paper-style
+// comparison cells, its records resume from a campaign store at another
+// worker count, and -triage clusters the failures by class.
+func TestCLISweepAvailability(t *testing.T) {
+	storeDir := filepath.Join(t.TempDir(), "campaign")
+	base := []string{"sweep", "-avail", "minidb", "-store", storeDir}
+	ref := captureStdout(t, func() error { return run(append(base, "-j", "2")) })
+	for _, want := range []string{
+		"avail=recovered", "avail=degraded", "avail=wedged", "served=200/",
+		// One-shot WAL errno is retried away; persistent exhaustion and
+		// a budget-length stall defeat the retry.
+		`libc\.so\.write -> -1 .*avail=recovered`,
+		`exhaust=disk:after=0 .*avail=degraded`,
+		`delay=200000000 .*avail=wedged`,
+	} {
+		if !regexp.MustCompile(want).MatchString(ref) {
+			t.Errorf("reference report has no %q row:\n%s", want, ref)
+		}
+	}
+	resumed := captureStdout(t, func() error { return run(append(base, "-j", "8", "-resume")) })
+	if resumed != ref {
+		t.Errorf("resumed availability report differs:\n--- fresh ---\n%s--- resumed ---\n%s", ref, resumed)
+	}
+	triaged := captureStdout(t, func() error { return run(append(base, "-j", "4", "-resume", "-triage")) })
+	if !strings.HasPrefix(triaged, ref) {
+		t.Errorf("triage output must follow the unchanged report:\n%s", triaged)
+	}
+	for _, want := range []string{"cluster 1 [degraded] reach=4", "[wedged] reach=3", "avail=wedged served=", "avail=degraded served="} {
+		if !strings.Contains(triaged, want) {
+			t.Errorf("triage is missing %q:\n%s", want, triaged)
+		}
 	}
 }
 
@@ -420,6 +485,17 @@ func TestCLISweepFaultModels(t *testing.T) {
 		t.Errorf("degradation report differs across worker counts:\n--- j4 ---\n%s--- j1 ---\n%s", degr, degr2)
 	}
 
+	// Degradation records round-trip through a campaign store.
+	storeDir := filepath.Join(dir, "campaign")
+	degrArgs := []string{"sweep", "-app", appPath, "-lib", libPath, "-profile", profPath, "-faults", "degradation"}
+	captureStdout(t, func() error { return run(append(degrArgs, "-j", "2", "-store", storeDir)) })
+	resumed := captureStdout(t, func() error {
+		return run(append(degrArgs, "-j", "8", "-store", storeDir, "-resume"))
+	})
+	if resumed != degr {
+		t.Errorf("resumed degradation report differs:\n--- fresh ---\n%s--- resumed ---\n%s", degr, resumed)
+	}
+
 	all := captureStdout(t, func() error {
 		return run([]string{"sweep", "-app", appPath, "-lib", libPath,
 			"-profile", profPath, "-faults", "all", "-j", "4"})
@@ -474,23 +550,8 @@ func buildAuditApp(t *testing.T, dir string) (appPath, libPath, profPath string)
 // audit's CI-lint exit): it returns the output and the error.
 func captureStdoutErr(t *testing.T, fn func() error) (string, error) {
 	t.Helper()
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	outc := make(chan string, 1)
-	go func() {
-		b, _ := io.ReadAll(r)
-		outc <- string(b)
-	}()
-	runErr := fn()
-	w.Close()
-	os.Stdout = old
-	out := <-outc
-	r.Close()
-	return out, runErr
+	out, _, err := captureOutput(t, fn)
+	return out, err
 }
 
 func TestCLIAudit(t *testing.T) {
@@ -532,6 +593,31 @@ func TestCLIAudit(t *testing.T) {
 	if !strings.Contains(out2, "puts_fd -> write: unchecked-propagated") {
 		t.Errorf("self-audit output:\n%s", out2)
 	}
+
+	// An application whose every call site is checked audits clean and
+	// exits zero (without libc.slef, whose own puts_fd -> write site is
+	// unchecked by design).
+	cleanSrc := filepath.Join(dir, "clean.mc")
+	if err := os.WriteFile(cleanSrc, []byte(`
+needs "libc.so";
+extern int open(byte *path, int flags, int mode);
+int main(void) {
+  int fd;
+  fd = open("/etc/motd", 0, 0);
+  if (fd < 0) { return 2; }
+  return 0;
+}
+`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cleanPath := filepath.Join(dir, "clean.slef")
+	if err := run([]string{"build", "-exe", "-name", "clean", "-o", cleanPath, cleanSrc}); err != nil {
+		t.Fatal(err)
+	}
+	clean := captureStdout(t, func() error { return run([]string{"audit", "-profile", profPath, cleanPath}) })
+	if !strings.Contains(clean, "unchecked: 0 site(s)") {
+		t.Errorf("clean audit output:\n%s", clean)
+	}
 }
 
 func TestCLISweepStaticOrder(t *testing.T) {
@@ -544,6 +630,24 @@ func TestCLISweepStaticOrder(t *testing.T) {
 	})
 	if def != static {
 		t.Errorf("-order=static full-sweep report differs from default:\n--- default ---\n%s--- static ---\n%s", def, static)
+	}
+	// The audit fronts the unchecked allocation: an early stop at the
+	// first crash lands on it.
+	srcPath := filepath.Join(dir, "crash.mc")
+	if err := os.WriteFile(srcPath, []byte(crashAppSrc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	crashPath := filepath.Join(dir, "crash.slef")
+	if err := run([]string{"build", "-exe", "-name", "crash", "-o", crashPath, srcPath}); err != nil {
+		t.Fatal(err)
+	}
+	first := captureStdout(t, func() error {
+		return run([]string{"sweep", "-order=static", "-max-crashes", "1", "-j", "1",
+			"-app", crashPath, "-lib", libPath, "-profile", profPath})
+	})
+	if !regexp.MustCompile(`libc\.so\.malloc -> 0 .* crash\n`).MatchString(first) ||
+		!strings.Contains(first, "summary: crash=1") {
+		t.Errorf("-order=static -max-crashes 1 did not stop at the malloc crash:\n%s", first)
 	}
 	if _, err := captureStdoutErr(t, func() error {
 		return run(append([]string{"sweep", "-order=bogus"}, base[1:]...))

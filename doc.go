@@ -158,7 +158,7 @@
 // the same oracle, TestSweepEngineDifferential requires byte-identical
 // sweep reports from both, and TestSweepSnapshotIdentical requires
 // equal per-experiment cycle counts and injection logs from the
-// fresh-spawn oracle and CoW restores at 1, 4 and 8 workers.
+// fresh-spawn oracle and CoW restores at any worker count.
 // BenchmarkRestoreCoW measured 9.6x per restore+run over the deep-copy
 // restore it replaced, on a low-dirty-ratio guest (BENCH_vm.json
 // "restore").
@@ -238,9 +238,10 @@
 // (FirstFireSite ignores delay/exhaust payloads) and degradation acts
 // only at or after the fire, so the shared prefix is strictly pre-fire
 // (Plan.Stateful documents the reasoning); TestDegradationSweepDeterminism
-// requires byte-identical degradation reports across engines, the
-// fresh-spawn oracle and memo settings, and scripts/faultcheck.sh
-// across worker counts, -resume and replay.
+// requires byte-identical degradation reports across engines, worker
+// counts, the fresh-spawn oracle, memo settings and -resume, and
+// TestReplayFidelityDegraded requires a minted replay plan to re-arm
+// the same degradations.
 // `lfi sweep -faults degradation` runs the per-function degradation
 // matrix (`-faults all` concatenates it with the errno matrix), and
 // experiments.FaultModels (BENCH_faults.json) compares the two models'
@@ -273,7 +274,7 @@
 // every executor path, against a baseline run on the same guest, so
 // availability reports stay byte-identical across engines, worker
 // counts, the fresh-spawn oracle, memo settings and -store/-resume
-// (TestAvailabilitySweepDeterminism; scripts/availcheck.sh, in CI).
+// (TestAvailabilitySweepDeterminism).
 // served=warmup/steady/post counts persist in campaign records,
 // -triage clusters non-recovered runs by (availability class, stack
 // hash), `lfi sweep -avail <server>` runs the matrix from the CLI,
@@ -309,7 +310,7 @@
 // order and reassembles results in plan order, so the full-sweep
 // report stays byte-identical to the default across engines, worker
 // counts, the fresh-spawn oracle and memo settings
-// (TestExecOrderReportByteIdentical; scripts/auditcheck.sh, in CI),
+// (TestExecOrderReportByteIdentical),
 // while -max-crashes triage reaches crashing faults sooner; and
 // campaign records carry the target's class so -triage splits crash
 // clusters into statically predicted and surprises.
@@ -329,10 +330,26 @@
 // byte-identical sweep reports at any worker count.
 // A lockstep differential test drives both engines one scheduler round
 // at a time comparing full machine state (internal/vm/exec_test.go),
-// and the sweep-level tests (TestSweepEngineDifferential, and a step
-// leg in the memo, degradation, availability and exec-order
-// determinism tests) require byte-identical reports from the step
-// oracle.
+// and the sweep-level tests (TestSweepEngineDifferential, and the
+// step leg of the determinism harness) require byte-identical reports
+// from the step oracle.
+//
+// One harness checks the sweep-level contract (internal/core,
+// harness_test.go): a report depends only on (binaries, profiles,
+// plan, budget). checkSweepInvariant runs the fresh-spawn oracle
+// (SweepOptions{Workers: 1}) once, then requires every relation — the
+// production executor at 4, 8 and a drawn number of workers, without
+// memo, with a one-byte memo budget, on the step engine, in a random
+// execution order, with baseline pruning, and resumed from its own
+// campaign store killed mid-append at a drawn record — to fail as the
+// oracle fails or to render the same report, with the same cycles,
+// injection log and store record for every run. FuzzCampaign draws
+// the guest (the fixed targets, the CLI workflows' applications,
+// generated corpus libraries), the plan shape (errno, degradation,
+// both, availability windows, seeded random triggers, audit-ranked
+// order, early stops), the worker count, the permutation, the split
+// and the budget; the named determinism tests are its fixed inputs.
+// A new executor axis is one more relation.
 //
 // The sections above are the design inventory; the BENCH_*.json files
 // record measured results, and bench/README.md documents the

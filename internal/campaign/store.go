@@ -232,9 +232,6 @@ func parseRecords(data []byte) ([]Record, int64, error) {
 	return recs, good, nil
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Append persists one record. Failures are latched (first error wins)
 // and reported by Err; the in-memory view always includes the record so
 // a same-process reader stays consistent with what the sweep produced.

@@ -3,7 +3,6 @@ package campaign_test
 import (
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -190,13 +189,17 @@ not json
 	}
 }
 
-// TestSweepStoreResumeByteIdentical is the tentpole acceptance test: a
-// store half-filled by a killed campaign (max-crashes early stop),
-// resumed at 1/4/8 workers on both executors, renders byte-identical to
-// a fresh full sweep — including after a torn trailing line.
+// TestSweepStoreResumeByteIdentical: a store half-filled by a killed
+// campaign (a max-crashes early stop, then a torn trailing line) resumes
+// to a report byte-identical to a fresh full sweep, and a complete
+// store resumes to it without executing anything. The determinism
+// harness in internal/core (FuzzCampaign) resumes every input from a
+// store killed at a drawn record, at any worker count, and compares the
+// stored records with the oracle's key by key.
 func TestSweepStoreResumeByteIdentical(t *testing.T) {
 	cfg, set := mixedTarget(t)
-	fresh, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0, core.SweepOptions{Workers: 1})
+	exps := core.PlanExperiments(set)
+	fresh, err := core.RunExperiments(cfg, exps, 0, core.SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,124 +207,58 @@ func TestSweepStoreResumeByteIdentical(t *testing.T) {
 	if !strings.Contains(want, "crash") || !strings.Contains(want, "not-triggered") {
 		t.Fatalf("target does not cover enough outcomes:\n%s", want)
 	}
+	prod := core.SweepOptions{Workers: 4, Snapshot: true}
 
-	for _, snapshot := range []bool{false, true} {
-		dir := t.TempDir()
-		// Phase 1: the "killed" campaign — a max-crashes early stop
-		// leaves the store partially filled.
+	dir := t.TempDir()
+	s, err := campaign.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	killed := prod
+	killed.MaxCrashes = 1
+	partial, err := campaign.Sweep(cfg, exps, 0, killed, s, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(partial.Entries) >= len(fresh.Entries) {
+		t.Fatal("early stop did not truncate")
+	}
+	recorded := len(s.Records())
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, campaign.StoreFile), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"key":"torn","outc`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	for _, phase := range []string{"resume", "all-cached"} {
 		s, err := campaign.Open(dir)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: reopen: %v", phase, err)
 		}
-		partial, err := campaign.Sweep(cfg, core.PlanExperiments(set), 0,
-			core.SweepOptions{Workers: 2, MaxCrashes: 1, Snapshot: snapshot}, s, false)
+		if phase == "resume" && len(s.Records()) != recorded {
+			t.Fatalf("%d records survived recovery, want %d", len(s.Records()), recorded)
+		}
+		executed := 0
+		opts := prod
+		opts.OnResult = func(*core.Experiment, core.SweepEntry, *core.Report) { executed++ }
+		res, err := campaign.Sweep(cfg, exps, 0, opts, s, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(partial.Entries) >= len(fresh.Entries) {
-			t.Fatalf("snapshot=%v: early stop did not truncate", snapshot)
+		if got := res.Render(); got != want {
+			t.Errorf("%s: report differs:\n--- fresh ---\n%s--- resumed ---\n%s", phase, want, got)
 		}
-		recorded := len(s.Records())
-		if recorded == 0 {
-			t.Fatal("no records persisted")
+		if phase == "all-cached" && executed != 0 {
+			t.Errorf("all-cached resume executed %d experiments", executed)
 		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
-		}
-		// Simulate the kill landing mid-append: torn trailing line.
-		f, err := os.OpenFile(filepath.Join(dir, campaign.StoreFile), os.O_APPEND|os.O_WRONLY, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.WriteString(`{"key":"torn","outc`); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-
-		// Phase 2: resume at several worker counts; every report must be
-		// byte-identical to the fresh full sweep.
-		for _, workers := range []int{1, 4, 8} {
-			s2, err := campaign.Open(dir)
-			if err != nil {
-				t.Fatalf("snapshot=%v workers=%d: reopen: %v", snapshot, workers, err)
-			}
-			if got := len(s2.Records()); got != recorded {
-				t.Fatalf("snapshot=%v workers=%d: %d records survived recovery, want %d",
-					snapshot, workers, got, recorded)
-			}
-			res, err := campaign.Sweep(cfg, core.PlanExperiments(set), 0,
-				core.SweepOptions{Workers: workers, Snapshot: snapshot}, s2, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := res.Render(); got != want {
-				t.Errorf("snapshot=%v workers=%d: resumed report differs:\n--- fresh ---\n%s--- resumed ---\n%s",
-					snapshot, workers, want, got)
-			}
-			if err := s2.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
-
-		// Phase 3: a fully-complete store resumes to the same report
-		// without executing anything (every key cached).
-		s3, err := campaign.Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		executed := 0
-		opts := core.SweepOptions{Workers: 4, Snapshot: snapshot,
-			OnResult: func(*core.Experiment, core.SweepEntry, *core.Report) { executed++ }}
-		res, err := campaign.Sweep(cfg, core.PlanExperiments(set), 0, opts, s3, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Render() != want {
-			t.Errorf("snapshot=%v: all-cached resume differs from fresh", snapshot)
-		}
-		if executed != 0 {
-			t.Errorf("snapshot=%v: all-cached resume executed %d experiments", snapshot, executed)
-		}
-		if err := s3.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Phase 4: a store filled by the fresh-spawn oracle and one filled by
-	// the production executor (snapshot restores, memoized prefixes)
-	// hold the same record under every key — cycles, injection-log
-	// digest and coverage included — which is what lets either resume
-	// the other.
-	covCfg := cfg
-	covCfg.VM.Coverage = true
-	fill := func(opts core.SweepOptions) map[string]campaign.Record {
-		t.Helper()
-		s, err := campaign.Open(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		if _, err := campaign.Sweep(covCfg, core.PlanExperiments(set), 0, opts, s, false); err != nil {
-			t.Fatal(err)
-		}
-		return s.Completed()
-	}
-	oracle := fill(core.SweepOptions{Workers: 1})
-	prod := fill(core.SweepOptions{Workers: 4, Snapshot: true})
-	if len(prod) != len(oracle) {
-		t.Fatalf("production store has %d keys, oracle store %d", len(prod), len(oracle))
-	}
-	for key, o := range oracle {
-		p := prod[key]
-		if o.Coverage == 0 {
-			t.Errorf("%s: oracle record has no coverage", key)
-		}
-		if p.Cycles != o.Cycles || p.LogDigest != o.LogDigest || p.Coverage != o.Coverage {
-			t.Errorf("%s: production cycles=%d log=%q coverage=%d, oracle cycles=%d log=%q coverage=%d",
-				key, p.Cycles, p.LogDigest, p.Coverage, o.Cycles, o.LogDigest, o.Coverage)
-		}
-		if !reflect.DeepEqual(p, o) {
-			t.Errorf("%s: production record %+v, oracle %+v", key, p, o)
 		}
 	}
 }

@@ -42,8 +42,9 @@ import (
 const StubLibName = "liblfi.so"
 
 // ErrNoTriggers reports a faultload that names no functions: there is
-// nothing to synthesise a stub for. Both campaign executors surface it
-// for such experiments, in the same plan-order position.
+// nothing to synthesise a stub for. The campaign executor surfaces it
+// for such an experiment in its plan-order position, whether the run
+// restores the template or spawns it fresh.
 var ErrNoTriggers = errors.New("scenario has no triggers")
 
 // evalHostFunc is the host import every stub calls.
@@ -189,9 +190,6 @@ func NewCompiled(cp *scenario.CompiledPlan) *Controller {
 
 // Log returns the injection records so far.
 func (c *Controller) Log() []InjectionRecord { return append([]InjectionRecord(nil), c.log...) }
-
-// ResetLog clears the injection log (between experiment repetitions).
-func (c *Controller) ResetLog() { c.log = c.log[:0] }
 
 // StubLibrary synthesises (once) the interceptor library for every
 // function the plan names.

@@ -2,6 +2,7 @@ package controller_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"lfi/internal/controller"
@@ -142,6 +143,60 @@ int main(void) {
 		{Function: "read", Inject: 1, Retval: "-1", Errno: "EIO"},
 		{Function: "close", Inject: 1, Errno: "EBADF"},
 	}})
+}
+
+// TestReplayFidelityDegraded: a replay plan minted from a degraded run —
+// disk exhaustion armed at open, an injected delay plus ENOSPC at write
+// — re-arms the same degradations and reproduces the run: the same exit
+// status and the same injection log, cycles included (the replay
+// guards each function with as many triggers as the original).
+func TestReplayFidelityDegraded(t *testing.T) {
+	src := appHeader + `
+int main(void) {
+  int fd;
+  int i;
+  fd = open("/out", 65, 0);
+  if (fd < 0) { return 3; }
+  i = 0;
+  while (i < 4) {
+    if (write(fd, "abcdefgh", 8) < 8) { close(fd); return 4; }
+    i = i + 1;
+  }
+  close(fd);
+  return 0;
+}`
+	plan, err := scenario.Unmarshal([]byte(`<plan>
+  <function name="open" inject="1" once="true">
+    <exhaust resource="disk" after="8"></exhaust>
+  </function>
+  <function name="write" inject="2" once="true" retval="-1" errno="ENOSPC" calloriginal="false">
+    <delay cycles="1000"></delay>
+  </function>
+</plan>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := libcProfiles(t)
+	st1, ctl1 := runWithPlan(t, src, plan, set)
+	st2, ctl2 := runWithPlan(t, src, ctl1.ReplayPlan(), set)
+	if st2 != st1 {
+		t.Errorf("replay status = %+v, original %+v", st2, st1)
+	}
+	var log1, log2 []string
+	for _, r := range ctl1.Log() {
+		log1 = append(log1, r.String())
+	}
+	for _, r := range ctl2.Log() {
+		log2 = append(log2, r.String())
+	}
+	if !reflect.DeepEqual(log1, log2) {
+		t.Errorf("replayed injection log diverges:\n--- original ---\n%s\n--- replay ---\n%s",
+			strings.Join(log1, "\n"), strings.Join(log2, "\n"))
+	}
+	all := strings.Join(log1, "\n")
+	if !strings.Contains(all, "exhaust=disk") || !strings.Contains(all, "delay=1000") {
+		t.Errorf("injection log does not record the degradations:\n%s", all)
+	}
 }
 
 // TestReplayPlanPinsPid: replay scripts pin each trigger to the pid

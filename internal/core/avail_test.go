@@ -1,53 +1,23 @@
 package core_test
 
 import (
-	"strings"
 	"testing"
 
 	"lfi/internal/apps"
 	"lfi/internal/core"
 	"lfi/internal/libc"
-	"lfi/internal/obj"
 	"lfi/internal/profile"
-	"lfi/internal/vm"
 )
 
-// availCfg assembles a traffic-driven campaign: libc, the server, the
-// generated client driver, and the availability spec naming it.
-func availCfg(t *testing.T, server string, extra ...string) core.CampaignConfig {
+// availTarget is the availability campaign of a built-in server guest
+// and its two-call profile (apps.AvailCampaign).
+func availTarget(t testing.TB, server string) (core.CampaignConfig, profile.Set) {
 	t.Helper()
-	lc, err := libc.Compile()
+	cfg, set, err := apps.AvailCampaign(server)
 	if err != nil {
 		t.Fatal(err)
 	}
-	progs := []*obj.File{lc}
-	for _, n := range append([]string{server, apps.AvailClientName(server)}, extra...) {
-		f, err := apps.Compile(n)
-		if err != nil {
-			t.Fatalf("compile %s: %v", n, err)
-		}
-		progs = append(progs, f)
-	}
-	return core.CampaignConfig{
-		Programs:   progs,
-		Executable: apps.AvailClientName(server),
-		Files:      apps.WWWFiles(),
-		Avail:      &core.AvailSpec{Client: apps.AvailClientName(server)},
-	}
-}
-
-// flagshipSet profiles the two server-side calls every minidb request
-// exercises exactly once — the connection accept and the WAL append —
-// so a <calls after=N> window lands mid-steady-state deterministically.
-// The client never calls either, which keeps the fault on the server.
-func flagshipSet() profile.Set {
-	return profile.Set{libc.Name: &profile.Profile{
-		Library: libc.Name,
-		Functions: []profile.Function{
-			{Name: "accept", ErrorCodes: []profile.ErrorCode{{Retval: -1}}},
-			{Name: "write", ErrorCodes: []profile.ErrorCode{{Retval: -1}}},
-		},
-	}}
+	return cfg, set
 }
 
 // TestAvailabilityFlagship is the paper-style comparison the harness
@@ -57,14 +27,15 @@ func flagshipSet() profile.Set {
 // non-retrying variant turns the same one-shot error into permanent
 // degradation.
 func TestAvailabilityFlagship(t *testing.T) {
-	set := flagshipSet()
+	_, set := availTarget(t, "minidb")
 	exps := core.AvailabilityExperiments(set, apps.AvailAfter)
 	if len(exps) != 10 {
 		t.Fatalf("experiments = %d, want 10 (2 functions x (1 errno + 4 models))", len(exps))
 	}
 
 	classes := func(server string) map[string]core.AvailClass {
-		res, err := core.RunExperiments(availCfg(t, server), exps, 0, core.SweepOptions{Workers: 4})
+		cfg, _ := availTarget(t, server)
+		res, err := core.RunExperiments(cfg, exps, 0, core.SweepOptions{Workers: 4})
 		if err != nil {
 			t.Fatalf("%s: %v", server, err)
 		}
@@ -163,54 +134,14 @@ func TestClassifyAvail(t *testing.T) {
 	}
 }
 
-// TestAvailabilitySweepDeterminism: availability reports must render
-// byte-identically across every executor configuration — the fresh-
-// spawn oracle, snapshot restores, memo off and starved — on both
-// engines. scripts/availcheck.sh checks the CLI's worker counts,
-// -store/-resume and -triage on top.
+// TestAvailabilitySweepDeterminism: availability classes and per-phase
+// served counts are read from guest memory after multi-process
+// request/response traffic, so any scheduling-visible divergence
+// between executor configurations flips a class or shifts a count.
 func TestAvailabilitySweepDeterminism(t *testing.T) {
-	set := flagshipSet()
-	exps := core.AvailabilityExperiments(set, apps.AvailAfter)
-	cfg := availCfg(t, "minidb")
-	run := func(opts core.SweepOptions) string {
-		t.Helper()
-		res, err := core.RunExperiments(cfg, exps, 0, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Render()
-	}
-	ref := run(core.SweepOptions{Workers: 1})
-	for _, wantStr := range []string{"avail=recovered", "avail=degraded", "avail=wedged", "served="} {
-		if !strings.Contains(ref, wantStr) {
-			t.Fatalf("reference report missing %q:\n%s", wantStr, ref)
-		}
-	}
-	legs := map[string]core.SweepOptions{
-		"fresh-w4":        {Workers: 4},
-		"snapshot-cow-w1": {Workers: 1, Snapshot: true},
-		"snapshot-cow-w4": {Workers: 4, Snapshot: true},
-		"snapshot-nomemo": {Workers: 4, Snapshot: true, NoMemo: true},
-		"snapshot-memo-1": {Workers: 2, Snapshot: true, MemoBudget: 1},
-	}
-	// Every leg runs on the block engine and on its step-interpreter
-	// oracle; the reference is the block engine's. Under -race the step
-	// legs would roughly double this package's run time, past go test's
-	// 10-minute default timeout; the block legs already race-check
-	// every executor configuration, and the plain run checks the oracle.
-	engines := []string{vm.EngineBlock, vm.EngineStep}
-	if raceEnabled {
-		engines = engines[:1]
-	}
-	for _, engine := range engines {
-		cfg.VM.Engine = engine
-		for name, opts := range legs {
-			if got := run(opts); got != ref {
-				t.Errorf("engine=%s %s report diverged from fresh single-worker reference:\n--- ref\n%s\n--- %s\n%s",
-					engine, name, ref, name, got)
-			}
-		}
-	}
+	cfg, set := availTarget(t, "minidb")
+	checkSweepInvariant(t, cfg, core.AvailabilityExperiments(set, apps.AvailAfter), 0,
+		draws{workers: 4, perm: 1, split: 4})
 }
 
 // TestAvailabilityMultiProcessServer runs the fault matrix against the
@@ -224,7 +155,8 @@ func TestAvailabilityMultiProcessServer(t *testing.T) {
 		},
 	}}
 	exps := core.AvailabilityExperiments(set, apps.AvailAfter)
-	res, err := core.RunExperiments(availCfg(t, "httpd-mp", "httpdw"), exps, 0,
+	cfg, _ := availTarget(t, "httpd-mp")
+	res, err := core.RunExperiments(cfg, exps, 0,
 		core.SweepOptions{Workers: 4, Snapshot: true})
 	if err != nil {
 		t.Fatal(err)

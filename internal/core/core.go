@@ -217,10 +217,9 @@ type CampaignConfig struct {
 
 // Campaign is a configured injection experiment.
 type Campaign struct {
-	cfg  CampaignConfig
-	sys  *vm.System
-	ctl  *controller.Controller
-	proc *vm.Proc
+	cfg CampaignConfig
+	sys *vm.System
+	ctl *controller.Controller
 }
 
 // Report summarises a campaign run (§5.2's log plus replay script).
@@ -283,19 +282,14 @@ func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 		}
 		spawnCfg.Preload = c.ctl.PreloadList()
 	}
-	p, err := c.sys.Spawn(cfg.Executable, spawnCfg)
-	if err != nil {
+	if _, err := c.sys.Spawn(cfg.Executable, spawnCfg); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	c.proc = p
 	return c, nil
 }
 
 // System exposes the VM for workload drivers.
 func (c *Campaign) System() *vm.System { return c.sys }
-
-// Process returns the process under test.
-func (c *Campaign) Process() *vm.Proc { return c.proc }
 
 // Controller returns the injection controller (nil without a plan).
 func (c *Campaign) Controller() *controller.Controller { return c.ctl }

@@ -38,7 +38,7 @@ func readCounter(t *testing.T, sys *vm.System, client, sym string) int32 {
 // at that instant restores — on either engine — to a kernel that is
 // still armed, still tripped, and still starving the same connection.
 func TestExhaustFDsAcceptSnapshotRestore(t *testing.T) {
-	set := flagshipSet()
+	_, set := availTarget(t, "minidb")
 	plan := &scenario.Plan{Triggers: []scenario.Trigger{{
 		Function: "accept",
 		Once:     true,
@@ -57,7 +57,7 @@ func TestExhaustFDsAcceptSnapshotRestore(t *testing.T) {
 		done     int32
 	}
 	leg := func(engine string) endState {
-		cfg := availCfg(t, "minidb")
+		cfg, _ := availTarget(t, "minidb")
 		cfg.Compiled = cp
 		cfg.VM.Engine = engine
 		c, err := core.NewCampaign(cfg)

@@ -10,7 +10,6 @@ import (
 	"lfi/internal/minic"
 	"lfi/internal/obj"
 	"lfi/internal/profile"
-	"lfi/internal/vm"
 )
 
 // faultApp checks every syscall result and exits distinctly on each
@@ -38,7 +37,8 @@ int main(void) {
 }
 `
 
-func faultSet(t *testing.T) (profile.Set, *obj.File, *obj.File) {
+// faultTarget is faultApp with an open/write profile.
+func faultTarget(t testing.TB) (core.CampaignConfig, profile.Set) {
 	t.Helper()
 	lc, err := libc.Compile()
 	if err != nil {
@@ -55,11 +55,11 @@ func faultSet(t *testing.T) (profile.Set, *obj.File, *obj.File) {
 			{Name: "write", ErrorCodes: []profile.ErrorCode{{Retval: -1}}},
 		},
 	}}
-	return set, lc, app
+	return core.CampaignConfig{Programs: []*obj.File{lc, app}, Executable: "app"}, set
 }
 
 func TestDegradationSweepOutcomes(t *testing.T) {
-	set, lc, app := faultSet(t)
+	cfg, set := faultTarget(t)
 	exps := core.DegradationExperiments(set)
 	if len(exps) != 6 {
 		t.Fatalf("experiments = %d, want 6 (2 functions x 3 models)", len(exps))
@@ -67,10 +67,7 @@ func TestDegradationSweepOutcomes(t *testing.T) {
 
 	var mu sync.Mutex
 	reports := map[string]*core.Report{}
-	res, err := core.RunExperiments(core.CampaignConfig{
-		Programs:   []*obj.File{lc, app},
-		Executable: "app",
-	}, exps, 0, core.SweepOptions{
+	res, err := core.RunExperiments(cfg, exps, 0, core.SweepOptions{
 		Workers: 1,
 		OnResult: func(exp *core.Experiment, _ core.SweepEntry, rep *core.Report) {
 			mu.Lock()
@@ -143,49 +140,15 @@ func TestDegradationSweepOutcomes(t *testing.T) {
 	}
 }
 
-// The degradation matrix — alone and concatenated with the errno
-// matrix, as `lfi sweep -faults all` runs it, so errno and degradation
-// faultloads share memo groups — must render byte-identically across
-// every executor configuration: both engines, the fresh-spawn oracle,
-// copy-on-write snapshot restores, memoized prefixes (unbounded and
-// evicting), and any worker count.
+// TestDegradationSweepDeterminism: degradations mutate kernel state
+// mid-run and ride memoized prefixes, so armed quotas and shrunk fd
+// tables must restore bit-identically whichever worker runs them — for
+// the degradation matrix alone and concatenated with the errno matrix,
+// as `lfi sweep -faults all` runs it, where errno and degradation
+// faultloads share memo groups.
 func TestDegradationSweepDeterminism(t *testing.T) {
-	set, lc, app := faultSet(t)
-	cfg := core.CampaignConfig{
-		Programs:   []*obj.File{lc, app},
-		Executable: "app",
-	}
-	legs := map[string]core.SweepOptions{
-		"fresh-w4":        {Workers: 4},
-		"snapshot-cow-w1": {Workers: 1, Snapshot: true},
-		"snapshot-cow-w4": {Workers: 4, Snapshot: true},
-		"snapshot-nomemo": {Workers: 4, Snapshot: true, NoMemo: true},
-		"snapshot-memo-1": {Workers: 2, Snapshot: true, MemoBudget: 1},
-	}
-	for matrix, exps := range map[string][]core.Experiment{
-		"degradation": core.DegradationExperiments(set),
-		"all":         append(core.PlanExperiments(set), core.DegradationExperiments(set)...),
-	} {
-		run := func(opts core.SweepOptions) string {
-			t.Helper()
-			res, err := core.RunExperiments(cfg, exps, 0, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Render()
-		}
-		cfg.VM.Engine = vm.EngineBlock
-		ref := run(core.SweepOptions{Workers: 1})
-		// Every leg runs on the block engine and on its step-interpreter
-		// oracle; the reference is the block engine's.
-		for _, engine := range []string{vm.EngineBlock, vm.EngineStep} {
-			cfg.VM.Engine = engine
-			for name, opts := range legs {
-				if got := run(opts); got != ref {
-					t.Errorf("%s engine=%s %s report diverged from fresh single-worker reference:\n--- ref\n%s\n--- %s\n%s",
-						matrix, engine, name, ref, name, got)
-				}
-			}
-		}
-	}
+	cfg, set := faultTarget(t)
+	checkSweepInvariant(t, cfg, core.DegradationExperiments(set), 0, draws{workers: 1, perm: 2, split: 3})
+	checkSweepInvariant(t, cfg, append(core.PlanExperiments(set), core.DegradationExperiments(set)...), 0,
+		draws{workers: 2, perm: 3, split: 5})
 }

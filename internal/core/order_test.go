@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"lfi/internal/core"
-	"lfi/internal/vm"
 )
 
 // orderClasses is a handcrafted audit result for mixedTarget: malloc's
@@ -59,35 +58,12 @@ func auditRankFor(fn string) int {
 }
 
 // TestExecOrderReportByteIdentical is the scheduler's determinism bar:
-// a statically reordered full sweep must render the exact same report
-// as the default plan order, at any worker count, on both engines, on
-// the fresh-spawn oracle and on snapshot restores with memo on and off.
+// a statically reordered full sweep renders the plan-order report under
+// every executor configuration.
 func TestExecOrderReportByteIdentical(t *testing.T) {
 	cfg, set := mixedTarget(t)
 	exps := core.PlanExperiments(set)
-	want, err := core.RunExperiments(cfg, exps, 0, core.SweepOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	order := core.StaticOrder(exps, orderClasses)
-	for _, engine := range []string{vm.EngineBlock, vm.EngineStep} {
-		cfg.VM.Engine = engine
-		for _, exec := range []core.SweepOptions{{}, {Snapshot: true, NoMemo: true}, {Snapshot: true}} {
-			for _, workers := range []int{1, 4, 8} {
-				opts := exec
-				opts.Workers, opts.ExecOrder = workers, order
-				res, err := core.RunExperiments(cfg, exps, 0, opts)
-				if err != nil {
-					t.Fatalf("engine=%s snapshot=%v nomemo=%v workers=%d: %v",
-						engine, exec.Snapshot, exec.NoMemo, workers, err)
-				}
-				if res.Render() != want.Render() {
-					t.Errorf("engine=%s snapshot=%v nomemo=%v workers=%d: reordered report differs from plan order:\n--- default ---\n%s--- static ---\n%s",
-						engine, exec.Snapshot, exec.NoMemo, workers, want.Render(), res.Render())
-				}
-			}
-		}
-	}
+	checkSweepInvariant(t, cfg, exps, 0, draws{order: core.StaticOrder(exps, orderClasses), workers: 1, perm: 10, split: 3})
 }
 
 // TestExecOrderEarlyStop: with the audit fronting the crashing malloc

@@ -1,111 +1,27 @@
 package core_test
 
 import (
-	"sync"
 	"testing"
 
 	"lfi/internal/core"
 )
 
 // TestSweepSkipResumeIdentical is the executor half of the resume
-// contract: results captured live by OnResult from a partial sweep,
-// served back through Skip, must yield a report byte-identical to a
-// fresh full sweep — at 1, 4 and 8 workers, on both executors.
+// contract: a campaign killed halfway and resumed from its store
+// renders byte-identically to a fresh full sweep.
 func TestSweepSkipResumeIdentical(t *testing.T) {
 	cfg, set := mixedTarget(t)
-	fresh, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0, core.SweepOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fresh.Render()
-
-	for _, snapshot := range []bool{false, true} {
-		// Phase 1: execute exactly the first half of the matrix with
-		// OnResult recording — the "killed at 50%" half-completed
-		// campaign.
-		var mu sync.Mutex
-		done := make(map[string]core.SweepEntry)
-		half := core.PlanExperiments(set)[:len(fresh.Entries)/2]
-		if _, err := core.RunExperiments(cfg, half, 0, core.SweepOptions{
-			Workers: 4, Snapshot: snapshot,
-			OnResult: func(exp *core.Experiment, entry core.SweepEntry, rep *core.Report) {
-				mu.Lock()
-				done[exp.Key()] = entry
-				mu.Unlock()
-			},
-		}); err != nil {
-			t.Fatalf("snapshot=%v partial: %v", snapshot, err)
-		}
-		if len(done) != len(half) {
-			t.Fatalf("snapshot=%v: recorded %d of %d executed experiments",
-				snapshot, len(done), len(half))
-		}
-
-		// Phase 2: resume — completed keys served from the recorded map.
-		for _, workers := range []int{1, 4, 8} {
-			var skipped, ran int
-			res, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0, core.SweepOptions{
-				Workers: workers, Snapshot: snapshot,
-				Skip: func(exp *core.Experiment) (core.SweepEntry, bool) {
-					mu.Lock()
-					defer mu.Unlock()
-					if e, ok := done[exp.Key()]; ok {
-						skipped++
-						return e, true
-					}
-					ran++
-					return core.SweepEntry{}, false
-				},
-			})
-			if err != nil {
-				t.Fatalf("snapshot=%v workers=%d resume: %v", snapshot, workers, err)
-			}
-			if got := res.Render(); got != want {
-				t.Errorf("snapshot=%v workers=%d: resumed report differs from fresh:\n--- fresh ---\n%s--- resumed ---\n%s",
-					snapshot, workers, want, got)
-			}
-			if skipped == 0 || ran == 0 {
-				t.Errorf("snapshot=%v workers=%d: resume did not mix cached (%d) and fresh (%d) entries",
-					snapshot, workers, skipped, ran)
-			}
-		}
-	}
+	exps := core.PlanExperiments(set)
+	checkSweepInvariant(t, cfg, exps, 0, draws{workers: 4, perm: 13, split: len(exps) / 2})
 }
 
 // TestSweepResumeRespectsMaxCrashes: cached crash entries count toward
 // the threshold in plan order, so a resumed early-stopped sweep
-// truncates exactly where a fresh early-stopped one does.
+// truncates exactly where a fresh early-stopped one does — here with
+// every record the killed campaign wrote served from the store.
 func TestSweepResumeRespectsMaxCrashes(t *testing.T) {
 	cfg, set := mixedTarget(t)
-	fresh, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0,
-		core.SweepOptions{Workers: 1, MaxCrashes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Serve every entry of the full matrix from cache.
-	cache := make(map[string]core.SweepEntry)
-	full, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0, core.SweepOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exps := core.PlanExperiments(set)
-	for i, exp := range exps {
-		cache[exp.Key()] = full.Entries[i]
-	}
-	res, err := core.RunExperiments(cfg, exps, 0, core.SweepOptions{
-		Workers: 4, MaxCrashes: 1,
-		Skip: func(exp *core.Experiment) (core.SweepEntry, bool) {
-			e, ok := cache[exp.Key()]
-			return e, ok
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Render() != fresh.Render() {
-		t.Errorf("all-cached early stop differs from fresh early stop:\n%s\nvs\n%s",
-			fresh.Render(), res.Render())
-	}
+	checkSweepInvariant(t, cfg, core.PlanExperiments(set), 0, draws{maxCrashes: 1, workers: 4, split: -1})
 }
 
 // TestExperimentKeysDistinctAndStable: every experiment in the matrix

@@ -189,7 +189,7 @@ func StaticAudit(workers int) (*StaticAuditResult, error) {
 	var mu sync.Mutex
 	hashes := make(map[string]string, len(exps))
 	res, err := core.RunExperiments(cfg, exps, 0, core.SweepOptions{
-		Workers: workers,
+		Workers: workers, Snapshot: true,
 		OnResult: func(exp *core.Experiment, entry core.SweepEntry, rep *core.Report) {
 			if entry.Outcome == core.OutcomeCrash && rep != nil {
 				h := controller.StackHash(rep.CrashStack, rep.Injections)

@@ -8,9 +8,6 @@ import (
 
 	"lfi/internal/apps"
 	"lfi/internal/core"
-	"lfi/internal/libc"
-	"lfi/internal/obj"
-	"lfi/internal/profile"
 )
 
 // The availability comparison pair: the paper's robustness question
@@ -37,41 +34,6 @@ type AvailabilityResult struct {
 	Servers []AvailabilityServer
 }
 
-// availabilityTarget builds the campaign for one server guest: libc +
-// server + generated traffic driver, classified by the driver's phase
-// counters. The profile is restricted to the two server-side calls
-// every request exercises exactly once — the connection accept and the
-// WAL append — so a <calls after=N> window lands mid-steady-state.
-func availabilityTarget(server string) (core.CampaignConfig, profile.Set, error) {
-	lc, err := libc.Compile()
-	if err != nil {
-		return core.CampaignConfig{}, nil, err
-	}
-	client := apps.AvailClientName(server)
-	progs := []*obj.File{lc}
-	for _, n := range []string{server, client} {
-		f, err := apps.Compile(n)
-		if err != nil {
-			return core.CampaignConfig{}, nil, err
-		}
-		progs = append(progs, f)
-	}
-	set := profile.Set{libc.Name: &profile.Profile{
-		Library: libc.Name,
-		Functions: []profile.Function{
-			{Name: "accept", ErrorCodes: []profile.ErrorCode{{Retval: -1}}},
-			{Name: "write", ErrorCodes: []profile.ErrorCode{{Retval: -1}}},
-		},
-	}}
-	cfg := core.CampaignConfig{
-		Programs:   progs,
-		Executable: client,
-		Files:      apps.WWWFiles(),
-		Avail:      &core.AvailSpec{Client: client},
-	}
-	return cfg, set, nil
-}
-
 // Availability sweeps the retrying and non-retrying minidb servers
 // under the availability fault matrix — per profiled function one
 // one-shot errno fault plus the stateful models (moderate delay,
@@ -85,7 +47,7 @@ func Availability(workers int) (*AvailabilityResult, error) {
 	}
 	res := &AvailabilityResult{Workers: workers}
 	for _, server := range []string{"minidb", "minidb-nr"} {
-		cfg, set, err := availabilityTarget(server)
+		cfg, set, err := apps.AvailCampaign(server)
 		if err != nil {
 			return nil, err
 		}

@@ -76,7 +76,7 @@ func Triage(dir string, workers int) (*TriageResult, error) {
 	res := &TriageResult{Dir: dir, Workers: workers}
 
 	// The reference: a fresh, store-less full sweep.
-	fresh, err := core.RunExperiments(cfg, exps, 0, core.SweepOptions{Workers: workers})
+	fresh, err := core.RunExperiments(cfg, exps, 0, core.SweepOptions{Workers: workers, Snapshot: true})
 	if err != nil {
 		return nil, err
 	}
@@ -90,7 +90,7 @@ func Triage(dir string, workers int) (*TriageResult, error) {
 	}
 	defer store.Close()
 	partial, err := campaign.Sweep(cfg, exps, 0,
-		core.SweepOptions{Workers: workers, MaxCrashes: 1}, store, true)
+		core.SweepOptions{Workers: workers, MaxCrashes: 1, Snapshot: true}, store, true)
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +100,7 @@ func Triage(dir string, workers int) (*TriageResult, error) {
 	// remainder runs, and the report must match the fresh sweep byte
 	// for byte.
 	first, err := campaign.Sweep(cfg, exps, 0,
-		core.SweepOptions{Workers: workers}, store, true)
+		core.SweepOptions{Workers: workers, Snapshot: true}, store, true)
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +118,7 @@ func Triage(dir string, workers int) (*TriageResult, error) {
 	second := campaign.Escalate(surv, set, 0)
 	if len(second) > 0 {
 		res.Second, err = campaign.Sweep(cfg, second, 0,
-			core.SweepOptions{Workers: workers}, store, true)
+			core.SweepOptions{Workers: workers, Snapshot: true}, store, true)
 		if err != nil {
 			return nil, err
 		}

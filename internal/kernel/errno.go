@@ -81,12 +81,3 @@ func ErrnoByName(name string) (int32, bool) {
 	v, ok := errnoByName[name]
 	return v, ok
 }
-
-// AllErrnos returns every defined errno value (unsorted copy).
-func AllErrnos() []int32 {
-	out := make([]int32, 0, len(errnoNames))
-	for v := range errnoNames {
-		out = append(out, v)
-	}
-	return out
-}

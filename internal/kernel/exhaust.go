@@ -40,9 +40,6 @@ type DegradationState struct {
 	FDsTripped bool
 }
 
-// Armed reports whether any degradation is armed.
-func (s DegradationState) Armed() bool { return s.DiskArmed || s.FDsArmed }
-
 // Tripped reports whether any armed degradation has actually failed an
 // operation.
 func (s DegradationState) Tripped() bool { return s.DiskTripped || s.FDsTripped }

@@ -12,7 +12,7 @@
 //	lfi build prog.mc -o prog.slef [-exe]
 //	lfi plan -kind random -p 10 -seed 7 -profile libc.profile.xml -o plan.xml
 //	lfi plan -check plan.xml [-profile libc.profile.xml]
-//	lfi sweep -app app.slef -lib libc.slef -profile libc.profile.xml -j 8 -prune
+//	lfi sweep -app app.slef -lib libc.slef -profile libc.profile.xml -j 8
 //	lfi sweep ... -store campaign/ -resume -triage -escalate
 //	lfi sweep -avail minidb -j 8 -store campaign/ -triage
 //	lfi sweep ... -order=static   # audit-prioritised execution order
@@ -453,7 +453,8 @@ func cmdRun(args []string) error {
 // application's libraries. Every run restores from one post-load
 // snapshot of the target with the sweep's stub surface preloaded, and
 // experiments sharing a trigger site share its pre-fault prefix
-// (core.SweepOptions.Snapshot with memoization on).
+// (core.SweepOptions.Snapshot with memoization on); experiments on
+// functions the baseline never calls are served from the baseline.
 func cmdSweep(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	app := fs.String("app", "", "application SLEF to sweep")
@@ -465,7 +466,6 @@ func cmdSweep(args []string) error {
 	budget := fs.Uint64("budget", 0, "per-run cycle budget (0 = default)")
 	progress := fs.Bool("progress", false, "print live progress to stderr")
 	heur := fs.Bool("heuristics", false, "enable the §3.1 filtering heuristics for in-process profiling")
-	prune := fs.Bool("prune", false, "skip experiments whose function the baseline never calls (coverage-informed)")
 	faults := fs.String("faults", "errno", "fault models to sweep: errno (error-return stores), degradation (latency + resource exhaustion), or all")
 	avail := fs.String("avail", "", "traffic-driven availability sweep against a built-in server guest (minidb, minidb-nr, httpd, httpd-mp); replaces -app/-lib/-profile/-faults/-heuristics")
 	storeDir := fs.String("store", "", "persistent campaign store directory (append-only JSONL, written live)")
@@ -534,10 +534,7 @@ func cmdSweep(args []string) error {
 		return fmt.Errorf("sweep: no fault profiles")
 	}
 
-	opts := core.SweepOptions{
-		Workers: *jobs, MaxCrashes: *maxCrashes,
-		Snapshot: true, PruneUncalled: *prune,
-	}
+	opts := core.SweepOptions{Workers: *jobs, MaxCrashes: *maxCrashes, Snapshot: true}
 	if *progress {
 		opts.Progress = func(p core.SweepProgress) {
 			fmt.Fprintln(os.Stderr, p.String())

@@ -200,19 +200,6 @@ func TestCLISweep(t *testing.T) {
 		t.Errorf("in-process-profiled sweep malformed:\n%s", out2)
 	}
 
-	// Baseline-informed pruning must render the exact same report as
-	// the unpruned sweep.
-	base := captureStdout(t, func() error {
-		return run([]string{"sweep", "-app", appPath, "-lib", libPath, "-profile", profPath, "-j", "4"})
-	})
-	pruned := captureStdout(t, func() error {
-		return run([]string{"sweep", "-app", appPath, "-lib", libPath,
-			"-profile", profPath, "-j", "4", "-prune"})
-	})
-	if pruned != base {
-		t.Errorf("-prune report differs from the unpruned sweep:\n--- unpruned ---\n%s--- pruned ---\n%s", base, pruned)
-	}
-
 	if err := run([]string{"sweep"}); err == nil {
 		t.Error("sweep without -app should fail")
 	}
@@ -429,10 +416,12 @@ func TestCLIErrors(t *testing.T) {
 		want string
 	}{
 		// The executor is not a user choice: snapshot restores with
-		// prefix memoization is the only sweep runtime.
+		// prefix memoization and baseline pruning is the only sweep
+		// runtime.
 		{[]string{"sweep", "-app", "/nonexistent", "-snapshot"}, "-snapshot"},
 		{[]string{"sweep", "-app", "/nonexistent", "-memo=false"}, "-memo"},
 		{[]string{"sweep", "-app", "/nonexistent", "-memo-budget", "1"}, "-memo-budget"},
+		{[]string{"sweep", "-app", "/nonexistent", "-prune"}, "-prune"},
 		{[]string{"sweep", "-avail", "minidb", "-app", "/nonexistent"}, "-avail replaces -app"},
 		{[]string{"sweep", "-avail", "minidb", "-lib", "/nonexistent"}, "-avail replaces -lib"},
 		{[]string{"sweep", "-avail", "minidb", "-profile", "/nonexistent"}, "-avail replaces -profile"},

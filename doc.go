@@ -26,9 +26,10 @@
 // same template for every run, so cycle counts, injection logs and
 // reports are equal on both by construction (TestSweepSnapshotIdentical;
 // BenchmarkSweepSnapshot vs BenchmarkSweepParallel in BENCH_sweep.json
-// records the campaign throughput gain). Baseline-informed pruning
-// (`lfi sweep -prune`) additionally skips experiments whose functions
-// the coverage-traced baseline proves the workload never calls.
+// records the campaign throughput gain). The production executor also
+// skips experiments whose functions the baseline never calls through
+// their stubs (the stubs' static call counters, §5.1, tell): such a run
+// can only replay the baseline, which is committed in its place.
 //
 // # Persistent campaigns
 //

@@ -74,8 +74,8 @@ type Record struct {
 }
 
 // NewRecord distils one executed experiment into its persistent form.
-// rep may be nil (entries synthesised without a run, e.g. pruned
-// not-triggered experiments); the triage payload is then empty.
+// rep is the run's report (for a pruned experiment, the baseline run it
+// replays); a nil rep leaves the triage payload empty.
 func NewRecord(exp *core.Experiment, entry core.SweepEntry, rep *core.Report) Record {
 	r := Record{
 		Key:      exp.Key(),

@@ -8,17 +8,11 @@
 // before the restored system runs, so post-restore trigger decisions
 // and logs are bit-identical to an unbroken run.
 //
-// The checkpoint also carries the kernel's armed degradation state
-// (disk quota, fd pressure): a memoized prefix is strictly pre-fire so
-// the state is normally zero, but the round trip keeps the invariant
-// honest — whatever the kernel had armed when the checkpoint was taken
-// is re-armed before the restored suffix runs.
+// Kernel state, armed degradations included, is the snapshot's half:
+// vm.Snapshot clones it with the rest of the guest.
 package controller
 
-import (
-	"lfi/internal/kernel"
-	"lfi/internal/scenario"
-)
+import "lfi/internal/scenario"
 
 // Checkpoint is the controller state frozen alongside a mid-execution
 // vm.Snapshot. It is immutable once taken and may seed any number of
@@ -26,17 +20,10 @@ import (
 type Checkpoint struct {
 	evals map[int]scenario.EvalState
 	log   []InjectionRecord
-	degr  kernel.DegradationState
 }
 
-// Degradation returns the kernel degradation state frozen in the
-// checkpoint (zero when nothing was armed).
-func (ck *Checkpoint) Degradation() kernel.DegradationState { return ck.degr }
-
 // Checkpoint exports the controller's mutable campaign state: a deep
-// copy of every process evaluator's state, the injection log so far,
-// and — when the controller is installed on a system — the kernel's
-// armed degradation state.
+// copy of every process evaluator's state and the injection log so far.
 func (c *Controller) Checkpoint() *Checkpoint {
 	ck := &Checkpoint{
 		evals: make(map[int]scenario.EvalState, len(c.evals)),
@@ -45,18 +32,13 @@ func (c *Controller) Checkpoint() *Checkpoint {
 	for pid, ev := range c.evals {
 		ck.evals[pid] = ev.State()
 	}
-	if c.sys != nil {
-		ck.degr = c.sys.Kernel().Degradation()
-	}
 	return ck
 }
 
 // SeedCheckpoint primes this controller with a checkpoint exported from
 // another controller over a same-shaped plan: evaluators are minted for
 // every checkpointed process and seeded with deep copies of its state,
-// the injection log is replaced by the checkpoint's prefix, and the
-// checkpoint's kernel degradation state is applied — immediately when
-// the controller is already installed, otherwise at Install. Must be
+// and the injection log is replaced by the checkpoint's prefix. Must be
 // called before the controller sees its first intercepted call.
 //
 // The random stream is NOT transferred (see scenario.EvalState), so the
@@ -67,10 +49,4 @@ func (c *Controller) SeedCheckpoint(ck *Checkpoint) {
 		c.evaluatorFor(pid).SetState(st)
 	}
 	c.log = append(c.log[:0], ck.log...)
-	if c.sys != nil {
-		c.sys.Kernel().SetDegradation(ck.degr)
-	} else {
-		degr := ck.degr
-		c.pendingDegr = &degr
-	}
 }

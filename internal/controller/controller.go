@@ -31,7 +31,6 @@ import (
 	"strconv"
 	"strings"
 
-	"lfi/internal/kernel"
 	"lfi/internal/obj"
 	"lfi/internal/profile"
 	"lfi/internal/scenario"
@@ -53,6 +52,10 @@ const evalHostFunc = "__lfi_eval"
 // mailboxSym is the stub-library data word through which the host passes
 // the injected return value to the stub.
 const mailboxSym = "__lfi_ret"
+
+// counterSym names the stub-library data word holding fn's static call
+// count (§5.1), which fn's stub bumps on every intercepted call.
+func counterSym(fn string) string { return "__cnt_" + fn }
 
 // InjectionRecord is one line of the LFI log (§5.2): which injection
 // happened, its side effects, and the triggering context.
@@ -150,13 +153,6 @@ type Controller struct {
 	log       []InjectionRecord
 	// frames is the backtrace buffer, reused across intercepted calls.
 	frames []scenario.StackFrame
-	// sys is the system this controller is installed on — the route to
-	// the kernel for arming resource-exhaustion degradations and for
-	// capturing their state in checkpoints.
-	sys *vm.System
-	// pendingDegr is checkpointed degradation state seeded before
-	// Install; Install applies it to the system's kernel.
-	pendingDegr *kernel.DegradationState
 	// PassThrough forces every decision to call the original function
 	// after trigger evaluation — used by the overhead experiments
 	// (Tables 3 and 4), which must let the workload complete.
@@ -239,10 +235,10 @@ func GenerateStubSource(fns []string) string {
 	sort.Strings(sorted)
 	for fid, fn := range sorted {
 		fmt.Fprintf(&b, ".global %s\n", fn)
-		fmt.Fprintf(&b, ".dataw __cnt_%s 0\n", fn)
+		fmt.Fprintf(&b, ".dataw %s 0\n", counterSym(fn))
 		fmt.Fprintf(&b, ".func %s\n", fn)
 		// static call_count++ (kept in the stub itself, as in the paper).
-		fmt.Fprintf(&b, "  lea r1, __cnt_%s\n", fn)
+		fmt.Fprintf(&b, "  lea r1, %s\n", counterSym(fn))
 		b.WriteString("  load r2, [r1+0]\n")
 		b.WriteString("  add r2, 1\n")
 		b.WriteString("  store [r1+0], r2\n")
@@ -275,13 +271,6 @@ func (c *Controller) Install(sys *vm.System) error {
 	}
 	sys.Register(stub)
 	sys.RegisterHost(evalHostFunc, c.evalTrigger)
-	c.sys = sys
-	if c.pendingDegr != nil {
-		// A checkpoint seeded before Install carried armed degradation
-		// state; apply it now that the kernel is reachable.
-		sys.Kernel().SetDegradation(*c.pendingDegr)
-		c.pendingDegr = nil
-	}
 	return nil
 }
 

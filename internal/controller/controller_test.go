@@ -1,6 +1,7 @@
 package controller_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -440,5 +441,71 @@ int main(void) {
 	// the child exits 9 and the parent propagates it.
 	if p.Status.Code != 9 || p.Status.Signal != 0 {
 		t.Errorf("status = %+v, want child injection (9)", p.Status)
+	}
+}
+
+// TestStubSetCalled: Called reads the stubs' static call counters in
+// every process. A function only a spawned child calls counts once the
+// child has exited; a function whose code runs only through a direct
+// call inside libc (puts_fd's strlen) never passed its stub and does
+// not count, and neither does a function nobody calls.
+func TestStubSetCalled(t *testing.T) {
+	child, err := minic.Compile("child", `
+needs "libc.so";
+extern int getpid(void);
+int main(void) {
+  if (getpid() <= 0) { return 1; }
+  return 0;
+}`, obj.Executable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := minic.Compile("app", `
+needs "libc.so";
+extern int puts_fd(int fd, byte *s);
+extern int spawn(byte *prog, int fdin, int fdout);
+extern int waitpid(int pid, int *status);
+int main(void) {
+  int pid;
+  int status;
+  puts_fd(1, "hi");
+  pid = spawn("child", 0, 1);
+  if (pid < 0) { return 2; }
+  if (waitpid(pid, &status) != pid) { return 3; }
+  return status;
+}`, obj.Executable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc, err := libc.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := controller.NewStubSet([]string{"getpid", "puts_fd", "spawn", "strlen", "unlink", "waitpid"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := vm.NewSystem(vm.Options{})
+	sys.Register(lc)
+	sys.Register(app)
+	sys.Register(child)
+	ss.InstallTemplate(sys)
+	p, err := sys.Spawn("app", vm.SpawnConfig{Preload: ss.PreloadList()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Run(100_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if p.Status != (vm.ExitStatus{}) {
+		t.Fatalf("app status = %+v, want a clean exit", p.Status)
+	}
+	if n := len(sys.Procs()); n != 2 {
+		t.Fatalf("%d processes, want the app and its child", n)
+	}
+	got := ss.Called(sys)
+	want := map[string]bool{"getpid": true, "puts_fd": true, "spawn": true, "waitpid": true}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Called = %v, want %v", got, want)
 	}
 }

@@ -24,6 +24,9 @@ import (
 type StubSet struct {
 	fns []string // sorted; fid i is fns[i], matching GenerateStubSource
 	lib *obj.File
+	// cnt[fid] is the data offset of fns[fid]'s static call counter
+	// (__cnt_<fn>) in lib.
+	cnt []int32
 }
 
 // NewStubSet synthesises the interceptor library for the given function
@@ -48,7 +51,17 @@ func NewStubSet(fns []string) (*StubSet, error) {
 	if err != nil {
 		return nil, fmt.Errorf("controller: synthesising stubs: %w", err)
 	}
-	return &StubSet{fns: sorted, lib: f}, nil
+	ss := &StubSet{fns: sorted, lib: f, cnt: make([]int32, len(sorted))}
+	offs := make(map[string]int32, len(f.Symbols))
+	for _, sym := range f.Symbols {
+		if sym.Kind == obj.SymData {
+			offs[sym.Name] = sym.Off
+		}
+	}
+	for fid, fn := range sorted {
+		ss.cnt[fid] = offs[counterSym(fn)]
+	}
+	return ss, nil
 }
 
 // Library returns the synthesised interceptor library (treat as
@@ -57,6 +70,29 @@ func (ss *StubSet) Library() *obj.File { return ss.lib }
 
 // Functions returns the intercepted function names in fid order.
 func (ss *StubSet) Functions() []string { return append([]string(nil), ss.fns...) }
+
+// Called reports which intercepted functions the guest in sys entered
+// through their stubs: those whose static call counter, bumped by the
+// stub before it evaluates any trigger, is non-zero in some process,
+// exited ones included. A faultload fires only from that evaluation, so
+// a run whose faultload names none of these functions behaves exactly
+// as a pass-through run. A function whose code ran only through direct
+// calls inside its own library never passed its stub and is not called.
+func (ss *StubSet) Called(sys *vm.System) map[string]bool {
+	called := make(map[string]bool)
+	for _, p := range sys.Procs() {
+		im, ok := p.ImageByName(StubLibName)
+		if !ok {
+			continue
+		}
+		for fid, off := range ss.cnt {
+			if n, err := p.ReadWord(im.DataBase + uint32(off)); err == nil && n != 0 {
+				called[ss.fns[fid]] = true
+			}
+		}
+	}
+	return called
+}
 
 // InstallTemplate prepares a template system for snapshotting: it
 // registers the stub library and an inert pass-through evaluator host

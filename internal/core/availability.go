@@ -278,7 +278,8 @@ func AvailabilityExperiments(set profile.Set, after int32) []Experiment {
 }
 
 // errnoSideEffect extracts the TLS-errno side effect of one profiled
-// error code, shared by the first-call and windowed generators.
+// error code, shared by the first-call (PlanExperiments) and windowed
+// generators.
 func errnoSideEffect(ec profile.ErrorCode) (int32, bool) {
 	for _, se := range ec.SideEffects {
 		if se.Type == profile.SideEffectTLS {

@@ -83,9 +83,14 @@
 //     copy-on-write, registers, kernel FS/FD state and cycle counters
 //     are copied; patched text, decoded instructions, symbol tables and
 //     the whole Image are shared immutably.
+//  4. Prune: the stubs count their calls (§5.1), so the baseline tells
+//     which functions the workload calls through the surface; an
+//     experiment naming none of them can only replay the baseline and
+//     is committed as that run without executing.
 //
 // The zero SweepOptions is the fresh-spawn oracle: it rebuilds the same
-// template for every run instead of restoring it. Because both execute
+// template for every run instead of restoring it, and runs every
+// experiment, pruned or not. Because both execute
 // the same guest, cycle counts, injection logs, budget verdicts,
 // availability envelopes and campaign-store records are equal by
 // construction, seeded random faultloads and -max-crashes early stops
@@ -93,13 +98,6 @@
 // CompiledPlans are immutable and shared by every worker; each System
 // and its controller belong to exactly one run and must not outlive it
 // into another.
-//
-// SweepOptions.PruneUncalled adds baseline-informed pruning: the
-// baseline runs once on a coverage-enabled build of the same template,
-// and experiments whose faultload only names functions the baseline
-// never executed are committed as not-triggered without spawning a
-// run — sound because the deterministic VM replays the baseline
-// exactly until a fault fires.
 //
 // The snapshot executor also memoizes shared pre-fault prefixes
 // (memo.go, on by default; SweepOptions.NoMemo opts out for tests):

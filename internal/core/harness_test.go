@@ -51,32 +51,26 @@ type draws struct {
 	split int
 }
 
-// runObs is one run as an OnResult observer sees it: its campaign store
-// record (entry, cycles, injection-log digest, crash stack, coverage,
-// degradation and availability payload). A run pruned without
-// executing has only its entry.
-type runObs struct {
-	rec    campaign.Record
-	pruned bool
-}
-
 // sweepRun is what one leg produced: the rendered report or the error,
-// and every run OnResult saw, by experiment key.
+// and the campaign store record (entry, cycles, injection-log digest,
+// crash stack, coverage, degradation and availability payload) of every
+// run OnResult saw, by experiment key. A pruned run is observed as the
+// baseline run it replays.
 type sweepRun struct {
 	report string
 	err    error
-	runs   map[string]runObs
+	runs   map[string]campaign.Record
 }
 
 // observe sweeps through campaign.Sweep (a nil store is a plain sweep)
 // and records every run.
 func observe(cfg core.CampaignConfig, exps []core.Experiment, budget uint64, opts core.SweepOptions, store *campaign.Store, resume bool) sweepRun {
 	var mu sync.Mutex
-	runs := make(map[string]runObs, len(exps))
+	runs := make(map[string]campaign.Record, len(exps))
 	opts.OnResult = func(exp *core.Experiment, entry core.SweepEntry, rep *core.Report) {
-		o := runObs{rec: campaign.NewRecord(exp, entry, rep), pruned: rep == nil}
+		rec := campaign.NewRecord(exp, entry, rep)
 		mu.Lock()
-		runs[exp.Key()] = o
+		runs[exp.Key()] = rec
 		mu.Unlock()
 	}
 	res, err := campaign.Sweep(cfg, exps, budget, opts, store, resume)
@@ -89,9 +83,9 @@ func observe(cfg core.CampaignConfig, exps []core.Experiment, budget uint64, opt
 
 // checkSweepInvariant runs the oracle once and checks every relation
 // against it. The legs run the production executor (snapshot restores
-// with prefix memoization) at 4 and 8 workers; and at d.workers without
-// memo, with a one-byte memo budget, on the step engine, with baseline
-// pruning, and — with live progress reporting, as `lfi sweep
+// with prefix memoization and baseline pruning) at 4 and 8 workers; and
+// at d.workers without memo, with a one-byte memo budget, on the step
+// engine, and — with live progress reporting, as `lfi sweep
 // -progress` runs — in a random execution order writing a campaign
 // store ("store"; plan order under an early stop) and resumed from that
 // store killed mid-append after d.split records ("resume"). Each leg
@@ -125,7 +119,6 @@ func checkSweepInvariant(t *testing.T, cfg core.CampaignConfig, exps []core.Expe
 		{"nomemo", vm.EngineBlock, with(func(o *core.SweepOptions) { o.NoMemo = true }), false},
 		{"memo-budget=1", vm.EngineBlock, with(func(o *core.SweepOptions) { o.MemoBudget = 1 }), false},
 		{"step", vm.EngineStep, prod, raceEnabled},
-		{"prune", vm.EngineBlock, with(func(o *core.SweepOptions) { o.PruneUncalled = true }), false},
 	}
 	for _, l := range legs {
 		if l.skip {
@@ -168,8 +161,8 @@ func checkSweepInvariant(t *testing.T, cfg core.CampaignConfig, exps []core.Expe
 		t.Errorf("resume: store holds %d keys, the oracle ran %d", len(recs), len(oracle.runs))
 	}
 	for key, rec := range recs {
-		if o, ok := oracle.runs[key]; ok && !reflect.DeepEqual(rec, o.rec) {
-			t.Errorf("resume: stored %s: %+v, oracle %+v", key, rec, o.rec)
+		if o, ok := oracle.runs[key]; ok && !reflect.DeepEqual(rec, o) {
+			t.Errorf("resume: stored %s: %+v, oracle %+v", key, rec, o)
 		}
 	}
 }
@@ -197,12 +190,8 @@ func sameRun(t *testing.T, leg string, oracle, got sweepRun, full bool) {
 			if full {
 				t.Errorf("%s: %s ran, the oracle never ran it", leg, key)
 			}
-		case g.pruned:
-			if g.rec.Entry() != o.rec.Entry() || o.rec.Injections != 0 {
-				t.Errorf("%s: %s pruned as %+v, oracle %+v", leg, key, g.rec, o.rec)
-			}
-		case !reflect.DeepEqual(g.rec, o.rec):
-			t.Errorf("%s: %s: run %+v, oracle %+v", leg, key, g.rec, o.rec)
+		case !reflect.DeepEqual(g, o):
+			t.Errorf("%s: %s: run %+v, oracle %+v", leg, key, g, o)
 		}
 	}
 	if full && len(got.runs) != len(oracle.runs) {

@@ -48,9 +48,10 @@ func TestSweepMemoIdentical(t *testing.T) {
 }
 
 // TestSweepMemoStats pins the bookkeeping: 5 functions × 3 errnos give
-// 5 groups of 3, one prefix run per group (no evictions under the
-// default budget), 4 reached sites restoring 3 members each, and the
-// never-called write group served whole from its terminated prefix.
+// 5 groups of 3, one prefix run per group that runs at all (no
+// evictions under the default budget), 4 reached sites restoring 3
+// members each, and no terminated prefix: the never-called write group
+// is pruned before it reaches the memo cache.
 func TestSweepMemoStats(t *testing.T) {
 	cfg, set := wideTarget(t)
 	res, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0,
@@ -65,14 +66,14 @@ func TestSweepMemoStats(t *testing.T) {
 	if m.Groups != 5 || m.MaxGroup != 3 {
 		t.Errorf("groups=%d max=%d, want 5 groups of 3", m.Groups, m.MaxGroup)
 	}
-	if m.Prefixes != 5 {
-		t.Errorf("prefix runs = %d, want 5 (one per group)", m.Prefixes)
+	if m.Prefixes != 4 {
+		t.Errorf("prefix runs = %d, want 4 (one per called function's group)", m.Prefixes)
 	}
 	if m.Restored != 12 {
 		t.Errorf("restored = %d, want 12 (4 reached sites x 3 members)", m.Restored)
 	}
-	if m.Terminal != 3 {
-		t.Errorf("terminal-served = %d, want 3 (write group)", m.Terminal)
+	if m.Terminal != 0 {
+		t.Errorf("terminal-served = %d, want 0 (the write group is pruned)", m.Terminal)
 	}
 	if m.Evictions != 0 {
 		t.Errorf("evictions = %d, want 0 under default budget", m.Evictions)
@@ -168,7 +169,7 @@ func TestSweepMemoMaxCrashes(t *testing.T) {
 
 // TestSweepProgressServed is the satellite contract for SweepProgress:
 // entries satisfied without executing a run — resume cache hits and
-// terminal-prefix members — land in a distinct Served tally, and every
+// pruned experiments — land in a distinct Served tally, and every
 // progress update reports the running count.
 func TestSweepProgressServed(t *testing.T) {
 	cfg, set := wideTarget(t)
@@ -187,8 +188,7 @@ func TestSweepProgressServed(t *testing.T) {
 	}
 
 	// Phase 2: resume with half the keys served from the recording. The
-	// write group (3 experiments) is terminal-served by the memoizer on
-	// top of the Skip hits.
+	// never-called write experiments are pruned on top of the Skip hits.
 	cached := make(map[string]bool)
 	for i, exp := range exps {
 		if i%2 == 0 {
@@ -229,17 +229,16 @@ func TestSweepProgressServed(t *testing.T) {
 		t.Errorf("final Done = %d, want %d", last.Done, len(exps))
 	}
 	skipServed := len(cached)
-	// Terminal-prefix serves only apply to write experiments not already
-	// skipped.
-	terminal := 0
+	// Pruning only applies to write experiments not already skipped.
+	pruned := 0
 	for i, exp := range exps {
 		if i%2 != 0 && exp.Function == "write" {
-			terminal++
+			pruned++
 		}
 	}
-	if want := skipServed + terminal; last.Served != want {
-		t.Errorf("final Served = %d, want %d (%d skip + %d terminal)",
-			last.Served, want, skipServed, terminal)
+	if want := skipServed + pruned; last.Served != want {
+		t.Errorf("final Served = %d, want %d (%d skip + %d pruned)",
+			last.Served, want, skipServed, pruned)
 	}
 	if last.Served == last.Done {
 		t.Error("Served should not count executed experiments")

@@ -30,10 +30,13 @@ type SweepOptions struct {
 	// of every function the sweep intercepts, binding only its own
 	// compiled faultload. With Snapshot set — the production executor of
 	// `lfi sweep` — the template is built once, frozen as a vm.Snapshot
-	// and restored copy-on-write for every run, baseline included. The
-	// zero value rebuilds the template for every run: the fresh-spawn
-	// oracle that tests and the campaign benchmark check production
-	// against. Reports, cycle counts and injection logs are identical.
+	// and restored copy-on-write for every run, baseline included, and
+	// an experiment whose functions the baseline never called through
+	// their stubs is committed as the baseline run it would replay,
+	// without running (pruneEntry). The zero value rebuilds the template
+	// for every run and runs every experiment: the fresh-spawn oracle
+	// that tests and the campaign benchmark check production against.
+	// Reports, cycle counts and injection logs are identical.
 	Snapshot bool
 	// NoMemo disables trigger-point prefix memoization, an oracle and
 	// test selector. Under Snapshot, precompiled experiments sharing a
@@ -51,14 +54,6 @@ type SweepOptions struct {
 	// rebuilt on demand) beyond the budget; tests starve it to force
 	// evictions. Ignored when memoization is inactive.
 	MemoBudget int64
-	// PruneUncalled enables baseline-informed pruning: the baseline
-	// runs once on a coverage-enabled build of the sweep's template (the
-	// guest every experiment runs), and experiments whose
-	// faultload only names functions the baseline never executed are
-	// committed as not-triggered without spawning a run (deterministic
-	// execution guarantees the run would replay the baseline exactly).
-	// The rendered report is unchanged; only the work is skipped.
-	PruneUncalled bool
 	// Skip, when non-nil, is consulted once per experiment before any
 	// run is spawned; returning (entry, true) commits the cached entry
 	// in plan order without executing. This is the resume filter of
@@ -83,9 +78,11 @@ type SweepOptions struct {
 	// OnResult, when non-nil, observes every freshly-executed experiment
 	// from the worker goroutine that ran it — the live feed persistent
 	// stores append to, firing as results complete (before plan-order
-	// reassembly, so arrival order varies with scheduling). rep is nil
-	// when the entry was synthesised without a run (pruned not-triggered
-	// experiments); entries served from Skip are not re-reported.
+	// reassembly, so arrival order varies with scheduling). rep is the
+	// run's report; for an experiment pruned because the baseline never
+	// called its functions it is the baseline's, which that run would
+	// have replayed exactly, and must not be modified. Entries served
+	// from Skip are not re-reported.
 	// Called concurrently at Workers > 1 — implementations must be safe
 	// for concurrent use.
 	OnResult func(exp *Experiment, entry SweepEntry, rep *Report)
@@ -97,9 +94,10 @@ type SweepProgress struct {
 	Done, Total int
 	// Served is how many of the Done entries were satisfied without a
 	// member-specific execution: resume entries served from the
-	// persistent store (Skip), baseline-pruned experiments, and memoized
-	// experiments served whole from a terminated shared prefix. Done -
-	// Served is the number of experiments actually executed.
+	// persistent store (Skip), experiments pruned because the baseline
+	// never called their functions, and memoized experiments served
+	// whole from a terminated shared prefix. Done - Served is the number
+	// of experiments actually executed.
 	Served int
 	// Entry is the experiment just committed.
 	Entry SweepEntry
@@ -142,7 +140,7 @@ func RunExperiments(cfg CampaignConfig, exps []Experiment, budget uint64, opts S
 	if err != nil {
 		return nil, err
 	}
-	base, called, err := r.baseline(budget, opts.PruneUncalled)
+	base, called, err := r.baseline(budget)
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +155,7 @@ func RunExperiments(cfg CampaignConfig, exps []Experiment, budget uint64, opts S
 		if called != nil {
 			if entry, ok := pruneEntry(&exp, called, base, cfg.Avail); ok {
 				if opts.OnResult != nil {
-					opts.OnResult(&exp, entry, nil)
+					opts.OnResult(&exp, entry, base)
 				}
 				return entry, true, nil
 			}

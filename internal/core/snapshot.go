@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"lfi/internal/controller"
-	"lfi/internal/isa"
-	"lfi/internal/obj"
 	"lfi/internal/scenario"
 	"lfi/internal/vm"
 )
@@ -157,25 +155,12 @@ func (r *snapshotRunner) exec(sys *vm.System, cp *scenario.CompiledPlan, ck *con
 
 // baseline runs the clean reference that anchors outcome and
 // availability classification: the template with the pass-through
-// faultload, whose stubs all call through. With prune it runs on a
-// coverage-enabled build of the same template and also returns every
-// exported function the run executed, in any process and any loaded
-// module — the call set of baseline-informed pruning (pruneEntry). An
-// experiment whose faultload names only functions outside it can never
-// fire, because the deterministic VM replays the baseline exactly until
-// a fault changes control flow.
-func (r *snapshotRunner) baseline(budget uint64, prune bool) (*Report, map[string]bool, error) {
-	var (
-		sys *vm.System
-		err error
-	)
-	if prune {
-		opts := r.cfg.VM
-		opts.Coverage = true
-		sys, err = r.spawn(opts)
-	} else {
-		sys, err = r.system()
-	}
+// faultload, whose stubs all call through. On the production path it
+// also returns the functions the run entered through the stub surface
+// (StubSet.Called), the call set pruneEntry decides from; the
+// fresh-spawn oracle returns no call set and runs every experiment.
+func (r *snapshotRunner) baseline(budget uint64) (*Report, map[string]bool, error) {
+	sys, err := r.system()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -186,26 +171,10 @@ func (r *snapshotRunner) baseline(budget uint64, prune bool) (*Report, map[strin
 	if err := checkBaseline(rep, r.cfg.Avail); err != nil {
 		return nil, nil, err
 	}
-	if !prune {
+	if r.snap == nil || r.stubs == nil {
 		return rep, nil, nil
 	}
-	called := make(map[string]bool)
-	for _, p := range sys.Procs() {
-		for _, im := range p.Images {
-			for _, sym := range im.File.Symbols {
-				if sym.Kind != obj.SymFunc || !sym.Exported || called[sym.Name] {
-					continue
-				}
-				for off := sym.Off; off < sym.Off+sym.Size; off += isa.Size {
-					if im.Covered(off) {
-						called[sym.Name] = true
-						break
-					}
-				}
-			}
-		}
-	}
-	return rep, called, nil
+	return rep, r.stubs.Called(sys), nil
 }
 
 // run executes one experiment. Precompiled experiments whose faultload
@@ -266,13 +235,12 @@ func (r *snapshotRunner) runPlain(exp Experiment, base *Report, budget uint64) (
 }
 
 // pruneEntry short-circuits an experiment the baseline proves inert:
-// if none of its faultload's functions were executed by the clean run,
-// the experiment replays the baseline exactly — terminating with the
-// baseline exit code and an empty injection log — so its entry can be
-// synthesised without spawning a run. Experiments with a missing,
-// empty or uncompilable faultload are never pruned; the executor
-// surfaces their outcomes and errors in plan order, exactly as without
-// pruning.
+// if none of its faultload's functions was called through its stub in
+// the clean run, no trigger was ever evaluated, so the run replays the
+// baseline exactly and the baseline is its result. Experiments with a
+// missing, empty or uncompilable faultload are never pruned; the
+// executor surfaces their outcomes and errors in plan order, exactly as
+// the oracle does.
 func pruneEntry(exp *Experiment, called map[string]bool, base *Report, avail *AvailSpec) (SweepEntry, bool) {
 	fns := experimentFunctions(exp)
 	if len(fns) == 0 {
@@ -289,15 +257,6 @@ func pruneEntry(exp *Experiment, called map[string]bool, base *Report, avail *Av
 		return SweepEntry{}, false
 	}
 	entry := exp.entry()
-	entry.Outcome = OutcomeNotTriggered
-	entry.ExitCode = base.Status.Code
-	if avail != nil && base.Avail != nil {
-		// The run would replay the baseline exactly, so the synthesised
-		// availability row is the baseline classified against itself.
-		entry.Avail = ClassifyAvail(base, base, avail.latencyPct())
-		entry.AvailBefore = base.Avail.WarmOK
-		entry.AvailDuring = base.Avail.SteadyOK
-		entry.AvailAfter = base.Avail.PostOK
-	}
+	entry.classify(base, base, avail)
 	return entry, true
 }

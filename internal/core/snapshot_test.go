@@ -21,6 +21,11 @@ func TestSweepSnapshotIdentical(t *testing.T) {
 	exps := core.PlanExperiments(set)
 	checkSweepInvariant(t, cfg, exps, 0, draws{workers: 4, perm: 4, split: 2})
 	checkSweepInvariant(t, cfg, exps, 300, draws{workers: 4})
+	// The tight budget stops the baseline itself, and the error says so.
+	const want = "baseline run is unhealthy: cycle budget exhausted after 320 cycles"
+	if _, err := core.RunExperiments(cfg, exps, 300, core.SweepOptions{Workers: 1}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("budget-300 sweep: err = %v, want %q", err, want)
+	}
 
 	ref, err := core.RunExperiments(cfg, exps, 0, core.SweepOptions{Workers: 1})
 	if err != nil {
@@ -129,30 +134,36 @@ func TestSweepSnapshotExecutorParityEdges(t *testing.T) {
 	}
 }
 
-// TestSweepPruneUncalledIdentical: baseline-informed pruning must prune
-// something here — mixedApp never calls write — and the harness's
-// "prune" leg checks it changes nothing else.
-func TestSweepPruneUncalledIdentical(t *testing.T) {
-	cfg, set := mixedTarget(t)
-	pruned := 0
-	if _, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0, core.SweepOptions{
-		Workers: 1, Snapshot: true, PruneUncalled: true,
-		OnResult: func(_ *core.Experiment, _ core.SweepEntry, rep *core.Report) {
-			if rep == nil {
-				pruned++
-			}
-		},
-	}); err != nil {
+// prunedCount sweeps exps on the production executor and returns the
+// result with the number of experiments pruned: nothing is resumed, so
+// every served entry not served from a terminated memo prefix was
+// pruned.
+func prunedCount(t *testing.T, cfg core.CampaignConfig, exps []core.Experiment, workers int) (*core.SweepResult, int) {
+	t.Helper()
+	served := 0
+	res, err := core.RunExperiments(cfg, exps, 0, core.SweepOptions{
+		Workers: workers, Snapshot: true,
+		Progress: func(p core.SweepProgress) { served = p.Served },
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if pruned == 0 {
-		t.Error("nothing pruned")
+	return res, served - res.Memo.Terminal
+}
+
+// TestSweepPruneUncalledIdentical: production must prune the write
+// experiment — mixedApp never calls write — and every harness leg
+// checks that pruning changes nothing else.
+func TestSweepPruneUncalledIdentical(t *testing.T) {
+	cfg, set := mixedTarget(t)
+	if _, pruned := prunedCount(t, cfg, core.PlanExperiments(set), 1); pruned != 1 {
+		t.Errorf("pruned %d experiments, want 1 (write)", pruned)
 	}
 }
 
 // TestSweepPruneKeepsValidation: pruning skips work, never validation —
 // an uncompilable faultload on a never-called function must abort the
-// pruned sweep exactly as it aborts the unpruned one.
+// production sweep exactly as it aborts the oracle.
 func TestSweepPruneKeepsValidation(t *testing.T) {
 	cfg, set := mixedTarget(t)
 	exps := append(core.PlanExperiments(set), core.Experiment{
@@ -162,30 +173,22 @@ func TestSweepPruneKeepsValidation(t *testing.T) {
 		}}},
 	})
 	if _, err := core.RunExperiments(cfg, exps, 0, core.SweepOptions{Workers: 2}); err == nil {
-		t.Fatal("unpruned sweep must reject the bad retval")
+		t.Fatal("the oracle must reject the bad retval")
 	}
 	if _, err := core.RunExperiments(cfg, exps, 0,
-		core.SweepOptions{Workers: 2, PruneUncalled: true}); err == nil {
-		t.Error("pruned sweep silently swallowed the compile error")
+		core.SweepOptions{Workers: 2, Snapshot: true}); err == nil {
+		t.Error("the production sweep silently swallowed the compile error")
 	}
 }
 
-// TestSweepPruneSkipsWork proves pruning actually short-circuits: with
-// every function pruned (workload that calls nothing the profiles
-// name), the sweep must not spawn a single experiment campaign. We
-// detect spawned runs through Progress entries that carry a non-zero
-// signal or unexpected outcome — and, structurally, by the fact that
-// an experiment with an unbuildable faultload is never executed.
+// TestSweepPruneSkipsWork proves pruning short-circuits hand-built
+// experiments too: an experiment appended on the never-called write,
+// with a valid plan that the precompiled matrix does not cover, is
+// committed without a run, and the production report still equals the
+// oracle's, which runs it (not-triggered).
 func TestSweepPruneSkipsWork(t *testing.T) {
 	cfg, set := mixedTarget(t)
-	exps := core.PlanExperiments(set)
-	// An experiment whose plan names a function the baseline never
-	// calls, with a faultload that would fail compilation only if the
-	// executor actually tried to build a campaign around it: a valid
-	// plan but an unregistered trigger function. The fresh executor
-	// happily runs it (not-triggered); the pruned executor must commit
-	// it without running. Equality of the two reports is the proof.
-	exps = append(exps, core.Experiment{
+	exps := append(core.PlanExperiments(set), core.Experiment{
 		Library: libc.Name, Function: "write", Retval: -77,
 		Plan: &scenario.Plan{Triggers: []scenario.Trigger{{
 			Function: "write", Inject: 1, Retval: "-77", Once: true,
@@ -195,15 +198,14 @@ func TestSweepPruneSkipsWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := core.RunExperiments(cfg, exps, 0,
-		core.SweepOptions{Workers: 2, PruneUncalled: true})
-	if err != nil {
-		t.Fatal(err)
+	prod, pruned := prunedCount(t, cfg, exps, 2)
+	if pruned != 2 {
+		t.Errorf("pruned %d experiments, want 2 (both on write)", pruned)
 	}
-	if fresh.Render() != pruned.Render() {
-		t.Errorf("pruned report differs:\n%s\nvs\n%s", fresh.Render(), pruned.Render())
+	if fresh.Render() != prod.Render() {
+		t.Errorf("production report differs from the oracle's:\n%s\nvs\n%s", fresh.Render(), prod.Render())
 	}
-	last := pruned.Entries[len(pruned.Entries)-1]
+	last := prod.Entries[len(prod.Entries)-1]
 	if last.Outcome != core.OutcomeNotTriggered || last.Retval != -77 {
 		t.Errorf("appended prunable experiment misclassified: %+v", last)
 	}

@@ -8,6 +8,7 @@ import (
 	"lfi/internal/kernel"
 	"lfi/internal/profile"
 	"lfi/internal/scenario"
+	"lfi/internal/vm"
 )
 
 // DefaultSweepBudget is the per-run cycle budget used when a sweep is
@@ -225,17 +226,10 @@ func PlanExperiments(set profile.Set) []Experiment {
 					Retval:   fmt.Sprint(ec.Retval),
 					Once:     true,
 				}
-				for _, se := range ec.SideEffects {
-					if se.Type == profile.SideEffectTLS {
-						exp.HasErrno = true
-						exp.Errno = se.Applied()
-						if name := kernel.ErrnoName(exp.Errno); name != "" {
-							trigger.Errno = name
-						} else {
-							trigger.Errno = fmt.Sprint(exp.Errno)
-						}
-						break
-					}
+				if errno, ok := errnoSideEffect(ec); ok {
+					exp.HasErrno = true
+					exp.Errno = errno
+					trigger.Errno = errnoLabel(errno)
 				}
 				exp.Plan = &scenario.Plan{Triggers: []scenario.Trigger{trigger}}
 				// Generated triggers always compile; sharing the
@@ -328,10 +322,16 @@ func DegradationExperiments(set profile.Set) []Experiment {
 // checkBaseline rejects crashed or wedged baselines — no classification
 // can anchor on those — and, under an availability spec, baselines whose
 // traffic run did not complete cleanly (a fault-free client that drops
-// requests would poison every availability class).
+// requests would poison every availability class). The error names
+// which of these it was.
 func checkBaseline(rep *Report, avail *AvailSpec) error {
-	if rep.Status.Signal != 0 || rep.Deadlocked {
-		return fmt.Errorf("core: baseline run is unhealthy: %+v", rep.Status)
+	switch {
+	case rep.Status.Signal != 0:
+		return fmt.Errorf("core: baseline run is unhealthy: killed by %s", vm.SignalName(rep.Status.Signal))
+	case rep.BudgetExhausted:
+		return fmt.Errorf("core: baseline run is unhealthy: cycle budget exhausted after %d cycles", rep.Cycles)
+	case rep.Deadlocked:
+		return fmt.Errorf("core: baseline run is unhealthy: deadlocked after %d cycles", rep.Cycles)
 	}
 	if avail != nil {
 		c := rep.Avail

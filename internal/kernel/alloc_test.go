@@ -113,7 +113,7 @@ func TestKernelAllocFree(t *testing.T) {
 		t.Error("EMFILE under the armed limit did not trip the degradation")
 	}
 
-	k.SetDegradation(DegradationState{})
+	k.ex = exhaustState{} // lift the pressure
 	if ret, _ := k.Accept(1, lfd); ret < 0 {
 		t.Fatalf("accept of the queued connection = %d", ret)
 	}

@@ -6,10 +6,9 @@
 // return ENOSPC after the quota is consumed, and fd pressure shrinks
 // the effective descriptor-table headroom so allocations return EMFILE.
 // The armed/tripped state is part of the kernel's resource state proper:
-// Snapshot/Restore carry it (clone copies it bit-identically), and
-// the controller's mid-execution Checkpoint moves it across memoized
-// prefix restores, so degradation campaigns stay byte-identical across
-// CoW/flat restores and memo on/off.
+// Snapshot/Restore carry it (clone copies it bit-identically), so a
+// memoized prefix restore resumes with exactly the state it froze and
+// degradation campaigns stay byte-identical with memo on or off.
 package kernel
 
 // exhaustState is the armed degradation state. The zero value means no
@@ -27,7 +26,7 @@ type exhaustState struct {
 }
 
 // DegradationState is the exported snapshot of the kernel's armed
-// resource degradations, used by controller checkpoints, reports and
+// resource degradations, used by campaign reports and
 // tests. The zero value means nothing is armed.
 type DegradationState struct {
 	DiskArmed   bool
@@ -80,20 +79,6 @@ func (k *Kernel) Degradation() DegradationState {
 		FDsArmed:    k.ex.fdsArmed,
 		FDsLimit:    k.ex.fdsLimit,
 		FDsTripped:  k.ex.fdsTripped,
-	}
-}
-
-// SetDegradation overwrites the degradation state — the restore half of
-// a controller checkpoint carrying armed state across a memoized prefix.
-func (k *Kernel) SetDegradation(st DegradationState) {
-	k.ex = exhaustState{
-		diskArmed:   st.DiskArmed,
-		diskQuota:   st.DiskQuota,
-		diskWritten: st.DiskWritten,
-		diskTripped: st.DiskTripped,
-		fdsArmed:    st.FDsArmed,
-		fdsLimit:    st.FDsLimit,
-		fdsTripped:  st.FDsTripped,
 	}
 }
 

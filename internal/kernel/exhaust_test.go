@@ -272,12 +272,6 @@ func TestRestoredKernelContinuesDegrading(t *testing.T) {
 	if !r.Degradation().DiskTripped {
 		t.Fatal("restored kernel did not trip")
 	}
-	// SetDegradation(Degradation()) is an exact round trip.
-	k2 := New()
-	k2.SetDegradation(r.Degradation())
-	if k2.Degradation() != r.Degradation() {
-		t.Fatalf("SetDegradation round trip: %+v vs %+v", k2.Degradation(), r.Degradation())
-	}
 }
 
 // The accept path under fd pressure: a serving listener whose table is

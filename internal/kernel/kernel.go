@@ -38,7 +38,7 @@ const pipeCap = 4096
 //
 // A Kernel has a single owner and takes no lock: it belongs to one
 // vm.System, and every call into it — guest syscalls, host functions,
-// workload drivers through Conn, controller checkpoints — comes from the
+// workload drivers through Conn, controller fault arming — comes from the
 // goroutine driving that System. Concurrent campaigns give each System
 // its own Kernel (Snapshot.Restore); the frozen snapshot template is the
 // only kernel state shared between goroutines, and it is never written.

@@ -498,15 +498,15 @@ func BenchmarkSweepParallel(b *testing.B) {
 }
 
 // BenchmarkSweepSnapshot is the same matrix and worker count on the
-// fork-server runtime: the load pipeline (text copy, relocation,
-// decode, symbol maps, stub synthesis) runs once into a vm.Snapshot and
-// every experiment restores from it in O(writable bytes). The ratio to
-// BenchmarkSweepParallel is the per-experiment-setup share of campaign
-// cost that snapshotting eliminates (BENCH_sweep.json). Memoization is
-// pinned off: this is the plain-restore reference the BenchmarkSweepMemo
-// A/B compares against, and on this short-prefix 8-experiment matrix
-// 2-member groups still do not amortise their prefix runs — memo on
-// measured 2.05 ms per sweep against 1.97 ms off (medians of 10
+// fork-server runtime, the production executor: the load pipeline
+// (text copy, relocation, decode, symbol maps, stub synthesis) runs
+// once into a vm.Snapshot and every experiment restores from it in
+// O(writable bytes). The ratio to BenchmarkSweepParallel is the
+// per-experiment-setup share of campaign cost that snapshotting
+// eliminates (BENCH_sweep.json, recorded with memoization off). Since
+// the memo ladder, whose rungs the baseline mints in passing, even this
+// short-prefix matrix of 2-member groups gains from memoization: 2.28
+// ms per sweep with memo against 2.70 ms without (medians of 10
 // alternating runs, 2 workers, 2-CPU x86-64).
 func BenchmarkSweepSnapshot(b *testing.B) {
 	cfg, set := sweepBenchTarget(b)
@@ -515,7 +515,7 @@ func BenchmarkSweepSnapshot(b *testing.B) {
 	var entries int
 	for i := 0; i < b.N; i++ {
 		res, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0,
-			core.SweepOptions{Workers: workers, Snapshot: true, NoMemo: true})
+			core.SweepOptions{Workers: workers, Snapshot: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -613,8 +613,11 @@ func memoBenchTarget(b *testing.B) (core.CampaignConfig, profile.Set) {
 // exhaustive matrix: memo is the snapshot executor with the prefix
 // cache (the default), nomemo the same executor with NoMemo set.
 // Reports are byte-identical (TestSweepMemoIdentical); the ratio is the
-// shared-prefix cost the memo cache eliminates, net of its prefix
-// runs. Recorded in BENCH_sweep.json.
+// shared-prefix cost the memo cache eliminates. Every group here sits at
+// its function's first call, so the baseline's rungs serve them all and
+// no prefix runs: 10.7 ms per sweep with memo against 189 ms without
+// (medians of 10 alternating runs, 2 workers, 2-CPU x86-64), where
+// BENCH_sweep.json recorded 3.06x with a prefix run per group.
 func BenchmarkSweepMemo(b *testing.B) {
 	for _, mode := range []struct {
 		name   string

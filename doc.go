@@ -29,7 +29,11 @@
 // records the campaign throughput gain). The production executor also
 // skips experiments whose functions the baseline never calls through
 // their stubs (the stubs' static call counters, §5.1, tell): such a run
-// can only replay the baseline, which is committed in its place.
+// can only replay the baseline, which is committed in its place. And
+// the baseline's fault-free run is the shared prefix of every
+// experiment that faults a function's first call, so the baseline
+// freezes that prefix where it passes (the memo ladder, below) instead
+// of every group re-running it.
 //
 // # Persistent campaigns
 //
@@ -111,7 +115,7 @@
 // syscall that completed, dispatch stays in the loop when the new PC
 // is an aligned address inside the same image and the slice budget
 // allows, re-entering where a fresh dispatch would — through the
-// RunBreak breakpoint check and the slice split — so a guest spinning
+// RunStops stop check and the slice split — so a guest spinning
 // on a failing syscall behind in-image calls never leaves the loop
 // there. Cross-image transfers (the DlNext tail jump of an
 // interceptor stub, calls into another library) and blocked syscalls
@@ -148,7 +152,11 @@
 // WriteBytes, errno stores, stub patching) privatizes that one page —
 // copy, mark dirty, drop any read window aliasing it. "Reset to
 // shared" is free: the next Restore mints a fresh page table off the
-// same template, abandoning the dirty pages to the collector. Brk
+// same template, abandoning the dirty pages to the collector. Snapshot
+// of a restored system shares pages the same way: the snapshot takes
+// over the pages the system privatized, and the system copies a page
+// again on its next write, so a mid-execution snapshot costs the pages
+// written since the last one, not the writable segments. Brk
 // flattens a CoW heap before resizing. Copy-on-write is the only
 // restore kind; the oracle is a fresh spawn. The contract is that
 // sharing is never observable: restore-isolation tests interleave
@@ -177,17 +185,25 @@
 // (scenario.Lint names the blocking condition, surfaced by `lfi plan
 // -check`). Experiments are grouped by site — in an exhaustive errno
 // sweep every errno variant of one (function, call) cell lands in the
-// same group — and each group's prefix runs once: vm.System.RunBreak
-// runs the restored template on the block engine, through the same
-// scheduler loop as an unbroken run, to just before the N-th arrival
-// at the function's stub entry (a block start), freezing registers,
+// same group — and each group's prefix is frozen once, just before the
+// N-th arrival at the function's stub entry (a block start): registers,
 // CoW page tables, kernel FS/FD/pipe state, cycle counters and the
 // mid-round scheduler position as a mid-execution vm.Snapshot, paired
 // with a controller.Checkpoint of evaluator call counts and the
 // injection-log prefix so post-restore trigger decisions are
-// bit-identical. Group members restore from the pair and run only
-// their suffix; a prefix that terminates before its site serves its
-// report to every member outright. Cached prefixes live in a
+// bit-identical. Groups at a function's first call (N = 1) need no
+// prefix run of their own — the memo ladder: the clean baseline arms
+// every such stub entry as one vm.System.RunStops stop set, and at
+// each first arrival, once the stub's call counter confirms the
+// function was never called, it freezes the pair (the pass-through
+// controller's checkpoint is the all-zero evaluator state every member
+// starts from) and runs on; successive rungs share every page neither
+// interval wrote. Every other group runs its prefix once, on demand:
+// vm.System.RunBreak runs the restored template on the block engine,
+// through the same scheduler loop as an unbroken run, to the site.
+// Group members restore from the pair and run only their suffix; a
+// prefix that terminates before its site serves its report to every
+// member outright. Cached prefixes live in a
 // byte-budgeted LRU shared by all workers (core.DefaultMemoBudget, 256
 // MiB; Snapshot.Footprint is the unit), with single-member groups
 // skipped — a prefix would amortise over nothing. Soundness rests on
@@ -198,10 +214,12 @@
 // siblings require byte-identical reports between memoized and
 // non-memoized sweeps across engines, worker counts, eviction
 // pressure, -max-crashes and -resume. `lfi sweep` always memoizes. On
-// a heavy-startup exhaustive matrix the
-// A/B measures 3.06x (BenchmarkSweepMemo, BENCH_sweep.json); the same
-// record documents when it does not pay (short prefixes, 2-member
-// groups).
+// a heavy-startup exhaustive matrix the A/B measured 3.06x with a
+// prefix run per group (BenchmarkSweepMemo, BENCH_sweep.json) and 17.6x
+// with the memo ladder (10.7 vs 189 ms per sweep, medians of 10
+// alternating runs on a 2-CPU x86-64 box); the short-prefix matrix of
+// 2-member groups the same record shows memo losing on now gains too
+// (BenchmarkSweepSnapshot, 2.28 vs 2.70 ms).
 //
 // # Fault models
 //

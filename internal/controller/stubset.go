@@ -81,17 +81,39 @@ func (ss *StubSet) Functions() []string { return append([]string(nil), ss.fns...
 func (ss *StubSet) Called(sys *vm.System) map[string]bool {
 	called := make(map[string]bool)
 	for _, p := range sys.Procs() {
-		im, ok := p.ImageByName(StubLibName)
-		if !ok {
-			continue
-		}
-		for fid, off := range ss.cnt {
-			if n, err := p.ReadWord(im.DataBase + uint32(off)); err == nil && n != 0 {
+		for fid := range ss.cnt {
+			if ss.counted(p, fid) {
 				called[ss.fns[fid]] = true
 			}
 		}
 	}
 	return called
+}
+
+// CalledIn reports whether Called(sys) includes fn, reading only fn's
+// counter.
+func (ss *StubSet) CalledIn(sys *vm.System, fn string) bool {
+	fid := sort.SearchStrings(ss.fns, fn)
+	if fid == len(ss.fns) || ss.fns[fid] != fn {
+		return false
+	}
+	for _, p := range sys.Procs() {
+		if ss.counted(p, fid) {
+			return true
+		}
+	}
+	return false
+}
+
+// counted reports whether fns[fid]'s static call counter is non-zero
+// in p.
+func (ss *StubSet) counted(p *vm.Proc, fid int) bool {
+	im, ok := p.ImageByName(StubLibName)
+	if !ok {
+		return false
+	}
+	n, err := p.ReadWord(im.DataBase + uint32(ss.cnt[fid]))
+	return err == nil && n != 0
 }
 
 // InstallTemplate prepares a template system for snapshotting: it

@@ -83,7 +83,10 @@
 //     copy-on-write, registers, kernel FS/FD state and cycle counters
 //     are copied; patched text, decoded instructions, symbol tables and
 //     the whole Image are shared immutably.
-//  4. Prune: the stubs count their calls (§5.1), so the baseline tells
+//  4. Baseline: the clean run, with the pass-through faultload. On its
+//     way it stops at the first stub arrival of every function a
+//     first-call memo group targets and freezes a rung there (memo.go).
+//  5. Prune: the stubs count their calls (§5.1), so the baseline tells
 //     which functions the workload calls through the surface; an
 //     experiment naming none of them can only replay the baseline and
 //     is committed as that run without executing.
@@ -103,10 +106,12 @@
 // (memo.go, on by default; SweepOptions.NoMemo opts out for tests):
 // experiments whose faultload has a deterministic first-fire site
 // (scenario.FirstFireSite) are grouped by site, each group's prefix is
-// executed once, on the same engine and scheduler loop as a full run,
-// to just before the trigger call (vm.System.RunBreak) and frozen as a
-// mid-execution snapshot plus controller checkpoint, and members
-// restore from it to run only their suffix. The cache is a
+// frozen once, just before the trigger call, as a mid-execution
+// snapshot plus controller checkpoint, and members restore from it to
+// run only their suffix. A group at its function's first call takes
+// the baseline's rung (vm.System.RunStops); any other group executes
+// its prefix once, on the same engine and scheduler loop as a full
+// run (vm.System.RunBreak). The cache is a
 // byte-budgeted LRU shared across workers; SweepResult.Memo reports
 // its hit statistics. The rendered report stays byte-identical either
 // way (TestSweepMemoIdentical).

@@ -3,6 +3,7 @@ package core
 import (
 	"container/list"
 	"fmt"
+	"sort"
 	"sync"
 
 	"lfi/internal/controller"
@@ -18,21 +19,37 @@ import (
 // fault first becomes fireable at — all E errno variants of one
 // (function, call-N) cell pay that prefix E times. The memoizer groups
 // experiments by their static first-fire site
-// (scenario.FirstFireSite), runs the prefix once per group, at full
-// block-engine speed, to just before the site (vm.System.RunBreak),
-// freezes guest + controller state as a mid-execution vm.Snapshot
-// plus controller.Checkpoint, and restores every group member from
-// the pair. Determinism makes this exact: same-site plans evaluate
-// calls 1..N-1 identically (same per-call cycle charges, no
-// injections, no random draws), so the restored runs are
-// bit-identical to unbroken ones and the rendered report matches the
-// non-memoized sweep byte for byte (TestSweepMemoIdentical).
+// (scenario.FirstFireSite), freezes guest + controller state just
+// before the site as a mid-execution vm.Snapshot plus
+// controller.Checkpoint, and restores every group member from the pair.
+// Determinism makes this exact: same-site plans evaluate calls 1..N-1
+// identically (same per-call cycle charges, no injections, no random
+// draws), so the restored runs are bit-identical to unbroken ones and
+// the rendered report matches the non-memoized sweep byte for byte
+// (TestSweepMemoIdentical).
+//
+// A prefix comes from one of two places. The memo ladder: a group whose
+// site is its function's first call (call 1) stops where the
+// fault-free baseline first enters that function's stub — no call to
+// it has been evaluated yet, so the member's guest state is the
+// baseline's and its evaluator state is all-zero. The baseline arms
+// every such stub entry at once (vm.System.RunStops), confirms from
+// the stub's call counter that the function was never called, and
+// seals a snapshot plus the pass-through controller's checkpoint as a
+// ready entry (a rung) before it runs on. Every other group — a later
+// call, a rung the counter check refused, a rung the byte budget
+// evicted — builds its prefix on demand: the first member to arrive
+// restores the entry snapshot and runs, at full block-engine speed, to
+// just before the site (vm.System.RunBreak).
 //
 // Cached prefixes live in a byte-budgeted LRU shared by all sweep
 // workers; a first acquirer builds the entry while later members of the
 // same group wait on its ready channel, and sealed entries evict
-// least-recently-used first. Eviction is safe at any time: snapshots
-// are immutable and waiters hold the entry pointer directly.
+// least-recently-used first. An entry is also dropped once every member
+// of its group is committed, restored or served from the store, so a
+// rung for a group a resumed sweep serves whole lives only until the
+// sweep passes it. Eviction is safe at any time: snapshots are
+// immutable and waiters hold the entry pointer directly.
 
 // DefaultMemoBudget caps the memo cache's resident snapshot bytes when
 // SweepOptions.MemoBudget is zero.
@@ -47,6 +64,20 @@ type memoKey struct {
 	fn    string
 	call  int32
 	ntrig int
+}
+
+// groupOf returns the memo group of an experiment's compiled faultload;
+// ok is false when the faultload has no deterministic first-fire site.
+func groupOf(exp *Experiment) (key memoKey, ok bool) {
+	cp := exp.Compiled
+	if cp == nil {
+		return memoKey{}, false
+	}
+	site, reason := cp.FirstFireSite()
+	if reason != "" {
+		return memoKey{}, false
+	}
+	return memoKey{fn: site.Function, call: site.Call, ntrig: cp.TriggerCount(site.Function)}, true
 }
 
 // memoEntry is one cached prefix. The builder fills exactly one of
@@ -70,16 +101,23 @@ type memoEntry struct {
 // the memo-hit/group-size numbers `lfi sweep` and `lfi-bench` report.
 type MemoStats struct {
 	// Groups is the number of first-fire-site groups with at least two
-	// members in the plan; MaxGroup is the largest group's size.
+	// members in the plan, not counting groups on functions the
+	// baseline never called (their members are pruned); MaxGroup is the
+	// largest such group's size.
 	Groups   int
 	MaxGroup int
-	// Prefixes counts prefix runs executed (rebuilds after eviction
-	// included); Restored counts experiments completed from a cached
-	// mid-execution snapshot; Terminal counts experiments served whole
-	// from a prefix that terminated before its site.
+	// Rungs counts prefix snapshots the baseline minted at first stub
+	// arrivals; Prefixes counts prefix runs executed (rebuilds after
+	// eviction included); Restored counts experiments completed from a
+	// cached mid-execution snapshot; Terminal counts experiments served
+	// whole from a prefix that terminated before its site.
+	Rungs    int
 	Prefixes int
 	Restored int
 	Terminal int
+	// Pruned counts experiments committed as the baseline run because
+	// the baseline never called their functions.
+	Pruned int
 	// Singletons are memoizable experiments alone at their site (run in
 	// full — a prefix would amortise over nothing); Unmemoizable are
 	// experiments with no deterministic first-fire site; Fallbacks are
@@ -98,8 +136,8 @@ type MemoStats struct {
 // and `lfi-bench` print to stderr (never stdout — the rendered report
 // must stay byte-identical to a non-memoized sweep's).
 func (s *MemoStats) String() string {
-	return fmt.Sprintf("memo: groups=%d max-group=%d prefixes=%d restored=%d terminal=%d singletons=%d unmemoizable=%d fallbacks=%d evictions=%d peak-bytes=%d",
-		s.Groups, s.MaxGroup, s.Prefixes, s.Restored, s.Terminal,
+	return fmt.Sprintf("memo: groups=%d max-group=%d rungs=%d prefixes=%d restored=%d terminal=%d pruned=%d singletons=%d unmemoizable=%d fallbacks=%d evictions=%d peak-bytes=%d",
+		s.Groups, s.MaxGroup, s.Rungs, s.Prefixes, s.Restored, s.Terminal, s.Pruned,
 		s.Singletons, s.Unmemoizable, s.Fallbacks, s.Evictions, s.PeakBytes)
 }
 
@@ -114,6 +152,12 @@ type memoCache struct {
 	// sizes maps each memoizable site to its member count in the plan,
 	// precomputed before the sweep starts and read-only after.
 	sizes map[memoKey]int
+	// rungs maps each function to its call-1 groups' keys: the sites
+	// the baseline's memo ladder can serve.
+	rungs map[string][]memoKey
+	// left counts each group's members not yet committed; done drops
+	// the group's entry when none is left.
+	left map[memoKey]int
 }
 
 func newMemoCache(budget int64) *memoCache {
@@ -125,27 +169,46 @@ func newMemoCache(budget int64) *memoCache {
 		entries: make(map[memoKey]*memoEntry),
 		lru:     list.New(),
 		sizes:   make(map[memoKey]int),
+		rungs:   make(map[string][]memoKey),
+		left:    make(map[memoKey]int),
 	}
 }
 
 // plan registers the experiment list's memoizable sites so groupSize
-// can tell amortisable groups from singletons, and derives the static
-// group stats. Called once, before any worker runs.
+// can tell amortisable groups from singletons, and collects the call-1
+// groups the baseline mints rungs for. Called once, before the
+// baseline.
 func (c *memoCache) plan(exps []Experiment) {
 	for i := range exps {
-		cp := exps[i].Compiled
-		if cp == nil {
-			continue
+		if key, ok := groupOf(&exps[i]); ok {
+			c.sizes[key]++
 		}
-		site, reason := cp.FirstFireSite()
-		if reason != "" {
-			continue
-		}
-		c.sizes[memoKey{fn: site.Function, call: site.Call, ntrig: cp.TriggerCount(site.Function)}]++
 	}
-	for _, n := range c.sizes {
+	for key, n := range c.sizes {
+		if key.call == 1 && n >= 2 {
+			c.rungs[key.fn] = append(c.rungs[key.fn], key)
+		}
+	}
+	// A fixed seal order keeps eviction under a tight budget, and so the
+	// stats, deterministic.
+	for _, keys := range c.rungs {
+		sort.Slice(keys, func(i, j int) bool { return keys[i].ntrig < keys[j].ntrig })
+	}
+}
+
+// prune drops the sites of functions the baseline never called — their
+// experiments are pruned whole before they reach the cache — and
+// derives the group stats from what is left. Called once, after the
+// baseline and before any worker runs.
+func (c *memoCache) prune(called map[string]bool) {
+	for key, n := range c.sizes {
+		if !called[key.fn] {
+			delete(c.sizes, key)
+			continue
+		}
 		if n >= 2 {
 			c.stats.Groups++
+			c.left[key] = n
 		}
 		if n > c.stats.MaxGroup {
 			c.stats.MaxGroup = n
@@ -165,11 +228,30 @@ func (c *memoCache) acquire(key memoKey) (*memoEntry, bool) {
 		c.lru.MoveToFront(e.elem)
 		return e, false
 	}
+	c.stats.Prefixes++
+	return c.insert(key), true
+}
+
+// insert adds an unsealed entry for key; the caller holds c.mu.
+func (c *memoCache) insert(key memoKey) *memoEntry {
 	e := &memoEntry{key: key, ready: make(chan struct{})}
 	e.elem = c.lru.PushFront(e)
 	c.entries[key] = e
-	c.stats.Prefixes++
-	return e, true
+	return e
+}
+
+// rung seals the baseline's snapshot at fn's first stub arrival, with
+// the pass-through controller's checkpoint, as a ready entry for every
+// call-1 group of fn.
+func (c *memoCache) rung(fn string, snap *vm.Snapshot, ckpt *controller.Checkpoint) {
+	c.note(func(s *MemoStats) { s.Rungs++ })
+	for _, key := range c.rungs[fn] {
+		c.mu.Lock()
+		e := c.insert(key)
+		c.mu.Unlock()
+		e.snap, e.ckpt = snap, ckpt
+		c.seal(e)
+	}
 }
 
 // seal publishes a built entry: accounts its footprint, evicts
@@ -211,6 +293,31 @@ func (c *memoCache) seal(e *memoEntry) {
 	close(e.ready)
 }
 
+// done records that one member of key's group is committed — run, or
+// served from the store — and drops the group's entry once no member is
+// left to restore from it. An entry still being built stays until the
+// sweep ends.
+func (c *memoCache) done(key memoKey) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.left[key]--; c.left[key] > 0 {
+		return
+	}
+	if e, ok := c.entries[key]; ok && e.sealed {
+		c.lru.Remove(e.elem)
+		delete(c.entries, key)
+		c.used -= e.size
+	}
+}
+
+// served records an experiment served from the store: a member of its
+// group that will never restore.
+func (c *memoCache) served(exp *Experiment) {
+	if key, ok := groupOf(exp); ok && c.groupSize(key) >= 2 {
+		c.done(key)
+	}
+}
+
 // note runs a stats mutation under the cache lock.
 func (c *memoCache) note(f func(*MemoStats)) {
 	c.mu.Lock()
@@ -234,6 +341,7 @@ func (c *memoCache) statsSnapshot() *MemoStats {
 // without executing anything member-specific.
 func (r *snapshotRunner) runMemo(exp Experiment, key memoKey, base *Report, budget uint64) (SweepEntry, *Report, bool, error) {
 	entry := exp.entry()
+	defer r.memo.done(key)
 	e, build := r.memo.acquire(key)
 	if build {
 		r.buildPrefix(e, exp.Compiled, key, budget)

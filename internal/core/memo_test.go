@@ -5,8 +5,11 @@ import (
 
 	"lfi/internal/core"
 	"lfi/internal/libc"
+	"lfi/internal/minic"
+	"lfi/internal/obj"
 	"lfi/internal/profile"
 	"lfi/internal/scenario"
+	"lfi/internal/vm"
 )
 
 // wideTarget is mixedTarget with an exhaustive-errno profile: several
@@ -48,10 +51,11 @@ func TestSweepMemoIdentical(t *testing.T) {
 }
 
 // TestSweepMemoStats pins the bookkeeping: 5 functions × 3 errnos give
-// 5 groups of 3, one prefix run per group that runs at all (no
-// evictions under the default budget), 4 reached sites restoring 3
-// members each, and no terminated prefix: the never-called write group
-// is pruned before it reaches the memo cache.
+// 5 groups of 3, but the never-called write group is pruned before it
+// reaches the memo cache, leaving 4 groups. Every group sits at its
+// function's first call, so the baseline mints one rung per group and
+// no prefix runs at all (no evictions under the default budget); the 4
+// reached sites restore 3 members each, and no prefix terminated.
 func TestSweepMemoStats(t *testing.T) {
 	cfg, set := wideTarget(t)
 	res, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0,
@@ -63,17 +67,20 @@ func TestSweepMemoStats(t *testing.T) {
 	if m == nil {
 		t.Fatal("no memo stats")
 	}
-	if m.Groups != 5 || m.MaxGroup != 3 {
-		t.Errorf("groups=%d max=%d, want 5 groups of 3", m.Groups, m.MaxGroup)
+	if m.Groups != 4 || m.MaxGroup != 3 {
+		t.Errorf("groups=%d max=%d, want 4 groups of 3 (write pruned)", m.Groups, m.MaxGroup)
 	}
-	if m.Prefixes != 4 {
-		t.Errorf("prefix runs = %d, want 4 (one per called function's group)", m.Prefixes)
+	if m.Rungs != 4 || m.Prefixes != 0 {
+		t.Errorf("rungs=%d prefixes=%d, want 4 rungs (one per called function) and no prefix run", m.Rungs, m.Prefixes)
 	}
 	if m.Restored != 12 {
 		t.Errorf("restored = %d, want 12 (4 reached sites x 3 members)", m.Restored)
 	}
 	if m.Terminal != 0 {
 		t.Errorf("terminal-served = %d, want 0 (the write group is pruned)", m.Terminal)
+	}
+	if m.Pruned != 3 {
+		t.Errorf("pruned = %d, want 3 (the write group)", m.Pruned)
 	}
 	if m.Evictions != 0 {
 		t.Errorf("evictions = %d, want 0 under default budget", m.Evictions)
@@ -242,5 +249,107 @@ func TestSweepProgressServed(t *testing.T) {
 	}
 	if last.Served == last.Done {
 		t.Error("Served should not count executed experiments")
+	}
+}
+
+// ladderApp reads /data twice, then spawns ladderKid, the only caller
+// of malloc, and exits with the kid's status.
+const ladderApp = `
+needs "libc.so";
+extern int open(byte *path, int flags, int mode);
+extern int close(int fd);
+extern int read(int fd, byte *buf, int n);
+extern int spawn(byte *prog, int fdin, int fdout);
+extern int waitpid(int pid, int *status);
+int main(void) {
+  int fd;
+  int n;
+  int pid;
+  int st;
+  byte buf[8];
+  fd = open("/data", 0, 0);
+  if (fd < 0) { return 2; }
+  n = read(fd, buf, 4);
+  n = read(fd, buf, 4);
+  if (n < 0) { return 3; }
+  close(fd);
+  pid = spawn("kid", 0, 1);
+  if (pid < 0) { return 4; }
+  st = 0;
+  waitpid(pid, &st);
+  return st;
+}
+`
+
+const ladderKid = `
+needs "libc.so";
+extern byte *malloc(int n);
+int main(void) {
+  byte *p;
+  p = malloc(8);
+  p[0] = 'x';
+  return 0;
+}
+`
+
+// TestSweepMemoLadder is the memo ladder's harness input: call-1 groups
+// the baseline mints rungs for (open and close in the parent, malloc
+// first called in a spawned child), a call-2 group on read, which the
+// guest calls before its site, so its prefix is built from the entry
+// snapshot, and a read singleton, all with coverage on. Every memo leg
+// (rungs evicted and rebuilt under memo-budget=1 included) must match
+// the oracle record for record.
+func TestSweepMemoLadder(t *testing.T) {
+	lc, err := libc.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var progs []*obj.File
+	for name, src := range map[string]string{"app": ladderApp, "kid": ladderKid} {
+		f, err := minic.Compile(name, src, obj.Executable)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, f)
+	}
+	cfg := core.CampaignConfig{
+		Programs:   append([]*obj.File{lc}, progs...),
+		Executable: "app",
+		Files:      map[string][]byte{"/data": []byte("payload")},
+		VM:         vm.Options{Coverage: true},
+	}
+	errnos := map[string][]string{"open": {"13", "2", "24"}, "close": {"9", "5", "4"}, "malloc": {"12", "11", "22"}, "read": {"5", "4", "11"}}
+	var exps []core.Experiment
+	add := func(fn string, inject int32, errno string) {
+		retval := "-1"
+		if fn == "malloc" {
+			retval = "0"
+		}
+		plan := &scenario.Plan{Triggers: []scenario.Trigger{{
+			Function: fn, Inject: inject, Retval: retval, Errno: errno, Once: true,
+		}}}
+		exps = append(exps, core.Experiment{
+			Library: libc.Name, Function: fn, Retval: -1,
+			Plan: plan, Compiled: scenario.MustCompile(plan, nil),
+		})
+	}
+	for _, fn := range []string{"open", "close", "malloc"} {
+		for _, e := range errnos[fn] {
+			add(fn, 1, e)
+		}
+	}
+	for _, e := range errnos["read"] {
+		add("read", 2, e)
+	}
+	add("read", 1, "5")
+	checkSweepInvariant(t, cfg, exps, 0, draws{workers: 2, perm: 12, split: 5})
+
+	res, err := core.RunExperiments(cfg, exps, 0, core.SweepOptions{Workers: 2, Snapshot: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := res.Memo
+	if m.Rungs != 3 || m.Prefixes != 1 || m.Restored != 12 || m.Singletons != 1 {
+		t.Errorf("stats: %+v, want 3 rungs (open, close, the kid's malloc), 1 prefix (read call 2), 12 restored, 1 singleton", *m)
 	}
 }

@@ -42,12 +42,15 @@ type SweepOptions struct {
 	// test selector. Under Snapshot, precompiled experiments sharing a
 	// deterministic first-fire site (scenario.FirstFireSite: same
 	// function, call number and trigger count, no probability/after-
-	// fault/sticky/pid/cycles conditions) are grouped: the deterministic
-	// prefix up to the site runs once per group into a mid-execution
-	// snapshot + controller checkpoint, and each member restores from it
-	// and runs only its suffix. Reports are byte-identical either way;
-	// the zero value keeps memoization on. Ignored unless Snapshot is
-	// set.
+	// fault/sticky/pid/cycles conditions) are grouped, and each member
+	// restores from a mid-execution snapshot + controller checkpoint
+	// taken just before the site and runs only its suffix (memo.go). A
+	// group at its function's first call takes the pair from the
+	// baseline, which stops at that function's first stub arrival on
+	// its way (the memo ladder); any other group runs the prefix up to
+	// its site once. Reports are byte-identical either way; the zero
+	// value keeps memoization on, ladder included. Ignored unless
+	// Snapshot is set.
 	NoMemo bool
 	// MemoBudget caps the memo cache's resident snapshot bytes; 0 means
 	// DefaultMemoBudget. Least-recently-used prefixes are evicted (and
@@ -149,11 +152,17 @@ func RunExperiments(cfg CampaignConfig, exps []Experiment, budget uint64, opts S
 		// of a real run, while pruning merely predicts one.
 		if opts.Skip != nil {
 			if entry, ok := opts.Skip(&exp); ok {
+				if r.memo != nil {
+					r.memo.served(&exp)
+				}
 				return entry, true, nil
 			}
 		}
 		if called != nil {
 			if entry, ok := pruneEntry(&exp, called, base, cfg.Avail); ok {
+				if r.memo != nil {
+					r.memo.note(func(s *MemoStats) { s.Pruned++ })
+				}
 				if opts.OnResult != nil {
 					opts.OnResult(&exp, entry, base)
 				}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"lfi/internal/controller"
 	"lfi/internal/scenario"
@@ -38,7 +39,7 @@ type snapshotRunner struct {
 	snap     *vm.Snapshot
 	passthru *scenario.CompiledPlan // empty plan: the baseline's faultload
 	// stubVAs maps each intercepted function to its stub entry address
-	// in the template — the breakpoint targets of prefix memoization.
+	// in the template — the stops of prefix memoization.
 	stubVAs map[string]uint32
 	// memo, when non-nil, is the sweep-wide prefix cache (memo.go);
 	// nil runs every experiment in full.
@@ -132,39 +133,59 @@ func (r *snapshotRunner) system() (*vm.System, error) {
 
 // exec binds the faultload to sys's stub surface — seeded from ck when
 // sys is a memoized prefix — and runs it to completion under the
-// budget. A surface-less template has nothing to bind and runs
-// uninstrumented.
+// budget.
 func (r *snapshotRunner) exec(sys *vm.System, cp *scenario.CompiledPlan, ck *controller.Checkpoint, budget uint64) (*Report, error) {
-	var ctl *controller.Controller
-	if r.stubs != nil {
-		ctl = controller.NewWithStubs(r.stubs, cp)
-		if ck != nil {
-			ctl.SeedCheckpoint(ck)
-		}
-		if err := ctl.Install(sys); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
+	ctl, err := r.bind(sys, cp, ck)
+	if err != nil {
+		return nil, err
 	}
-	err := sys.Run(budget) // sequenced: status/cycles are read post-run
-	rep, rerr := assembleReport(err, sys, ctl, r.cfg.Avail)
+	return r.report(sys, ctl, sys.Run(budget))
+}
+
+// bind installs a controller for the faultload on sys's stub surface,
+// seeded from ck when sys is a memoized prefix. A surface-less template
+// has nothing to bind (nil controller) and runs uninstrumented.
+func (r *snapshotRunner) bind(sys *vm.System, cp *scenario.CompiledPlan, ck *controller.Checkpoint) (*controller.Controller, error) {
+	if r.stubs == nil {
+		return nil, nil
+	}
+	ctl := controller.NewWithStubs(r.stubs, cp)
+	if ck != nil {
+		ctl.SeedCheckpoint(ck)
+	}
+	if err := ctl.Install(sys); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	return ctl, nil
+}
+
+// report assembles a finished run's report from its scheduler verdict.
+func (r *snapshotRunner) report(sys *vm.System, ctl *controller.Controller, runErr error) (*Report, error) {
+	rep, err := assembleReport(runErr, sys, ctl, r.cfg.Avail)
 	if r.cfg.VM.Coverage {
 		rep.Coverage = coveredInsts(sys)
 	}
-	return rep, rerr
+	return rep, err
 }
 
 // baseline runs the clean reference that anchors outcome and
 // availability classification: the template with the pass-through
-// faultload, whose stubs all call through. On the production path it
-// also returns the functions the run entered through the stub surface
-// (StubSet.Called), the call set pruneEntry decides from; the
-// fresh-spawn oracle returns no call set and runs every experiment.
+// faultload, whose stubs all call through. With memoization on it
+// climbs the memo ladder on the way. On the production path it also
+// returns the functions the run entered through the stub surface
+// (StubSet.Called), the call set pruneEntry decides from, and drops
+// the memo sites of every other function; the fresh-spawn oracle
+// returns no call set and runs every experiment.
 func (r *snapshotRunner) baseline(budget uint64) (*Report, map[string]bool, error) {
 	sys, err := r.system()
 	if err != nil {
 		return nil, nil, err
 	}
-	rep, err := r.exec(sys, r.passthru, nil, budget)
+	ctl, err := r.bind(sys, r.passthru, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	rep, err := r.report(sys, ctl, r.climb(sys, ctl, budget))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -174,7 +195,48 @@ func (r *snapshotRunner) baseline(budget uint64) (*Report, map[string]bool, erro
 	if r.snap == nil || r.stubs == nil {
 		return rep, nil, nil
 	}
-	return rep, r.stubs.Called(sys), nil
+	called := r.stubs.Called(sys)
+	if r.memo != nil {
+		r.memo.prune(called)
+	}
+	return rep, called, nil
+}
+
+// climb runs the baseline to completion, minting the memo ladder's
+// rungs (memo.go) on the way: it stops at the first arrival at the
+// stub entry of every function with a call-1 group, and where the
+// stub's call counter proves the function never called in any process,
+// seals a snapshot with the pass-through checkpoint for its groups.
+// Each stop is disarmed once hit; the run continues with the rest, and
+// with none left it is a plain Run. Snapshotting leaves the system
+// untouched, so the baseline's report is the unbroken run's.
+func (r *snapshotRunner) climb(sys *vm.System, ctl *controller.Controller, budget uint64) error {
+	if r.memo == nil {
+		return sys.Run(budget)
+	}
+	var (
+		fns   []string
+		stops []vm.Stop
+	)
+	for fn := range r.memo.rungs {
+		if va, ok := r.stubVAs[fn]; ok {
+			fns = append(fns, fn)
+			stops = append(stops, vm.Stop{VA: va, Target: 1})
+		}
+	}
+	for {
+		hit, err := sys.RunStops(stops, budget)
+		if hit < 0 {
+			return err
+		}
+		if fn := fns[hit]; !r.stubs.CalledIn(sys, fn) {
+			if snap, err := sys.Snapshot(); err == nil {
+				r.memo.rung(fn, snap, ctl.Checkpoint())
+			}
+		}
+		fns = slices.Delete(fns, hit, hit+1)
+		stops = slices.Delete(stops, hit, hit+1)
+	}
 }
 
 // run executes one experiment. Precompiled experiments whose faultload
@@ -185,15 +247,12 @@ func (r *snapshotRunner) baseline(budget uint64) (*Report, map[string]bool, erro
 // prefix).
 func (r *snapshotRunner) run(exp Experiment, base *Report, budget uint64) (SweepEntry, *Report, bool, error) {
 	if r.memo != nil && exp.Compiled != nil {
-		site, reason := exp.Compiled.FirstFireSite()
-		if reason == "" {
-			key := memoKey{fn: site.Function, call: site.Call, ntrig: exp.Compiled.TriggerCount(site.Function)}
-			if r.memo.groupSize(key) >= 2 {
-				return r.runMemo(exp, key, base, budget)
-			}
-			r.memo.note(func(s *MemoStats) { s.Singletons++ })
-		} else {
+		if key, ok := groupOf(&exp); !ok {
 			r.memo.note(func(s *MemoStats) { s.Unmemoizable++ })
+		} else if r.memo.groupSize(key) >= 2 {
+			return r.runMemo(exp, key, base, budget)
+		} else {
+			r.memo.note(func(s *MemoStats) { s.Singletons++ })
 		}
 	}
 	entry, rep, err := r.runPlain(exp, base, budget)

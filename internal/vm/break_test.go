@@ -10,6 +10,8 @@ package vm
 import (
 	"fmt"
 	"testing"
+
+	"lfi/internal/isa"
 )
 
 // breakLibSrc is the intercept-shaped library: f's entry is the
@@ -356,6 +358,203 @@ func TestRunBreakMultiProcess(t *testing.T) {
 					compareProcs(t, i, ref.procs[i], r.procs[i])
 				}
 			})
+		}
+	}
+}
+
+// A stop set across two processes: the parent calls a twice around
+// spawning stopkid and c once after reaping it; the kid calls b twice.
+// Every function bumps a shared-library global, so each stop freezes
+// different memory.
+const stopsLibSrc = `
+.lib libstops.so
+.global a
+.global b
+.global c
+.dataw n 0
+.func a
+  lea r1, n
+  load r2, [r1+0]
+  add r2, 1
+  store [r1+0], r2
+  ret
+.func b
+  lea r1, n
+  load r2, [r1+0]
+  add r2, 10
+  store [r1+0], r2
+  ret
+.func c
+  lea r1, n
+  load r2, [r1+0]
+  add r2, 100
+  store [r1+0], r2
+  ret
+`
+
+const stopsKidSrc = `
+.exe stopkid
+.needs libstops.so
+.extern b
+.global main
+.func main
+  call b
+  call b
+  mov r0, 1
+  mov r1, 7
+  syscall
+`
+
+const stopsParentSrc = `
+.exe stopparent
+.needs libstops.so
+.extern a
+.extern c
+.global main
+.datab prog "stopkid"
+.data st 4
+.func main
+  call a
+  mov r0, 8
+  lea r1, prog
+  mov r2, 0
+  mov r3, 1
+  syscall
+  mov r4, r0
+  call a
+  mov r0, 9
+  mov r1, r4
+  lea r2, st
+  syscall
+  call c
+  lea r1, st
+  load r0, [r1+0]
+  ret
+`
+
+func stopsSystem(t testing.TB, engine string, slice int) *System {
+	t.Helper()
+	sys := NewSystem(Options{Engine: engine, TimeSlice: slice, StackSize: 1 << 13})
+	sys.Register(assembleSrc(t, stopsLibSrc))
+	sys.Register(assembleSrc(t, stopsKidSrc))
+	sys.Register(assembleSrc(t, stopsParentSrc))
+	if _, err := sys.Spawn("stopparent", SpawnConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// sameSystem asserts two systems are in the same state: total cycles,
+// the recorded scheduler round and every process (registers, cycles,
+// status, call stack, memory and coverage).
+func sameSystem(t *testing.T, what string, want, got *System) {
+	t.Helper()
+	if want.TotalCycles != got.TotalCycles || want.resume != got.resume || len(want.procs) != len(got.procs) {
+		t.Fatalf("%s: cycles %d/%d, round %+v/%+v, procs %d/%d", what,
+			want.TotalCycles, got.TotalCycles, want.resume, got.resume, len(want.procs), len(got.procs))
+	}
+	for i := range want.procs {
+		compareProcs(t, i, want.procs[i], got.procs[i])
+	}
+}
+
+// TestRunBreakStops: one stop set, hit stop by stop and then run out,
+// ends exactly like an unbroken Run; each stop's snapshot is the one a
+// one-stop RunBreak takes there, and it stays so after the system that
+// took it has run on. The set runs on a restored system, so its
+// snapshots share pages with one another and with the live run.
+func TestRunBreakStops(t *testing.T) {
+	for _, engine := range []string{EngineStep, EngineBlock} {
+		for _, slice := range []int{1, 2, 5, 4096} {
+			t.Run(fmt.Sprintf("%s/slice%d", engine, slice), func(t *testing.T) {
+				ref := stopsSystem(t, engine, slice)
+				if err := ref.Run(0); err != nil {
+					t.Fatalf("reference run: %v", err)
+				}
+				if len(ref.procs) != 2 || ref.procs[0].Status.Code != 7 {
+					t.Fatalf("reference: %d procs, exit %+v, want 2 and the kid's 7", len(ref.procs), ref.procs[0].Status)
+				}
+				entry, err := stopsSystem(t, engine, slice).Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sys := entry.Restore()
+				left := []Stop{
+					{VA: breakTargetVA(t, sys, "libstops.so", "c"), Target: 1},
+					{VA: breakTargetVA(t, sys, "libstops.so", "a"), Target: 1},
+					{VA: breakTargetVA(t, sys, "libstops.so", "b"), Target: 1},
+				}
+				type taken struct {
+					stop Stop
+					snap *Snapshot
+				}
+				var stops []taken
+				for len(left) > 0 {
+					hit, err := sys.RunStops(left, 0)
+					if hit < 0 || err != nil {
+						t.Fatalf("RunStops(%d left) = (%d, %v), want a hit", len(left), hit, err)
+					}
+					parked := false
+					for _, p := range sys.procs {
+						parked = parked || !p.Exited && p.PC == left[hit].VA
+					}
+					if !parked {
+						t.Fatalf("no process parked on stop %#x", left[hit].VA)
+					}
+					snap, err := sys.Snapshot()
+					if err != nil {
+						t.Fatal(err)
+					}
+					stops = append(stops, taken{left[hit], snap})
+					left = append(left[:hit], left[hit+1:]...)
+				}
+				if hit, err := sys.RunStops(nil, 0); hit != -1 || err != nil {
+					t.Fatalf("RunStops(empty) = (%d, %v), want a plain finish", hit, err)
+				}
+				sameSystem(t, "stopped and finished", ref, sys)
+				pids := map[int]bool{}
+				for _, st := range stops {
+					one := entry.Restore()
+					if hit, err := one.RunBreak(st.stop.VA, st.stop.Target, 0); !hit || err != nil {
+						t.Fatalf("RunBreak(%#x) = (%v, %v)", st.stop.VA, hit, err)
+					}
+					at := st.snap.Restore()
+					sameSystem(t, fmt.Sprintf("stop %#x", st.stop.VA), one, at)
+					for _, p := range at.procs {
+						if !p.Exited && p.PC == st.stop.VA {
+							pids[p.ID] = true
+						}
+					}
+					if err := at.Run(0); err != nil {
+						t.Fatal(err)
+					}
+					sameSystem(t, fmt.Sprintf("restored at %#x and finished", st.stop.VA), ref, at)
+				}
+				if len(pids) != 2 {
+					t.Errorf("stops hit in %d processes, want 2", len(pids))
+				}
+			})
+		}
+	}
+}
+
+// TestRunStopsRejects: a set holding a stop the block engine cannot
+// see (mid-block), a repeated VA or a non-positive target errors before
+// anything runs.
+func TestRunStopsRejects(t *testing.T) {
+	sys := paritySystem(t, EngineBlock, 4096)
+	head := breakTargetVA(t, sys, "parity", "head")
+	mid := breakTargetVA(t, sys, "parity", "mid")
+	for _, set := range [][]Stop{
+		{{VA: head, Target: 1}, {VA: mid + isa.Size, Target: 1}},
+		{{VA: head, Target: 1}, {VA: head, Target: 2}},
+		{{VA: mid, Target: 1}, {VA: head, Target: 0}},
+	} {
+		if hit, err := sys.RunStops(set, 0); hit != -1 || err == nil {
+			t.Errorf("RunStops(%+v) = (%d, %v), want an error", set, hit, err)
+		}
+		if sys.TotalCycles != 0 {
+			t.Fatalf("RunStops(%+v) ran %d cycles before rejecting", set, sys.TotalCycles)
 		}
 	}
 }

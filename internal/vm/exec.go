@@ -36,9 +36,9 @@
 // ErrDeadlock detection decision-for-decision identical to EngineStep;
 // the lockstep differential test (exec_test.go) enforces the contract
 // instruction-slice by instruction-slice. Block starts also serve
-// RunBreak: every path to a block start, function-symbol entries
-// included, enters the dispatch loop there, so checking the breakpoint
-// at each dispatch sees every arrival the step engine's per-instruction
+// RunStops: every path to a block start, function-symbol entries
+// included, enters the dispatch loop there, so checking the stop set at
+// each dispatch sees every arrival the step engine's per-instruction
 // check sees (break_parity_test.go).
 package vm
 
@@ -114,8 +114,8 @@ func compileExec(im *Image) *execCode {
 		return idx, true
 	}
 	leaders := cfg.StreamLeaders(insts, local)
-	// Every function-symbol entry starts a block, so a RunBreak
-	// breakpoint on a function sees each arrival at a block entry.
+	// Every function-symbol entry starts a block, so a RunStops stop on
+	// a function sees each arrival at a block entry.
 	for _, fs := range im.funcsVA {
 		if i, ok := local(int32(fs.va)); ok {
 			leaders[i] = true
@@ -210,19 +210,20 @@ func (p *Proc) stepOnce() (int, bool) {
 	return 0, false
 }
 
-// breakEntry handles a block entry at the armed breakpoint: count the
+// breakEntry handles a block entry at an armed stop: count the
 // arrival, and stop there (cont=false) if it is the target one.
-// Otherwise the instruction at va runs on the reference interpreter and
-// the arrival flag clears once the PC moves on, exactly as the step
-// engine's per-instruction check would leave it.
+// Otherwise the instruction at the stop runs on the reference
+// interpreter and the arrival flag clears once the PC moves on, exactly
+// as the step engine's per-instruction check would leave it.
 func (p *Proc) breakEntry(im *Image, idx, ran int) (int, bool) {
-	p.PC = im.TextBase + uint32(idx)*isa.Size
+	va := im.TextBase + uint32(idx)*isa.Size
+	p.PC = va
 	if p.atBreak() {
 		return ran, false
 	}
 	m, cont := p.stepOnce()
-	if p.PC != p.Sys.stop.va {
-		p.atStop = false
+	if p.PC != va {
+		p.parked = 0
 	}
 	return ran + m, cont
 }
@@ -264,7 +265,7 @@ func (p *Proc) transfer(im *Image, i int, in isa.Inst) bool {
 // syscall — or -1 when execBlock must return instead. The loop
 // continues when the process is still running, the slice budget allows
 // (ran < max) and p.PC is an aligned address inside im's text; it
-// re-enters at the top of dispatch, which runs the breakpoint check and
+// re-enters at the top of dispatch, which runs the stop-set check and
 // the budget split exactly as a fresh execBlock call would. Anywhere
 // else the next execBlock call resolves the PC from scratch.
 func (p *Proc) stay(im *Image, ran, max int) int {
@@ -286,7 +287,7 @@ func (p *Proc) runSliceBlocks(n int) int {
 		m, cont := p.execBlock(n - ran)
 		ran += m
 		if !cont {
-			break // blocked in a syscall or at the breakpoint: yield the slice
+			break // blocked in a syscall or at a stop: yield the slice
 		}
 	}
 	return ran
@@ -295,7 +296,7 @@ func (p *Proc) runSliceBlocks(n int) int {
 // execBlock executes up to max instructions by dispatching superblock
 // runs and following chain links between them. It returns how many
 // instructions advanced and whether the process can keep running this
-// slice (false = blocked in a syscall, or stopped at the RunBreak
+// slice (false = blocked in a syscall, or stopped at a RunStops
 // target arrival; PC unchanged either way). Every path
 // through here is behaviourally identical to iterating step(): same
 // kills, same cycle counts, same coverage, same PC at every observable
@@ -330,17 +331,17 @@ func (p *Proc) execBlock(max int) (int, bool) {
 	// only when control leaves the loop; every exit arm sets it first.
 	ec := im.exec
 	regs := &p.Regs
-	// stop is the armed breakpoint's index in this image, -1 when
-	// RunBreak is not running or va lies elsewhere: unbroken runs pay
-	// one compare per dispatched block.
-	stop := -1
+	// [stopLo, stopLo+stopSpan] holds the armed stops in this image;
+	// stopLo is -1 when RunStops is not running or they all lie
+	// elsewhere, so unbroken runs pay one compare per dispatched block.
+	stopLo, stopSpan := -1, uint(0)
 	if p.Sys.stop.armed {
-		stop = p.Sys.stop.indexIn(im)
+		stopLo, stopSpan = p.Sys.stop.rangeIn(im)
 	}
 	ran := 0
 dispatch:
 	for {
-		if idx == stop {
+		if uint(idx-stopLo) <= stopSpan && p.Sys.stop.find(im.TextBase+uint32(idx)*isa.Size) >= 0 {
 			return p.breakEntry(im, idx, ran)
 		}
 		end := int(ec.ends[idx])

@@ -391,6 +391,12 @@ func TestEngineAllocFree(t *testing.T) {
   cmp r1, 0
   jne .loop
   ret
+.global idle
+.func idle
+  ret
+.global spare
+.func spare
+  ret
 `))
 			if _, err := sys.Spawn("spin", SpawnConfig{}); err != nil {
 				t.Fatal(err)
@@ -418,6 +424,19 @@ func TestEngineAllocFree(t *testing.T) {
 			})
 			if allocs > 0 {
 				t.Errorf("engine %s RunBreak allocates %.1f objects per call, want 0", engine, allocs)
+			}
+			// So does a stop set, where the loop head shares its image
+			// with two stops it never reaches.
+			idle, _ := sys.procs[0].Images[0].SymbolVA("idle")
+			spare, _ := sys.procs[0].Images[0].SymbolVA("spare")
+			stops := []Stop{{VA: spare, Target: 1}, {VA: main, Target: 1000}, {VA: idle, Target: 1}}
+			allocs = testing.AllocsPerRun(10, func() {
+				if hit, err := sys.RunStops(stops, 0); hit != 1 || err != nil {
+					t.Fatalf("RunStops = (%d, %v)", hit, err)
+				}
+			})
+			if allocs > 0 {
+				t.Errorf("engine %s RunStops allocates %.1f objects per call, want 0", engine, allocs)
 			}
 		})
 	}

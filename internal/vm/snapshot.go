@@ -46,7 +46,7 @@ import (
 // Snapshot is an immutable template of a System. The classic use takes
 // it right after Spawn (the post-load entry point) and before Run, but
 // any stopped System snapshots exactly: registers, CoW page tables,
-// kernel FS/FD/pipe state, cycle counters and — when RunBreak froze the
+// kernel FS/FD/pipe state, cycle counters and — when RunStops froze the
 // system mid-slice — the scheduler's position inside the interrupted
 // round, so a restored system replays the slice boundaries of an
 // unbroken run. Mid-execution snapshots are what the sweep memoizer
@@ -64,16 +64,16 @@ type Snapshot struct {
 }
 
 // Footprint estimates the bytes a snapshot keeps alive on its own —
-// the writable segment copies plus page-view headers. Read-only
-// segments, images and decoded instructions are shared with the
-// template system and not counted. This is the unit of the sweep memo
-// cache's byte budget.
+// the writable bytes it copied or took over from the live system, plus
+// page-view headers. Read-only segments, images, decoded instructions
+// and the pages it shares with the template or an earlier snapshot are
+// not counted. This is the unit of the sweep memo cache's byte budget.
 func (s *Snapshot) Footprint() int64 {
 	n := int64(4096) // struct + kernel clone overhead, approximately
 	for i := range s.procs {
 		for _, sg := range s.procs[i].segs {
 			if sg.writable {
-				n += int64(len(sg.data)) + int64(len(sg.pages))*24
+				n += int64(sg.own) + int64(len(sg.pages))*24
 			}
 		}
 	}
@@ -104,16 +104,23 @@ type procSnap struct {
 
 type segSnap struct {
 	base     uint32
-	data     []byte   // frozen template bytes; shared on restore iff !writable
-	pages    [][]byte // page views over data; CoW restores copy this table
+	data     []byte   // read-only bytes, shared on restore; nil if writable
+	pages    [][]byte // writable: frozen page views; CoW restores copy this table
+	length   int      // writable: the segment's byte length
+	own      int      // writable: bytes copied or taken over from the live system
 	writable bool
 	name     string
 }
 
 // Snapshot freezes the system's current state into an immutable
-// template. The system itself is left untouched and remains runnable;
-// writable memory is copied out, so later mutations of the live system
-// do not leak into the template.
+// template. The system itself stays observably untouched and runnable,
+// and its later mutations never leak into the template: flat writable
+// memory is copied out, and the pages of a copy-on-write segment (a
+// restored system's) are shared instead — the snapshot takes over the
+// pages the system had privatized, and the system copies a page again
+// on its next write to it. Successive snapshots of one running system,
+// the memo ladder's rungs, therefore share every page written in
+// neither interval.
 func (s *System) Snapshot() (*Snapshot, error) {
 	snap := &Snapshot{
 		opts:        s.opts,
@@ -161,24 +168,37 @@ func (s *System) Snapshot() (*Snapshot, error) {
 			}
 			ps.parentIdx = idx
 		}
+		shared := false
 		for i, sg := range p.segs {
-			data := sg.data
-			var pages [][]byte
-			if sg.writable {
-				// Flatten through copyTo so snapshotting a restored
-				// (CoW) system works, and precompute the shared page
-				// views every Restore will alias.
-				data = make([]byte, sg.length())
-				sg.copyTo(data)
-				pages = pageViews(data)
+			ss := segSnap{base: sg.base, writable: sg.writable, name: sg.name}
+			switch {
+			case !sg.writable:
+				ss.data = sg.data
+			case sg.cow != nil:
+				ss.pages = append([][]byte(nil), sg.cow.pages...)
+				ss.length = sg.cow.length
+				for j, d := range sg.cow.dirty {
+					if d {
+						ss.own += len(ss.pages[j])
+						sg.cow.dirty[j] = false
+					}
+				}
+				shared = true
+			default:
+				// Copy out, and precompute the page views every Restore
+				// will alias.
+				data := append([]byte(nil), sg.data...)
+				ss.pages, ss.length, ss.own = pageViews(data), len(data), len(data)
 			}
-			ps.segs = append(ps.segs, segSnap{
-				base: sg.base, data: data, pages: pages,
-				writable: sg.writable, name: sg.name,
-			})
+			ps.segs = append(ps.segs, ss)
 			if sg == p.heap {
 				ps.heapIdx = i
 			}
+		}
+		if shared {
+			// The write windows alias pages the snapshot now shares:
+			// the next write must go through the barrier and copy.
+			p.invalidateMemCache()
 		}
 		if p.heap != nil && ps.heapIdx < 0 {
 			return nil, errors.New("vm: snapshot: heap segment not in segment list")
@@ -245,7 +265,7 @@ func (s *Snapshot) Restore() *System {
 				// free — each restore mints a fresh page table off the
 				// same template, and dirty pages die with their System.
 				seg.cow = &cowSeg{
-					length: len(sg.data),
+					length: sg.length,
 					pages:  append([][]byte(nil), sg.pages...),
 					dirty:  make([]bool, len(sg.pages)),
 				}

@@ -18,9 +18,11 @@ package vm
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"lfi/internal/isa"
@@ -266,11 +268,11 @@ type Proc struct {
 	parent   *Proc
 	children []*Proc
 	reaped   bool
-	// stopCount and atStop are this process's arrivals at an armed
-	// RunBreak breakpoint; atStop is set while the PC has stayed on it
-	// since the last counted arrival.
-	stopCount int32
-	atStop    bool
+	// stopCounts[j] is this process's arrivals at the j-th armed stop
+	// (in VA order); parked is j+1 while the PC has stayed on that stop
+	// since its last counted arrival, 0 otherwise.
+	stopCounts []int32
+	parked     int
 }
 
 // segment is one mapping of a process address space. Exactly one of
@@ -413,13 +415,13 @@ type System struct {
 	procs    []*Proc
 	nextPID  int
 	// resume, when pending, is the partially-completed scheduler round a
-	// RunBreak stop left behind; the next schedule call finishes it
+	// RunStops stop left behind; the next schedule call finishes it
 	// before starting fresh rounds. Snapshot/Restore carry it so a
 	// system restored from a mid-execution snapshot replays the exact
 	// slice boundaries of an unbroken run.
 	resume schedResume
-	// stop is the breakpoint RunBreak arms for the duration of its
-	// schedule call (zero otherwise).
+	// stop is the stop set RunStops arms for the duration of its
+	// schedule call (unarmed otherwise).
 	stop breakpoint
 	// TotalCycles accumulates cycles across all processes.
 	TotalCycles uint64
@@ -1062,12 +1064,12 @@ func (s *System) RunUntil(cond func() bool, budget uint64) error {
 }
 
 // schedule is the one round-robin scheduler loop behind Run, RunUntil
-// and RunBreak (Run is RunUntil(nil, budget) with an absolute budget
+// and RunStops (Run is RunUntil(nil, budget) with an absolute budget
 // origin and ErrDeadlock as its no-progress verdict: a wedged Run can
 // never make progress again, while a wedged RunUntil is merely idle
 // until the workload driver feeds more input). Budget exhaustion is
 // checked after every time slice against s.TotalCycles - start. When
-// RunBreak has armed a breakpoint and a slice stops on it, schedule
+// RunStops has armed a stop set and a slice stops on one, schedule
 // records the interrupted round in s.resume and returns nil; a later
 // call finishes that round first, so every slice boundary lands where
 // an unbroken run puts it.
@@ -1096,7 +1098,7 @@ func (s *System) schedule(cond func() bool, start, budget uint64, stall error) e
 			if ran > 0 {
 				r.progress = true
 			}
-			if s.stop.hit || s.stop.err != nil {
+			if s.stop.hit != 0 || s.stop.err != nil {
 				r.procIdx, r.sliceLeft, r.pending = i, slice-ran, true
 				s.resume = r
 				return nil
@@ -1116,8 +1118,8 @@ func (s *System) schedule(cond func() bool, start, budget uint64, stall error) e
 }
 
 // schedResume freezes the scheduler's position inside a partially
-// completed round — the state RunBreak leaves behind when it stops the
-// system mid-slice at a breakpoint. The next schedule call consumes it:
+// completed round — the state RunStops leaves behind when it stops the
+// system mid-slice at a stop. The next schedule call consumes it:
 // the interrupted process finishes its remaining slice first, then the
 // rest of that round's processes take full slices, and only then do
 // fresh rounds begin. That way every later slice boundary, budget check
@@ -1132,101 +1134,198 @@ type schedResume struct {
 	nprocs    int  // processes in the round when it started (later spawns join the next)
 }
 
-// breakpoint is the stop condition RunBreak arms for one schedule call.
-// Both engines count each process's arrivals at va (Proc.stopCount)
-// and set hit when one makes its target-th; the block engine checks
-// only at block entries, so it sets err instead when va is not a block
-// start in an image it runs. Either ends the schedule call.
-type breakpoint struct {
-	armed  bool
-	hit    bool
-	va     uint32
-	target int32
-	err    error
+// Stop is one member of a stop set: the Target-th arrival of a single
+// process's PC at VA.
+type Stop struct {
+	VA     uint32
+	Target int32
 }
 
-// indexIn returns va's instruction index in im, or -1 when va lies
-// outside im's text. A va inside the text that does not start a block
-// records b.err (and also yields -1): the block engine would miss
-// straight-line arrivals there.
-func (b *breakpoint) indexIn(im *Image) int {
-	off := b.va - im.TextBase
-	if b.va < im.TextBase || off >= uint32(len(im.text)) {
-		return -1
-	}
-	i := int(off / isa.Size)
-	if off%isa.Size != 0 || im.exec == nil || !im.exec.starts(i) {
-		if b.err == nil {
-			b.err = fmt.Errorf("vm: RunBreak va %#x is not a block start in %s", b.va, im.File.Name)
-		}
+// breakpoint is the stop set RunStops arms for one schedule call. Both
+// engines count each process's arrivals at every stop
+// (Proc.stopCounts) and set hit when one makes a stop's target-th; the
+// block engine checks only at block entries, so it sets err instead
+// when a stop is not a block start in an image it runs. Either ends the
+// schedule call.
+type breakpoint struct {
+	armed bool
+	// stops is the armed set in VA order; its backing array is reused
+	// across calls, so arming allocates nothing in steady state.
+	stops []armedStop
+	hit   int // the hit stop's index in the caller's set plus one; 0 = none
+	err   error
+	// seen caches the stop index range of recently dispatched images
+	// (imageStops); next is the slot the next miss replaces.
+	seen [4]imageStops
+	next int
+}
+
+type armedStop struct {
+	va     uint32
+	target int32
+	id     int // index in the caller's set
+}
+
+// imageStops is the instruction index range [lo, lo+span] an image's
+// stops occupy; lo is -1 when it holds none.
+type imageStops struct {
+	im   *Image
+	lo   int
+	span uint
+}
+
+// find returns the index in b.stops of the stop at va, or -1.
+func (b *breakpoint) find(va uint32) int {
+	i, ok := slices.BinarySearchFunc(b.stops, va, func(st armedStop, va uint32) int { return cmp.Compare(st.va, va) })
+	if !ok {
 		return -1
 	}
 	return i
 }
 
-// RunBreak runs like Run(budget) but stops the whole system just before
-// the target-th arrival of one process's PC at va. Arrivals are counted
-// per process: the stop comes when any single process makes its
-// target-th, matching the per-process trigger evaluators whose call
-// counts a memoized prefix must reproduce. An arrival is counted once
-// when a slice ends (or a blocked instruction yields) with the PC
-// parked on va. On a hit it returns (true, nil) with the system frozen
-// before the instruction at va executes and the scheduler's mid-round
-// position recorded, so Snapshot/Restore/Run continues with slice
-// boundaries, budget checks and interleavings identical to an unbroken
-// Run — the memoized-sweep prefix contract. When every process exits
-// (nil), the system deadlocks (ErrDeadlock) or the budget runs out
-// (ErrBudget) before the arrival, it returns (false, err) with cycle
-// accounting identical to Run's.
-//
-// The prefix runs through the same scheduler loop and engine as Run.
-// The block engine checks for va where it enters a block, so on that
-// engine va must be a block start (every function-symbol entry is one)
-// in each image that contains it; otherwise RunBreak returns an error,
-// before running when a live process maps that image. The instruction
-// at va must not be able to block (true for interceptor stub
-// prologues, whose first instruction is a lea).
-func (s *System) RunBreak(va uint32, target int32, budget uint64) (bool, error) {
-	if target <= 0 {
-		return false, fmt.Errorf("vm: RunBreak target %d not positive", target)
+// rangeIn returns the instruction index range of the stops inside im's
+// text (lo = -1 when there are none), so the block engine's dispatch
+// loop pays one compare per block outside it. A stop inside the text
+// that does not start a block records b.err and is left out: the block
+// engine would miss straight-line arrivals there.
+func (b *breakpoint) rangeIn(im *Image) (int, uint) {
+	for k := range b.seen {
+		if b.seen[k].im == im {
+			return b.seen[k].lo, b.seen[k].span
+		}
 	}
-	s.stop = breakpoint{armed: true, va: va, target: target}
+	r := imageStops{im: im, lo: -1}
+	for _, st := range b.stops {
+		if st.va < im.TextBase {
+			continue
+		}
+		off := st.va - im.TextBase
+		if off >= uint32(len(im.text)) {
+			break
+		}
+		i := int(off / isa.Size)
+		if off%isa.Size != 0 || im.exec == nil || !im.exec.starts(i) {
+			if b.err == nil {
+				b.err = fmt.Errorf("vm: stop va %#x is not a block start in %s", st.va, im.File.Name)
+			}
+			continue
+		}
+		if r.lo < 0 {
+			r.lo = i
+		}
+		r.span = uint(i - r.lo)
+	}
+	b.seen[b.next] = r
+	b.next = (b.next + 1) % len(b.seen)
+	return r.lo, r.span
+}
+
+// RunStops runs like Run(budget) but stops the whole system just before
+// the first arrival, in execution order, that completes any stop of the
+// set: the Target-th arrival of one process's PC at that stop's VA.
+// Arrivals are counted per process and per stop, from this call's
+// start: the stop comes when any single process makes its target-th,
+// matching the per-process trigger evaluators whose call counts a
+// memoized prefix must reproduce. An arrival is counted once when a
+// slice ends (or a blocked instruction yields) with the PC parked on
+// the VA. On a hit it returns the stop's index in stops, with the
+// system frozen before the instruction at that VA executes and the
+// scheduler's mid-round position recorded, so Snapshot/Restore/Run (or
+// another RunStops) continues with slice boundaries, budget checks and
+// interleavings identical to an unbroken Run — the memoized-sweep
+// prefix contract. When every process exits (nil), the system
+// deadlocks (ErrDeadlock) or the budget runs out (ErrBudget) before any
+// stop completes, it returns (-1, err) with cycle accounting identical
+// to Run's; an empty set is exactly Run.
+//
+// The stops run through the same scheduler loop and engine as Run. The
+// block engine checks for them where it enters a block, so on that
+// engine every VA must be a block start (every function-symbol entry is
+// one) in each image that contains it; otherwise RunStops returns an
+// error, before running when a live process maps that image. VAs must
+// be distinct, targets positive, and the instruction at each VA must
+// not be able to block (true for interceptor stub prologues, whose
+// first instruction is a lea).
+func (s *System) RunStops(stops []Stop, budget uint64) (int, error) {
+	if len(stops) == 0 {
+		return -1, s.schedule(nil, 0, budget, ErrDeadlock)
+	}
+	b := &s.stop
+	*b = breakpoint{stops: b.stops[:0]}
+	for i, st := range stops {
+		if st.Target <= 0 {
+			return -1, fmt.Errorf("vm: stop target %d not positive", st.Target)
+		}
+		b.stops = append(b.stops, armedStop{va: st.VA, target: st.Target, id: i})
+	}
+	slices.SortFunc(b.stops, func(x, y armedStop) int { return cmp.Compare(x.va, y.va) })
+	for j := 1; j < len(b.stops); j++ {
+		if b.stops[j].va == b.stops[j-1].va {
+			return -1, fmt.Errorf("vm: stop va %#x armed twice", b.stops[j].va)
+		}
+	}
+	b.armed = true
 	for _, p := range s.procs {
-		p.stopCount, p.atStop = 0, false
+		p.parked = 0
+		p.stopCounts = resetCounts(p.stopCounts, len(b.stops))
 		if s.opts.Engine != EngineStep && !p.Exited {
 			for _, im := range p.Images {
-				s.stop.indexIn(im)
+				b.rangeIn(im)
 			}
 		}
 	}
 	var err error
-	if s.stop.err == nil {
+	if b.err == nil {
 		err = s.schedule(nil, 0, budget, ErrDeadlock)
 	}
-	hit, bad := s.stop.hit, s.stop.err
-	s.stop = breakpoint{}
+	hit, bad := b.hit, b.err
+	*b = breakpoint{stops: b.stops[:0]}
 	if bad != nil {
-		return false, bad
+		return -1, bad
 	}
-	return hit, err
+	return hit - 1, err
 }
 
-// atBreak counts an arrival at the armed breakpoint and reports whether
-// it is this process's target-th. The step engine calls it before every
-// instruction; the block engine at every block entry (see execBlock).
+// resetCounts returns c resized to n zeroed counters, reusing its
+// backing array when it is large enough.
+func resetCounts(c []int32, n int) []int32 {
+	if cap(c) < n {
+		return make([]int32, n)
+	}
+	c = c[:n]
+	clear(c)
+	return c
+}
+
+// RunBreak is RunStops with the one-stop set {va, target}: it reports
+// whether the target-th arrival at va stopped the system.
+func (s *System) RunBreak(va uint32, target int32, budget uint64) (bool, error) {
+	one := [1]Stop{{VA: va, Target: target}}
+	hit, err := s.RunStops(one[:], budget)
+	return hit == 0, err
+}
+
+// atBreak counts an arrival at an armed stop and reports whether it is
+// this process's target-th there. The step engine calls it before every
+// instruction; the block engine at every block entry inside an image's
+// stop range (see execBlock).
 func (p *Proc) atBreak() bool {
 	b := &p.Sys.stop
-	if p.PC != b.va {
-		p.atStop = false
+	j := b.find(p.PC)
+	if j < 0 {
+		p.parked = 0
 		return false
 	}
-	if p.atStop {
-		return false // parked on va since the last count
+	if p.parked == j+1 {
+		return false // parked on this stop since the last count
 	}
-	p.atStop = true
-	p.stopCount++
-	if p.stopCount == b.target {
-		b.hit = true
+	p.parked = j + 1
+	if len(p.stopCounts) < len(b.stops) {
+		p.stopCounts = resetCounts(p.stopCounts, len(b.stops)) // spawned mid-run
+	}
+	p.stopCounts[j]++
+	if p.stopCounts[j] == b.stops[j].target {
+		b.hit = b.stops[j].id + 1
 		return true
 	}
 	return false

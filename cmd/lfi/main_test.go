@@ -256,8 +256,9 @@ func TestCLISweepStoreResume(t *testing.T) {
 	// the 73 errno experiments, the 68 on functions the baseline never
 	// calls are pruned; strcmp and strncmp each form a group at their
 	// first call, served from a rung the baseline minted; malloc's
-	// single errno is a singleton.
-	memoLine := regexp.MustCompile(`(?m)^memo: groups=2 max-group=2 rungs=2 prefixes=0 restored=4 terminal=0 pruned=68 singletons=1 unmemoizable=0 fallbacks=0 evictions=0 peak-bytes=\d+$`)
+	// single errno is a singleton, anchored on strncmp's rung, the last
+	// one minted before the first malloc call.
+	memoLine := regexp.MustCompile(`(?m)^memo: groups=2 max-group=2 rungs=2 prefixes=0 restored=4 terminal=0 anchored=1 pruned=68 singletons=1 unmemoizable=0 fallbacks=0 evictions=0 peak-bytes=\d+$`)
 	if !memoLine.MatchString(stats) || strings.Contains(fresh, "memo:") {
 		t.Errorf("memo stats line missing from stderr or leaked into the report:\n--- stdout ---\n%s--- stderr ---\n%s", fresh, stats)
 	}

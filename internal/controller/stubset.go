@@ -80,40 +80,67 @@ func (ss *StubSet) Functions() []string { return append([]string(nil), ss.fns...
 // calls inside its own library never passed its stub and is not called.
 func (ss *StubSet) Called(sys *vm.System) map[string]bool {
 	called := make(map[string]bool)
-	for _, p := range sys.Procs() {
-		for fid := range ss.cnt {
-			if ss.counted(p, fid) {
-				called[ss.fns[fid]] = true
-			}
-		}
-	}
+	ss.Watch().Poll(sys, func(fn string) { called[fn] = true })
 	return called
 }
 
-// CalledIn reports whether Called(sys) includes fn, reading only fn's
-// counter.
-func (ss *StubSet) CalledIn(sys *vm.System, fn string) bool {
-	fid := sort.SearchStrings(ss.fns, fn)
-	if fid == len(ss.fns) || ss.fns[fid] != fn {
-		return false
+// CallWatch follows a running system's stub counters from one stop to
+// the next: which functions Called has come to include since the last
+// poll. Counters only grow, so a function leaves the watch once seen.
+type CallWatch struct {
+	ss *StubSet
+	// waiting lists the fids of the functions not yet seen called.
+	waiting []int
+	// procs holds each process's stub counter base during one poll.
+	procs []procCounters
+}
+
+type procCounters struct {
+	p    *vm.Proc
+	base uint32
+}
+
+// Watch starts a watch over every function of the set.
+func (ss *StubSet) Watch() *CallWatch {
+	w := &CallWatch{ss: ss, waiting: make([]int, len(ss.fns))}
+	for fid := range w.waiting {
+		w.waiting[fid] = fid
 	}
+	return w
+}
+
+// Poll passes each watched function that Called(sys) now includes to
+// called, in fid order, and stops watching it. It resolves every
+// process's stub image once and then reads one counter word per process
+// and still-watched function.
+func (w *CallWatch) Poll(sys *vm.System, called func(fn string)) {
+	w.procs = w.procs[:0]
 	for _, p := range sys.Procs() {
-		if ss.counted(p, fid) {
+		if im, ok := p.ImageByName(StubLibName); ok {
+			w.procs = append(w.procs, procCounters{p, im.DataBase})
+		}
+	}
+	keep := w.waiting[:0]
+	for _, fid := range w.waiting {
+		if w.counted(fid) {
+			called(w.ss.fns[fid])
+		} else {
+			keep = append(keep, fid)
+		}
+	}
+	w.waiting = keep
+}
+
+// counted reports whether fns[fid]'s counter is non-zero in some
+// process of the current poll.
+func (w *CallWatch) counted(fid int) bool {
+	off := uint32(w.ss.cnt[fid])
+	for _, pc := range w.procs {
+		if n, err := pc.p.ReadWord(pc.base + off); err == nil && n != 0 {
 			return true
 		}
 	}
 	return false
-}
-
-// counted reports whether fns[fid]'s static call counter is non-zero
-// in p.
-func (ss *StubSet) counted(p *vm.Proc, fid int) bool {
-	im, ok := p.ImageByName(StubLibName)
-	if !ok {
-		return false
-	}
-	n, err := p.ReadWord(im.DataBase + uint32(ss.cnt[fid]))
-	return err == nil && n != 0
 }
 
 // InstallTemplate prepares a template system for snapshotting: it

@@ -85,7 +85,11 @@
 //     the whole Image are shared immutably.
 //  4. Baseline: the clean run, with the pass-through faultload. On its
 //     way it stops at the first stub arrival of every function a
-//     first-call memo group targets and freezes a rung there (memo.go).
+//     first-call memo group targets and freezes a rung there, and it
+//     notes each function's anchor: the latest rung minted before the
+//     function's first call (memo.go). Every later run starts from the
+//     latest live rung at or below its functions' earliest anchor; the
+//     entry snapshot is rung 0.
 //  5. Prune: the stubs count their calls (§5.1), so the baseline tells
 //     which functions the workload calls through the surface; an
 //     experiment naming none of them can only replay the baseline and
@@ -110,8 +114,8 @@
 // snapshot plus controller checkpoint, and members restore from it to
 // run only their suffix. A group at its function's first call takes
 // the baseline's rung (vm.System.RunStops); any other group executes
-// its prefix once, on the same engine and scheduler loop as a full
-// run (vm.System.RunBreak). The cache is a
+// its prefix once from its anchor, on the same engine and scheduler
+// loop as a full run (vm.System.RunBreak). The cache is a
 // byte-budgeted LRU shared across workers; SweepResult.Memo reports
 // its hit statistics. The rendered report stays byte-identical either
 // way (TestSweepMemoIdentical).

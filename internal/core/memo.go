@@ -28,28 +28,43 @@ import (
 // the rendered report matches the non-memoized sweep byte for byte
 // (TestSweepMemoIdentical).
 //
-// A prefix comes from one of two places. The memo ladder: a group whose
-// site is its function's first call (call 1) stops where the
-// fault-free baseline first enters that function's stub — no call to
-// it has been evaluated yet, so the member's guest state is the
-// baseline's and its evaluator state is all-zero. The baseline arms
-// every such stub entry at once (vm.System.RunStops), confirms from
-// the stub's call counter that the function was never called, and
-// seals a snapshot plus the pass-through controller's checkpoint as a
-// ready entry (a rung) before it runs on. Every other group — a later
-// call, a rung the counter check refused, a rung the byte budget
-// evicted — builds its prefix on demand: the first member to arrive
-// restores the entry snapshot and runs, at full block-engine speed, to
-// just before the site (vm.System.RunBreak).
+// The memo ladder. The fault-free baseline's run is every
+// experiment's run up to the first call of a function the
+// experiment's faultload names: a call to any other function costs
+// the fixed dispatch charge and touches no evaluator, exactly as
+// under the pass-through faultload. The baseline therefore mints a
+// ladder of snapshots on its way, and every experiment starts from
+// the nearest one below its first such call (its anchor). It stops at
+// the first arrival at the stub entry of every function with a call-1
+// group (vm.System.RunStops) and, where the stub's call counter shows
+// no process called the function yet, seals a snapshot there: a rung.
+// The pass-through controller never mints an evaluator, so a rung
+// carries no checkpoint; a run from it binds a fresh controller. At
+// every stop it also reads the counters of the functions not yet
+// called (controller.CallWatch): a function first called since the
+// last stop anchors on the latest rung minted before it, and an
+// experiment anchors on the earliest anchor among its functions — the
+// latest rung at which no process had called any of them, so its run
+// from there is its run from the entry, exactly. The entry snapshot
+// is rung 0.
 //
-// Cached prefixes live in a byte-budgeted LRU shared by all sweep
-// workers; a first acquirer builds the entry while later members of the
-// same group wait on its ready channel, and sealed entries evict
-// least-recently-used first. An entry is also dropped once every member
-// of its group is committed, restored or served from the store, so a
-// rung for a group a resumed sweep serves whole lives only until the
-// sweep passes it. Eviction is safe at any time: snapshots are
-// immutable and waiters hold the entry pointer directly.
+// A call-1 group's anchor is its function's own rung, which is its
+// prefix: members run from it directly. Every other group — a later
+// call, or a call-1 group whose rung the counter check refused or the
+// byte budget evicted — builds its prefix on demand: the first member
+// to arrive restores its anchor and runs, at full block-engine speed,
+// to just before the site (vm.System.RunBreak). Singletons,
+// unmemoizable experiments and fallbacks run whole from their anchor.
+//
+// Cached prefixes and rungs live in a byte-budgeted LRU shared by all
+// sweep workers; a first acquirer builds a group's prefix while later
+// members of the group wait on its ready channel, and sealed entries
+// evict least-recently-used first. A prefix is also dropped once every
+// member of its group is committed, restored or served from the store,
+// and a rung once every experiment anchored on it is; a run whose
+// anchor was evicted starts from the next lower live rung. Eviction is
+// safe at any time: snapshots are immutable and users hold the entry
+// pointer directly.
 
 // DefaultMemoBudget caps the memo cache's resident snapshot bytes when
 // SweepOptions.MemoBudget is zero.
@@ -80,14 +95,20 @@ func groupOf(exp *Experiment) (key memoKey, ok bool) {
 	return memoKey{fn: site.Function, call: site.Call, ntrig: cp.TriggerCount(site.Function)}, true
 }
 
-// memoEntry is one cached prefix. The builder fills exactly one of
-// snap+ckpt (the site was reached), term (the prefix terminated first —
-// every member's run IS the prefix run) or failed, then seals the entry
-// and closes ready; all fields are immutable afterwards.
+// memoEntry is one cached prefix or one rung. A prefix's builder fills
+// exactly one of snap+ckpt (the site was reached), term (the prefix
+// terminated first — every member's run IS the prefix run) or failed,
+// then seals the entry and closes ready; all fields but left are
+// immutable afterwards. A rung is sealed with its snap alone; its key
+// names the function whose first stub arrival minted it.
 type memoEntry struct {
 	key   memoKey
 	ready chan struct{}
 	elem  *list.Element
+	// rung is a rung's index on the ladder, 0 for a prefix; left counts
+	// a rung's uncommitted anchored experiments.
+	rung int
+	left int
 
 	snap   *vm.Snapshot
 	ckpt   *controller.Checkpoint
@@ -106,23 +127,26 @@ type MemoStats struct {
 	// largest such group's size.
 	Groups   int
 	MaxGroup int
-	// Rungs counts prefix snapshots the baseline minted at first stub
+	// Rungs counts snapshots the baseline minted at first stub
 	// arrivals; Prefixes counts prefix runs executed (rebuilds after
-	// eviction included); Restored counts experiments completed from a
-	// cached mid-execution snapshot; Terminal counts experiments served
-	// whole from a prefix that terminated before its site.
+	// eviction included); Restored counts group members completed from
+	// a snapshot at their site, a rung or a built prefix; Terminal
+	// counts experiments served whole from a prefix that terminated
+	// before its site; Anchored counts whole runs and prefix runs that
+	// started from a rung instead of the entry snapshot.
 	Rungs    int
 	Prefixes int
 	Restored int
 	Terminal int
+	Anchored int
 	// Pruned counts experiments committed as the baseline run because
 	// the baseline never called their functions.
 	Pruned int
-	// Singletons are memoizable experiments alone at their site (run in
-	// full — a prefix would amortise over nothing); Unmemoizable are
-	// experiments with no deterministic first-fire site; Fallbacks are
-	// group members that ran in full because their prefix failed to
-	// build.
+	// Singletons are memoizable experiments alone at their site (run
+	// whole from their anchor — a prefix would amortise over nothing);
+	// Unmemoizable are experiments with no deterministic first-fire
+	// site; Fallbacks are group members that ran whole from their
+	// anchor because their prefix failed to build.
 	Singletons   int
 	Unmemoizable int
 	Fallbacks    int
@@ -136,8 +160,8 @@ type MemoStats struct {
 // and `lfi-bench` print to stderr (never stdout — the rendered report
 // must stay byte-identical to a non-memoized sweep's).
 func (s *MemoStats) String() string {
-	return fmt.Sprintf("memo: groups=%d max-group=%d rungs=%d prefixes=%d restored=%d terminal=%d pruned=%d singletons=%d unmemoizable=%d fallbacks=%d evictions=%d peak-bytes=%d",
-		s.Groups, s.MaxGroup, s.Rungs, s.Prefixes, s.Restored, s.Terminal, s.Pruned,
+	return fmt.Sprintf("memo: groups=%d max-group=%d rungs=%d prefixes=%d restored=%d terminal=%d anchored=%d pruned=%d singletons=%d unmemoizable=%d fallbacks=%d evictions=%d peak-bytes=%d",
+		s.Groups, s.MaxGroup, s.Rungs, s.Prefixes, s.Restored, s.Terminal, s.Anchored, s.Pruned,
 		s.Singletons, s.Unmemoizable, s.Fallbacks, s.Evictions, s.PeakBytes)
 }
 
@@ -149,18 +173,27 @@ type memoCache struct {
 	entries map[memoKey]*memoEntry
 	lru     *list.List // front = most recently used
 	stats   MemoStats
-	// sizes maps each memoizable site to its member count in the plan,
-	// precomputed before the sweep starts and read-only after.
+	// exps is the sweep's plan; sizes maps each memoizable site to its
+	// member count in it, precomputed before the sweep starts and
+	// read-only after.
+	exps  []Experiment
 	sizes map[memoKey]int
-	// rungs maps each function to its call-1 groups' keys: the sites
-	// the baseline's memo ladder can serve.
-	rungs map[string][]memoKey
+	// stops lists, sorted, the functions with a call-1 group: the
+	// baseline stops at each one's first stub arrival to mint a rung.
+	stops []string
+	// ladder holds the rungs in mint order; ladder[0] is the entry
+	// snapshot, never evicted, and a dropped or evicted rung is nil.
+	ladder []*memoEntry
+	// anchors maps each function the baseline called to the index of
+	// the latest rung minted before its first call. Written by the
+	// baseline only, read-only after.
+	anchors map[string]int
 	// left counts each group's members not yet committed; done drops
 	// the group's entry when none is left.
 	left map[memoKey]int
 }
 
-func newMemoCache(budget int64) *memoCache {
+func newMemoCache(budget int64, entry *vm.Snapshot) *memoCache {
 	if budget <= 0 {
 		budget = DefaultMemoBudget
 	}
@@ -169,37 +202,65 @@ func newMemoCache(budget int64) *memoCache {
 		entries: make(map[memoKey]*memoEntry),
 		lru:     list.New(),
 		sizes:   make(map[memoKey]int),
-		rungs:   make(map[string][]memoKey),
+		ladder:  []*memoEntry{{snap: entry, sealed: true}},
+		anchors: make(map[string]int),
 		left:    make(map[memoKey]int),
 	}
 }
 
 // plan registers the experiment list's memoizable sites so groupSize
-// can tell amortisable groups from singletons, and collects the call-1
-// groups the baseline mints rungs for. Called once, before the
-// baseline.
+// can tell amortisable groups from singletons, and collects the
+// functions whose call-1 groups the baseline mints rungs for. Called
+// once, before the baseline.
 func (c *memoCache) plan(exps []Experiment) {
+	c.exps = exps
 	for i := range exps {
 		if key, ok := groupOf(&exps[i]); ok {
 			c.sizes[key]++
 		}
 	}
+	seen := make(map[string]bool)
 	for key, n := range c.sizes {
-		if key.call == 1 && n >= 2 {
-			c.rungs[key.fn] = append(c.rungs[key.fn], key)
+		if key.call == 1 && n >= 2 && !seen[key.fn] {
+			seen[key.fn] = true
+			c.stops = append(c.stops, key.fn)
 		}
 	}
-	// A fixed seal order keeps eviction under a tight budget, and so the
-	// stats, deterministic.
-	for _, keys := range c.rungs {
-		sort.Slice(keys, func(i, j int) bool { return keys[i].ntrig < keys[j].ntrig })
+	sort.Strings(c.stops)
+}
+
+// anchor records fn's first call, seen at a baseline stop after the
+// latest rung minted so far. Called by the baseline only.
+func (c *memoCache) anchor(fn string) { c.anchors[fn] = len(c.ladder) - 1 }
+
+// called reports whether the baseline has seen fn called.
+func (c *memoCache) called(fn string) bool {
+	_, ok := c.anchors[fn]
+	return ok
+}
+
+// anchorOf returns the index of the rung an experiment anchors on: the
+// earliest anchor among the functions its faultload names. Functions
+// the baseline never called bound nothing; an experiment naming none
+// it called anchors on the entry snapshot.
+func (c *memoCache) anchorOf(exp *Experiment) int {
+	a := len(c.ladder)
+	for _, fn := range experimentFunctions(exp) {
+		if i, ok := c.anchors[fn]; ok && i < a {
+			a = i
+		}
 	}
+	if a == len(c.ladder) {
+		return 0
+	}
+	return a
 }
 
 // prune drops the sites of functions the baseline never called — their
-// experiments are pruned whole before they reach the cache — and
-// derives the group stats from what is left. Called once, after the
-// baseline and before any worker runs.
+// experiments are pruned whole before they reach the cache — derives
+// the group stats from what is left, and counts each rung's anchored
+// experiments, dropping the rungs none anchors on. Called once, after
+// the baseline and before any worker runs.
 func (c *memoCache) prune(called map[string]bool) {
 	for key, n := range c.sizes {
 		if !called[key.fn] {
@@ -214,6 +275,18 @@ func (c *memoCache) prune(called map[string]bool) {
 			c.stats.MaxGroup = n
 		}
 	}
+	for i := range c.exps {
+		if e := c.ladder[c.anchorOf(&c.exps[i])]; e != nil && e.rung > 0 {
+			e.left++
+		}
+	}
+	c.mu.Lock()
+	for _, e := range c.ladder[1:] {
+		if e != nil && e.left == 0 {
+			c.drop(e)
+		}
+	}
+	c.mu.Unlock()
 }
 
 // groupSize returns how many plan experiments share the site.
@@ -240,17 +313,41 @@ func (c *memoCache) insert(key memoKey) *memoEntry {
 	return e
 }
 
-// rung seals the baseline's snapshot at fn's first stub arrival, with
-// the pass-through controller's checkpoint, as a ready entry for every
-// call-1 group of fn.
-func (c *memoCache) rung(fn string, snap *vm.Snapshot, ckpt *controller.Checkpoint) {
-	c.note(func(s *MemoStats) { s.Rungs++ })
-	for _, key := range c.rungs[fn] {
-		c.mu.Lock()
-		e := c.insert(key)
-		c.mu.Unlock()
-		e.snap, e.ckpt = snap, ckpt
-		c.seal(e)
+// mint seals the baseline's snapshot at fn's first stub arrival as the
+// next rung of the ladder.
+func (c *memoCache) mint(fn string, snap *vm.Snapshot) {
+	e := &memoEntry{key: memoKey{fn: fn, call: 1}, ready: make(chan struct{}), rung: len(c.ladder), snap: snap}
+	c.mu.Lock()
+	c.stats.Rungs++
+	e.elem = c.lru.PushFront(e)
+	c.ladder = append(c.ladder, e)
+	c.mu.Unlock()
+	c.seal(e)
+}
+
+// start returns the latest live rung at or below anchor — the entry
+// snapshot when every rung down there was evicted or dropped.
+func (c *memoCache) start(anchor int) *memoEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i := anchor; i > 0; i-- {
+		if e := c.ladder[i]; e != nil {
+			c.lru.MoveToFront(e.elem)
+			return e
+		}
+	}
+	return c.ladder[0]
+}
+
+// release records that one experiment anchored on the given rung is
+// committed, and drops the rung once none is left.
+func (c *memoCache) release(anchor int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e := c.ladder[anchor]; e != nil && e.rung > 0 {
+		if e.left--; e.left == 0 {
+			c.drop(e)
+		}
 	}
 }
 
@@ -284,13 +381,22 @@ func (c *memoCache) seal(e *memoEntry) {
 		if victim == nil {
 			break
 		}
-		c.lru.Remove(victim.elem)
-		delete(c.entries, victim.key)
-		c.used -= victim.size
+		c.drop(victim)
 		c.stats.Evictions++
 	}
 	c.mu.Unlock()
 	close(e.ready)
+}
+
+// drop removes a sealed entry from the cache; the caller holds c.mu.
+func (c *memoCache) drop(e *memoEntry) {
+	c.lru.Remove(e.elem)
+	if e.rung > 0 {
+		c.ladder[e.rung] = nil
+	} else {
+		delete(c.entries, e.key)
+	}
+	c.used -= e.size
 }
 
 // done records that one member of key's group is committed — run, or
@@ -304,18 +410,18 @@ func (c *memoCache) done(key memoKey) {
 		return
 	}
 	if e, ok := c.entries[key]; ok && e.sealed {
-		c.lru.Remove(e.elem)
-		delete(c.entries, key)
-		c.used -= e.size
+		c.drop(e)
 	}
 }
 
 // served records an experiment served from the store: a member of its
-// group that will never restore.
+// group that will never restore, anchored on a rung it will never
+// start from.
 func (c *memoCache) served(exp *Experiment) {
 	if key, ok := groupOf(exp); ok && c.groupSize(key) >= 2 {
 		c.done(key)
 	}
+	c.release(c.anchorOf(exp))
 }
 
 // note runs a stats mutation under the cache lock.
@@ -334,19 +440,25 @@ func (c *memoCache) statsSnapshot() *MemoStats {
 }
 
 // runMemo executes one group member through the prefix cache: restore
-// the group's mid-execution snapshot (building it first if this member
-// arrives before anyone else), seed a thin controller with the
-// checkpointed evaluator state and log prefix, and run only the suffix.
-// The served flag is true when the entry came from a terminated prefix
-// without executing anything member-specific.
-func (r *snapshotRunner) runMemo(exp Experiment, key memoKey, base *Report, budget uint64) (SweepEntry, *Report, bool, error) {
+// the group's mid-execution snapshot — its function's rung for a call-1
+// group, else the group's prefix, built from the member's anchor first
+// if this member arrives before anyone else — seed a thin controller
+// with the checkpointed evaluator state and log prefix, and run only
+// the suffix. The served flag is true when the entry came from a
+// terminated prefix without executing anything member-specific.
+func (r *snapshotRunner) runMemo(exp Experiment, key memoKey, anchor int, base *Report, budget uint64) (SweepEntry, *Report, bool, error) {
 	entry := exp.entry()
 	defer r.memo.done(key)
-	e, build := r.memo.acquire(key)
-	if build {
-		r.buildPrefix(e, exp.Compiled, key, budget)
-	} else {
-		<-e.ready
+	// A rung minted at key.fn's first stub arrival is the prefix of
+	// every call-1 group on key.fn; any other start builds one.
+	e := r.memo.start(anchor)
+	if key.call != 1 || e.rung == 0 || e.key.fn != key.fn {
+		var build bool
+		if e, build = r.memo.acquire(key); build {
+			r.buildPrefix(e, exp.Compiled, key, anchor, budget)
+		} else {
+			<-e.ready
+		}
 	}
 	switch {
 	case e.failed:
@@ -354,7 +466,7 @@ func (r *snapshotRunner) runMemo(exp Experiment, key memoKey, base *Report, budg
 		// injection invariant): run this member in full, like a
 		// non-memoized sweep would.
 		r.memo.note(func(s *MemoStats) { s.Fallbacks++ })
-		entry, rep, err := r.runPlain(exp, base, budget)
+		entry, rep, err := r.runPlain(exp, anchor, base, budget)
 		return entry, rep, false, err
 	case e.term != nil:
 		// The prefix terminated before the site with no injection, so
@@ -373,22 +485,26 @@ func (r *snapshotRunner) runMemo(exp Experiment, key memoKey, base *Report, budg
 	return entry, rep, false, nil
 }
 
-// buildPrefix runs the shared prefix for one group: restore the entry
-// snapshot, bind the building member's faultload (any member works —
-// same-key plans evaluate the prefix identically), run to just before
-// the site's call, and freeze guest + controller state. When the guest
-// terminates (or exhausts the budget, or deadlocks) before ever
-// reaching the site, the completed run itself is the result for every
-// member — provided nothing was injected, which the analyzer
-// guarantees and this defensively re-checks.
-func (r *snapshotRunner) buildPrefix(e *memoEntry, cp *scenario.CompiledPlan, key memoKey, budget uint64) {
+// buildPrefix runs the shared prefix for one group: restore the
+// building member's anchor, bind its faultload (any member works —
+// same-key plans evaluate the prefix identically and share the
+// anchor), run to just before the site's call, and freeze guest +
+// controller state. When the guest terminates (or exhausts the budget,
+// or deadlocks) before ever reaching the site, the completed run itself
+// is the result for every member — provided nothing was injected, which
+// the analyzer guarantees and this defensively re-checks.
+func (r *snapshotRunner) buildPrefix(e *memoEntry, cp *scenario.CompiledPlan, key memoKey, anchor int, budget uint64) {
 	defer r.memo.seal(e)
 	va, ok := r.stubVAs[key.fn]
 	if !ok {
 		e.failed = true
 		return
 	}
-	sys := r.snap.Restore()
+	sys, err := r.system(anchor)
+	if err != nil {
+		e.failed = true
+		return
+	}
 	ctl := controller.NewWithStubs(r.stubs, cp)
 	if err := ctl.Install(sys); err != nil {
 		e.failed = true

@@ -53,9 +53,10 @@ func TestSweepMemoIdentical(t *testing.T) {
 // TestSweepMemoStats pins the bookkeeping: 5 functions × 3 errnos give
 // 5 groups of 3, but the never-called write group is pruned before it
 // reaches the memo cache, leaving 4 groups. Every group sits at its
-// function's first call, so the baseline mints one rung per group and
-// no prefix runs at all (no evictions under the default budget); the 4
-// reached sites restore 3 members each, and no prefix terminated.
+// function's first call, so the baseline mints one rung per group, no
+// prefix runs at all (no evictions under the default budget) and every
+// member starts from its own function's rung; the 4 reached sites
+// restore 3 members each, and no prefix terminated.
 func TestSweepMemoStats(t *testing.T) {
 	cfg, set := wideTarget(t)
 	res, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0,
@@ -70,8 +71,9 @@ func TestSweepMemoStats(t *testing.T) {
 	if m.Groups != 4 || m.MaxGroup != 3 {
 		t.Errorf("groups=%d max=%d, want 4 groups of 3 (write pruned)", m.Groups, m.MaxGroup)
 	}
-	if m.Rungs != 4 || m.Prefixes != 0 {
-		t.Errorf("rungs=%d prefixes=%d, want 4 rungs (one per called function) and no prefix run", m.Rungs, m.Prefixes)
+	if m.Rungs != 4 || m.Prefixes != 0 || m.Anchored != 0 {
+		t.Errorf("rungs=%d prefixes=%d anchored=%d, want 4 rungs (one per called function), no prefix run and no run from another function's rung",
+			m.Rungs, m.Prefixes, m.Anchored)
 	}
 	if m.Restored != 12 {
 		t.Errorf("restored = %d, want 12 (4 reached sites x 3 members)", m.Restored)
@@ -292,56 +294,66 @@ int main(void) {
 }
 `
 
-// TestSweepMemoLadder is the memo ladder's harness input: call-1 groups
-// the baseline mints rungs for (open and close in the parent, malloc
-// first called in a spawned child), a call-2 group on read, which the
-// guest calls before its site, so its prefix is built from the entry
-// snapshot, and a read singleton, all with coverage on. Every memo leg
-// (rungs evicted and rebuilt under memo-budget=1 included) must match
-// the oracle record for record.
-func TestSweepMemoLadder(t *testing.T) {
+// twoProgTarget is libc, an app and the kid program it spawns, with
+// /data in the kernel and coverage on.
+func twoProgTarget(t *testing.T, app, kid string) core.CampaignConfig {
+	t.Helper()
 	lc, err := libc.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var progs []*obj.File
-	for name, src := range map[string]string{"app": ladderApp, "kid": ladderKid} {
+	progs := []*obj.File{lc}
+	for name, src := range map[string]string{"app": app, "kid": kid} {
 		f, err := minic.Compile(name, src, obj.Executable)
 		if err != nil {
 			t.Fatal(err)
 		}
 		progs = append(progs, f)
 	}
-	cfg := core.CampaignConfig{
-		Programs:   append([]*obj.File{lc}, progs...),
+	return core.CampaignConfig{
+		Programs:   progs,
 		Executable: "app",
 		Files:      map[string][]byte{"/data": []byte("payload")},
 		VM:         vm.Options{Coverage: true},
 	}
+}
+
+// errnoExp is a one-trigger precompiled experiment faulting fn's
+// inject-th call with retval and errno.
+func errnoExp(fn string, inject int32, retval, errno string) core.Experiment {
+	plan := &scenario.Plan{Triggers: []scenario.Trigger{{
+		Function: fn, Inject: inject, Retval: retval, Errno: errno, Once: true,
+	}}}
+	return core.Experiment{
+		Library: libc.Name, Function: fn, Retval: -1,
+		Plan: plan, Compiled: scenario.MustCompile(plan, nil),
+	}
+}
+
+// TestSweepMemoLadder is the memo ladder's harness input: call-1 groups
+// the baseline mints rungs for (open and close in the parent, malloc
+// first called in a spawned child), a call-2 group on read, which the
+// guest calls before its site, so its prefix is built from read's
+// anchor, open's rung, and a read singleton, all with coverage on.
+// Every memo leg (rungs evicted and rebuilt under memo-budget=1
+// included) must match the oracle record for record.
+func TestSweepMemoLadder(t *testing.T) {
+	cfg := twoProgTarget(t, ladderApp, ladderKid)
 	errnos := map[string][]string{"open": {"13", "2", "24"}, "close": {"9", "5", "4"}, "malloc": {"12", "11", "22"}, "read": {"5", "4", "11"}}
 	var exps []core.Experiment
-	add := func(fn string, inject int32, errno string) {
+	for _, fn := range []string{"open", "close", "malloc"} {
 		retval := "-1"
 		if fn == "malloc" {
 			retval = "0"
 		}
-		plan := &scenario.Plan{Triggers: []scenario.Trigger{{
-			Function: fn, Inject: inject, Retval: retval, Errno: errno, Once: true,
-		}}}
-		exps = append(exps, core.Experiment{
-			Library: libc.Name, Function: fn, Retval: -1,
-			Plan: plan, Compiled: scenario.MustCompile(plan, nil),
-		})
-	}
-	for _, fn := range []string{"open", "close", "malloc"} {
 		for _, e := range errnos[fn] {
-			add(fn, 1, e)
+			exps = append(exps, errnoExp(fn, 1, retval, e))
 		}
 	}
 	for _, e := range errnos["read"] {
-		add("read", 2, e)
+		exps = append(exps, errnoExp("read", 2, "-1", e))
 	}
-	add("read", 1, "5")
+	exps = append(exps, errnoExp("read", 1, "-1", "5"))
 	checkSweepInvariant(t, cfg, exps, 0, draws{workers: 2, perm: 12, split: 5})
 
 	res, err := core.RunExperiments(cfg, exps, 0, core.SweepOptions{Workers: 2, Snapshot: true})
@@ -349,7 +361,101 @@ func TestSweepMemoLadder(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := res.Memo
-	if m.Rungs != 3 || m.Prefixes != 1 || m.Restored != 12 || m.Singletons != 1 {
-		t.Errorf("stats: %+v, want 3 rungs (open, close, the kid's malloc), 1 prefix (read call 2), 12 restored, 1 singleton", *m)
+	if m.Rungs != 3 || m.Prefixes != 1 || m.Restored != 12 || m.Anchored != 2 || m.Singletons != 1 {
+		t.Errorf("stats: %+v, want 3 rungs (open, close, the kid's malloc), 1 prefix (read call 2), 12 restored, 2 anchored (the prefix and the singleton, on open's rung), 1 singleton", *m)
+	}
+}
+
+// anchorApp writes before it opens anything, reads /data twice, spawns
+// anchorKid, whose malloc is the sweep's first, and only then closes
+// and calls malloc itself.
+const anchorApp = `
+needs "libc.so";
+extern int write(int fd, byte *buf, int n);
+extern int open(byte *path, int flags, int mode);
+extern int close(int fd);
+extern int read(int fd, byte *buf, int n);
+extern int spawn(byte *prog, int fdin, int fdout);
+extern int waitpid(int pid, int *status);
+extern byte *malloc(int n);
+int main(void) {
+  int fd;
+  int n;
+  int pid;
+  int st;
+  byte *p;
+  byte buf[8];
+  write(1, "go", 2);
+  fd = open("/data", 0, 0);
+  if (fd < 0) { return 2; }
+  n = read(fd, buf, 4);
+  n = read(fd, buf, 4);
+  if (n < 0) { return 3; }
+  pid = spawn("kid", 0, 1);
+  if (pid < 0) { return 4; }
+  st = 0;
+  waitpid(pid, &st);
+  close(fd);
+  p = malloc(4);
+  if (p == 0) { return 7; }
+  return st;
+}
+`
+
+const anchorKid = `
+needs "libc.so";
+extern byte *malloc(int n);
+int main(void) {
+  byte *p;
+  p = malloc(8);
+  if (p == 0) { return 5; }
+  p[0] = 'x';
+  return 0;
+}
+`
+
+// TestSweepMemoAnchor is the harness input of the start rule: every
+// experiment starts from the latest rung at which no process had
+// called a function its faultload names. The baseline mints two rungs,
+// at open's and close's first calls. Its experiments are a write
+// singleton called before the first rung (it starts from the entry); a
+// read singleton and a read probability plan, anchored on open's rung;
+// a read call-2 group whose prefix is built from there too; and a
+// malloc singleton whose first call is the kid's, before close's rung,
+// though the parent calls malloc only after it — a check of the parent
+// alone would anchor it on close's rung and miss the kid's call.
+func TestSweepMemoAnchor(t *testing.T) {
+	cfg := twoProgTarget(t, anchorApp, anchorKid)
+	exps := []core.Experiment{errnoExp("write", 1, "-1", "5")}
+	for _, e := range []string{"13", "2", "24"} {
+		exps = append(exps, errnoExp("open", 1, "-1", e))
+	}
+	for _, e := range []string{"5", "4", "11"} {
+		exps = append(exps, errnoExp("read", 2, "-1", e))
+	}
+	exps = append(exps, errnoExp("read", 1, "-1", "4"))
+	prob := &scenario.Plan{Seed: 3, Triggers: []scenario.Trigger{{
+		Function: "read", Probability: 50, Retval: "-1", Errno: "11",
+	}}}
+	exps = append(exps, core.Experiment{
+		Library: libc.Name, Function: "read", Retval: -1,
+		Plan: prob, Compiled: scenario.MustCompile(prob, nil),
+	})
+	for _, e := range []string{"9", "5", "4"} {
+		exps = append(exps, errnoExp("close", 1, "-1", e))
+	}
+	exps = append(exps, errnoExp("malloc", 1, "0", "12"))
+	checkSweepInvariant(t, cfg, exps, 0, draws{workers: 2, perm: 14, split: 6})
+
+	res, err := core.RunExperiments(cfg, exps, 0, core.SweepOptions{Workers: 2, Snapshot: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := res.Memo
+	if m.Rungs != 2 || m.Prefixes != 1 || m.Restored != 9 || m.Anchored != 4 ||
+		m.Singletons != 3 || m.Unmemoizable != 1 || m.Pruned != 0 || m.Fallbacks != 0 {
+		t.Errorf("stats: %+v, want 2 rungs (open, close), 1 prefix (read call 2), 9 restored, "+
+			"4 anchored on open's rung (the prefix, the read singleton, the probability plan, malloc), "+
+			"3 singletons (write, read, malloc), 1 unmemoizable", *m)
 	}
 }

@@ -39,16 +39,19 @@ type SweepOptions struct {
 	// Reports, cycle counts and injection logs are identical.
 	Snapshot bool
 	// NoMemo disables trigger-point prefix memoization, an oracle and
-	// test selector. Under Snapshot, precompiled experiments sharing a
-	// deterministic first-fire site (scenario.FirstFireSite: same
-	// function, call number and trigger count, no probability/after-
-	// fault/sticky/pid/cycles conditions) are grouped, and each member
-	// restores from a mid-execution snapshot + controller checkpoint
-	// taken just before the site and runs only its suffix (memo.go). A
-	// group at its function's first call takes the pair from the
-	// baseline, which stops at that function's first stub arrival on
-	// its way (the memo ladder); any other group runs the prefix up to
-	// its site once. Reports are byte-identical either way; the zero
+	// test selector. Under Snapshot, the baseline snapshots itself at
+	// the first stub arrival of every function a first-call group
+	// targets (the memo ladder), and every experiment starts from the
+	// latest of those rungs at which no process had yet called a
+	// function its faultload names, instead of from the entry.
+	// Precompiled experiments sharing a deterministic first-fire site
+	// (scenario.FirstFireSite: same function, call number and trigger
+	// count, no probability/after-fault/sticky/pid/cycles conditions)
+	// are grouped, and each member restores from a mid-execution
+	// snapshot + controller checkpoint taken just before the site and
+	// runs only its suffix (memo.go): a first-call group's is its
+	// function's rung; any other group runs the prefix from its rung up
+	// to its site once. Reports are byte-identical either way; the zero
 	// value keeps memoization on, ladder included. Ignored unless
 	// Snapshot is set.
 	NoMemo bool

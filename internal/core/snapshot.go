@@ -41,8 +41,9 @@ type snapshotRunner struct {
 	// stubVAs maps each intercepted function to its stub entry address
 	// in the template — the stops of prefix memoization.
 	stubVAs map[string]uint32
-	// memo, when non-nil, is the sweep-wide prefix cache (memo.go);
-	// nil runs every experiment in full.
+	// memo, when non-nil, is the sweep-wide prefix cache and memo
+	// ladder (memo.go); nil runs every experiment in full from the
+	// entry.
 	memo *memoCache
 }
 
@@ -83,7 +84,7 @@ func newSnapshotRunner(cfg CampaignConfig, exps []Experiment, opts SweepOptions)
 			}
 		}
 	}
-	r.memo = newMemoCache(opts.MemoBudget)
+	r.memo = newMemoCache(opts.MemoBudget, r.snap)
 	r.memo.plan(exps)
 	return r, nil
 }
@@ -122,10 +123,19 @@ func experimentFunctions(exp *Experiment) []string {
 	return nil
 }
 
-// system returns a private template system for one run: a restore of
-// the snapshot, or on the oracle path a fresh build of the template.
-func (r *snapshotRunner) system() (*vm.System, error) {
-	if r.snap != nil {
+// system returns a private template system for one run that may start
+// from the given memo-ladder rung: a restore of the latest live rung at
+// or below it, of the entry snapshot without memo, or on the oracle
+// path a fresh build of the template.
+func (r *snapshotRunner) system(anchor int) (*vm.System, error) {
+	switch {
+	case r.memo != nil:
+		e := r.memo.start(anchor)
+		if e.rung > 0 {
+			r.memo.note(func(s *MemoStats) { s.Anchored++ })
+		}
+		return e.snap.Restore(), nil
+	case r.snap != nil:
 		return r.snap.Restore(), nil
 	}
 	return r.spawn(r.cfg.VM)
@@ -177,7 +187,7 @@ func (r *snapshotRunner) report(sys *vm.System, ctl *controller.Controller, runE
 // the memo sites of every other function; the fresh-spawn oracle
 // returns no call set and runs every experiment.
 func (r *snapshotRunner) baseline(budget uint64) (*Report, map[string]bool, error) {
-	sys, err := r.system()
+	sys, err := r.system(0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -185,7 +195,7 @@ func (r *snapshotRunner) baseline(budget uint64) (*Report, map[string]bool, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	rep, err := r.report(sys, ctl, r.climb(sys, ctl, budget))
+	rep, err := r.report(sys, ctl, r.climb(sys, budget))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -204,13 +214,15 @@ func (r *snapshotRunner) baseline(budget uint64) (*Report, map[string]bool, erro
 
 // climb runs the baseline to completion, minting the memo ladder's
 // rungs (memo.go) on the way: it stops at the first arrival at the
-// stub entry of every function with a call-1 group, and where the
-// stub's call counter proves the function never called in any process,
-// seals a snapshot with the pass-through checkpoint for its groups.
-// Each stop is disarmed once hit; the run continues with the rest, and
-// with none left it is a plain Run. Snapshotting leaves the system
-// untouched, so the baseline's report is the unbroken run's.
-func (r *snapshotRunner) climb(sys *vm.System, ctl *controller.Controller, budget uint64) error {
+// stub entry of every function with a call-1 group. At each stop it
+// anchors the functions first called since the last one on the latest
+// rung, then — unless some process already called the stop's function
+// — seals a snapshot as the next rung. Each stop is disarmed once hit;
+// the run continues with the rest, and with none left it is a plain
+// Run, after which the functions called since the last stop anchor on
+// the last rung. Snapshotting leaves the system untouched, so the
+// baseline's report is the unbroken run's.
+func (r *snapshotRunner) climb(sys *vm.System, budget uint64) error {
 	if r.memo == nil {
 		return sys.Run(budget)
 	}
@@ -218,20 +230,22 @@ func (r *snapshotRunner) climb(sys *vm.System, ctl *controller.Controller, budge
 		fns   []string
 		stops []vm.Stop
 	)
-	for fn := range r.memo.rungs {
+	for _, fn := range r.memo.stops {
 		if va, ok := r.stubVAs[fn]; ok {
 			fns = append(fns, fn)
 			stops = append(stops, vm.Stop{VA: va, Target: 1})
 		}
 	}
+	watch := r.stubs.Watch()
 	for {
 		hit, err := sys.RunStops(stops, budget)
+		watch.Poll(sys, r.memo.anchor)
 		if hit < 0 {
 			return err
 		}
-		if fn := fns[hit]; !r.stubs.CalledIn(sys, fn) {
+		if fn := fns[hit]; !r.memo.called(fn) {
 			if snap, err := sys.Snapshot(); err == nil {
-				r.memo.rung(fn, snap, ctl.Checkpoint())
+				r.memo.mint(fn, snap)
 			}
 		}
 		fns = slices.Delete(fns, hit, hit+1)
@@ -239,32 +253,37 @@ func (r *snapshotRunner) climb(sys *vm.System, ctl *controller.Controller, budge
 	}
 }
 
-// run executes one experiment. Precompiled experiments whose faultload
-// has a deterministic first-fire site shared with at least one other
-// experiment go through the prefix memo cache (memo.go); everything
-// else runs in full via runPlain. The served flag is true when the
-// entry was satisfied without a member-specific run (terminated shared
-// prefix).
+// run executes one experiment from its anchor on the memo ladder.
+// Precompiled experiments whose faultload has a deterministic
+// first-fire site shared with at least one other experiment go through
+// the prefix memo cache (memo.go); everything else runs whole via
+// runPlain. The served flag is true when the entry was satisfied
+// without a member-specific run (terminated shared prefix).
 func (r *snapshotRunner) run(exp Experiment, base *Report, budget uint64) (SweepEntry, *Report, bool, error) {
-	if r.memo != nil && exp.Compiled != nil {
-		if key, ok := groupOf(&exp); !ok {
-			r.memo.note(func(s *MemoStats) { s.Unmemoizable++ })
-		} else if r.memo.groupSize(key) >= 2 {
-			return r.runMemo(exp, key, base, budget)
-		} else {
+	anchor := 0
+	if r.memo != nil {
+		anchor = r.memo.anchorOf(&exp)
+		defer r.memo.release(anchor)
+		key, ok := groupOf(&exp)
+		switch {
+		case ok && r.memo.groupSize(key) >= 2:
+			return r.runMemo(exp, key, anchor, base, budget)
+		case ok:
 			r.memo.note(func(s *MemoStats) { s.Singletons++ })
+		case exp.Compiled != nil:
+			r.memo.note(func(s *MemoStats) { s.Unmemoizable++ })
 		}
 	}
-	entry, rep, err := r.runPlain(exp, base, budget)
+	entry, rep, err := r.runPlain(exp, anchor, base, budget)
 	return entry, rep, false, err
 }
 
-// runPlain executes one experiment in full and classifies it, returning
-// the run report for OnResult observers alongside the entry. An
-// experiment without a faultload binds the pass-through plan and so
-// classifies not-triggered; a faultload that names no function has no
-// fault to inject and fails the sweep, in plan order.
-func (r *snapshotRunner) runPlain(exp Experiment, base *Report, budget uint64) (SweepEntry, *Report, error) {
+// runPlain executes one experiment whole from its anchor and classifies
+// it, returning the run report for OnResult observers alongside the
+// entry. An experiment without a faultload binds the pass-through plan
+// and so classifies not-triggered; a faultload that names no function
+// has no fault to inject and fails the sweep, in plan order.
+func (r *snapshotRunner) runPlain(exp Experiment, anchor int, base *Report, budget uint64) (SweepEntry, *Report, error) {
 	entry := exp.entry()
 	cp := exp.Compiled
 	switch {
@@ -281,7 +300,7 @@ func (r *snapshotRunner) runPlain(exp Experiment, base *Report, budget uint64) (
 	if cp != r.passthru && len(cp.Functions()) == 0 {
 		return entry, nil, fmt.Errorf("core: controller: %w", controller.ErrNoTriggers)
 	}
-	sys, err := r.system()
+	sys, err := r.system(anchor)
 	if err != nil {
 		return entry, nil, err
 	}

@@ -32,11 +32,14 @@
 // discarded independently. Host-function slots are copied per restore,
 // so a caller may rebind a host function (RegisterHost) on one restored
 // system — the fork-server idiom the LFI controller uses to attach a
-// per-experiment trigger evaluator — without affecting siblings.
+// per-experiment trigger evaluator — without affecting siblings. The
+// program registry and host index are shared copy-on-write between a
+// system, its snapshots and their restores.
 package vm
 
 import (
 	"errors"
+	"slices"
 
 	"lfi/internal/isa"
 	"lfi/internal/kernel"
@@ -124,24 +127,16 @@ type segSnap struct {
 func (s *System) Snapshot() (*Snapshot, error) {
 	snap := &Snapshot{
 		opts:        s.opts,
-		programs:    make(map[string]*obj.File, len(s.programs)),
+		programs:    s.programs,
 		hosts:       append([]HostFunc(nil), s.hosts...),
-		hostIdx:     make(map[string]int, len(s.hostIdx)),
+		hostIdx:     s.hostIdx,
 		kern:        s.kern.Snapshot(),
 		nextPID:     s.nextPID,
 		totalCycles: s.TotalCycles,
 		resume:      s.resume,
+		procs:       make([]procSnap, 0, len(s.procs)),
 	}
-	for name, f := range s.programs {
-		snap.programs[name] = f
-	}
-	for name, idx := range s.hostIdx {
-		snap.hostIdx[name] = idx
-	}
-	procIdx := make(map[*Proc]int, len(s.procs))
-	for i, p := range s.procs {
-		procIdx[p] = i
-	}
+	s.sharedMaps = true
 	for _, p := range s.procs {
 		ps := procSnap{
 			id:        p.ID,
@@ -160,13 +155,12 @@ func (s *System) Snapshot() (*Snapshot, error) {
 			parentIdx: -1,
 			reaped:    p.reaped,
 			blocked:   p.blocked,
+			segs:      make([]segSnap, 0, len(p.segs)),
 		}
 		if p.parent != nil {
-			idx, ok := procIdx[p.parent]
-			if !ok {
+			if ps.parentIdx = slices.Index(s.procs, p.parent); ps.parentIdx < 0 {
 				return nil, errors.New("vm: snapshot: process parent outside the system")
 			}
-			ps.parentIdx = idx
 		}
 		shared := false
 		for i, sg := range p.segs {
@@ -211,25 +205,21 @@ func (s *System) Snapshot() (*Snapshot, error) {
 // Restore mints a fresh runnable System from the template. Only the
 // mutable residue is deep-copied; text, decoded instructions and symbol
 // tables are shared with the template and every sibling restore. The
-// returned system owns private copies of the program registry and
-// host-function table, so RegisterHost/Register on it never races a
-// concurrent sibling.
+// returned system owns a private host-function slot table and shares
+// the program registry and host index with the template until a
+// Register or RegisterHost adds a name, which copies them first, so
+// neither ever races a concurrent sibling.
 func (s *Snapshot) Restore() *System {
 	sys := &System{
 		opts:        s.opts,
-		programs:    make(map[string]*obj.File, len(s.programs)),
+		programs:    s.programs,
 		hosts:       append([]HostFunc(nil), s.hosts...),
-		hostIdx:     make(map[string]int, len(s.hostIdx)),
+		hostIdx:     s.hostIdx,
+		sharedMaps:  true,
 		kern:        s.kern.Restore(),
 		nextPID:     s.nextPID,
 		TotalCycles: s.totalCycles,
 		resume:      s.resume,
-	}
-	for name, f := range s.programs {
-		sys.programs[name] = f
-	}
-	for name, idx := range s.hostIdx {
-		sys.hostIdx[name] = idx
 	}
 
 	procs := make([]*Proc, len(s.procs))
@@ -252,8 +242,12 @@ func (s *Snapshot) Restore() *System {
 			blocked:   ps.blocked,
 		}
 		p.Images = copyImages(ps.images, s.opts.Coverage)
+		p.segs = make([]*segment, len(ps.segs))
+		segs := make([]segment, len(ps.segs))
+		cows := make([]cowSeg, len(ps.segs))
 		for j, sg := range ps.segs {
-			seg := &segment{base: sg.base, writable: sg.writable, name: sg.name}
+			seg := &segs[j]
+			*seg = segment{base: sg.base, writable: sg.writable, name: sg.name}
 			switch {
 			case !sg.writable:
 				// Read-only: share the template bytes outright.
@@ -264,13 +258,14 @@ func (s *Snapshot) Restore() *System {
 				// first write. "Reset to shared" on the next Restore is
 				// free — each restore mints a fresh page table off the
 				// same template, and dirty pages die with their System.
-				seg.cow = &cowSeg{
+				seg.cow = &cows[j]
+				*seg.cow = cowSeg{
 					length: sg.length,
 					pages:  append([][]byte(nil), sg.pages...),
 					dirty:  make([]bool, len(sg.pages)),
 				}
 			}
-			p.segs = append(p.segs, seg)
+			p.segs[j] = seg
 			if j == ps.heapIdx {
 				p.heap = seg
 			}

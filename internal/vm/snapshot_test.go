@@ -307,3 +307,56 @@ func TestSnapshotProcessTree(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotRestoreAllocs bounds the allocations of a mid-run
+// Snapshot and of a Restore, the per-rung and per-run costs of a
+// memoized sweep. The program registry and host index are shared
+// copy-on-write and the parent index comes from a scan of the process
+// list, so neither call copies a map of its own; what is left is the
+// kernel clone, the process and segment tables and the page tables.
+// A registration that adds a name after the snapshot, on a restore or
+// on the snapshotted system, copies the shared maps, leaving the
+// snapshot's registry as it was.
+func TestSnapshotRestoreAllocs(t *testing.T) {
+	tmpl, err := snapTestSystem(t, vm.Options{}).Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := tmpl.Restore()
+	im, _ := sys.Procs()[0].ImageByName("libsnap.so")
+	touch, _ := im.SymbolVA("touch")
+	if hit, err := sys.RunBreak(touch, 1, 0); !hit || err != nil {
+		t.Fatalf("RunBreak = (%v, %v)", hit, err)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := sys.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 19 {
+		t.Errorf("mid-run Snapshot allocates %.0f objects, want <= 19", n)
+	}
+	snap, err := sys.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() { snap.Restore() }); n > 35 {
+		t.Errorf("Restore allocates %.0f objects, want <= 35", n)
+	}
+
+	extra, err := asm.Assemble("x.s", ".exe extra\n.global main\n.func main\n  mov r0, 3\n  ret\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := snap.Restore()
+	r.Register(extra)
+	if _, err := r.Spawn("extra", vm.SpawnConfig{}); err != nil {
+		t.Fatalf("spawn on the restore: %v", err)
+	}
+	if _, err := sys.Spawn("extra", vm.SpawnConfig{}); err == nil {
+		t.Error("a registration on a restore leaked into the snapshotted system")
+	}
+	sys.Register(extra)
+	if _, err := snap.Restore().Spawn("extra", vm.SpawnConfig{}); err == nil {
+		t.Error("a registration leaked into the snapshot")
+	}
+}

@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 
@@ -411,9 +412,13 @@ type System struct {
 	programs map[string]*obj.File
 	hosts    []HostFunc
 	hostIdx  map[string]int
-	kern     *kernel.Kernel
-	procs    []*Proc
-	nextPID  int
+	// sharedMaps is set while programs and hostIdx are shared with a
+	// snapshot (taken of this system, or restored into it): the next
+	// Register or RegisterHost that adds a name copies them first.
+	sharedMaps bool
+	kern       *kernel.Kernel
+	procs      []*Proc
+	nextPID    int
 	// resume, when pending, is the partially-completed scheduler round a
 	// RunStops stop left behind; the next schedule call finishes it
 	// before starting fresh rounds. Snapshot/Restore carry it so a
@@ -462,16 +467,37 @@ func NewSystem(opts Options) *System {
 func (s *System) Kernel() *kernel.Kernel { return s.kern }
 
 // Register adds a program or library to the load registry.
-func (s *System) Register(f *obj.File) { s.programs[f.Name] = f }
+// Re-registering the file already registered under its name is a
+// no-op, so it never copies a registry shared with a snapshot.
+func (s *System) Register(f *obj.File) {
+	if s.programs[f.Name] == f {
+		return
+	}
+	s.ownMaps()
+	s.programs[f.Name] = f
+}
 
 // RegisterHost installs a named host function resolvable as an import.
+// Rebinding an installed name writes only the system's private slot
+// table.
 func (s *System) RegisterHost(name string, fn HostFunc) {
 	if idx, ok := s.hostIdx[name]; ok {
 		s.hosts[idx] = fn
 		return
 	}
+	s.ownMaps()
 	s.hostIdx[name] = len(s.hosts)
 	s.hosts = append(s.hosts, fn)
+}
+
+// ownMaps gives the system private copies of the program registry and
+// host index before a write, if it shares them with a snapshot.
+func (s *System) ownMaps() {
+	if s.sharedMaps {
+		s.programs = maps.Clone(s.programs)
+		s.hostIdx = maps.Clone(s.hostIdx)
+		s.sharedMaps = false
+	}
 }
 
 // Procs returns all processes (including exited ones).

@@ -610,10 +610,11 @@ func memoBenchTarget(b *testing.B) (core.CampaignConfig, profile.Set) {
 }
 
 // BenchmarkSweepMemo A/Bs prefix memoization on the heavy-startup
-// exhaustive matrix: memo is the snapshot executor with the prefix
-// cache (the default), nomemo the same executor with NoMemo set.
+// exhaustive matrix: memo is the snapshot executor with the memo
+// ladder (the default), nomemo the same executor with a one-byte
+// MemoBudget, which mints no rung.
 // Reports are byte-identical (TestSweepMemoIdentical); the ratio is the
-// shared-prefix cost the memo cache eliminates. Every group here sits at
+// shared-prefix cost the memo ladder eliminates. Every group here sits at
 // its function's first call, so the baseline's rungs serve them all and
 // no prefix runs: 10.7 ms per sweep with memo against 189 ms without
 // (medians of 10 alternating runs, 2 workers, 2-CPU x86-64), where
@@ -621,8 +622,8 @@ func memoBenchTarget(b *testing.B) (core.CampaignConfig, profile.Set) {
 func BenchmarkSweepMemo(b *testing.B) {
 	for _, mode := range []struct {
 		name   string
-		noMemo bool
-	}{{"memo", false}, {"nomemo", true}} {
+		budget int64
+	}{{"memo", 0}, {"nomemo", 1}} {
 		b.Run(mode.name, func(b *testing.B) {
 			cfg, set := memoBenchTarget(b)
 			workers := runtime.GOMAXPROCS(0)
@@ -630,7 +631,7 @@ func BenchmarkSweepMemo(b *testing.B) {
 			var entries, restored int
 			for i := 0; i < b.N; i++ {
 				res, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0,
-					core.SweepOptions{Workers: workers, Snapshot: true, NoMemo: mode.noMemo})
+					core.SweepOptions{Workers: workers, Snapshot: true, MemoBudget: mode.budget})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -641,7 +642,7 @@ func BenchmarkSweepMemo(b *testing.B) {
 			}
 			b.ReportMetric(float64(entries), "experiments")
 			b.ReportMetric(float64(workers), "workers")
-			if !mode.noMemo {
+			if mode.budget == 0 {
 				b.ReportMetric(float64(restored), "restored")
 			}
 		})

@@ -186,44 +186,46 @@
 // (scenario.Lint names the blocking condition, surfaced by `lfi plan
 // -check`). Experiments are grouped by site — in an exhaustive errno
 // sweep every errno variant of one (function, call) cell lands in the
-// same group — and each group's prefix is frozen once, just before the
-// N-th arrival at the function's stub entry (a block start): registers,
-// CoW page tables, kernel FS/FD/pipe state, cycle counters and the
-// mid-round scheduler position as a mid-execution vm.Snapshot, paired
-// with a controller.Checkpoint of evaluator call counts and the
-// injection-log prefix so post-restore trigger decisions are
-// bit-identical. Groups at a function's first call (N = 1) need no
-// prefix run of their own — the memo ladder: the clean baseline arms
-// every such stub entry as one vm.System.RunStops stop set, and at
-// each first arrival, once the stub's call counter confirms the
-// function was never called, it freezes a snapshot (a rung) and runs
-// on; successive rungs share every page neither interval wrote. The
-// pass-through controller never mints an evaluator, so a rung needs no
-// checkpoint. At every stop the baseline also reads the counters of
-// the functions not yet called: each function anchors on the latest
-// rung minted before its first call, and since calls to functions a
-// faultload does not name cost the fixed dispatch charge and touch no
-// evaluator, every experiment — singletons, non-memoizable plans and
-// prefix builds included — starts from the latest live rung at or
-// below its functions' earliest anchor, exactly as if from the entry
-// (rung 0). Every group not served by its rung runs its prefix once,
-// on demand: vm.System.RunBreak runs the restored anchor on the block
-// engine, through the same scheduler loop as an unbroken run, to the
-// site. Group members restore from the pair and run only their
-// suffix; a prefix that terminates before its site serves its report
-// to every member outright. Cached prefixes and rungs live in a
-// byte-budgeted LRU shared by all workers (core.DefaultMemoBudget, 256
-// MiB; Snapshot.Footprint is the unit), with single-member groups
-// skipped — a prefix would amortise over nothing; a rung lives until
-// every experiment anchored on it is committed. Soundness rests on
-// determinism: same-site plans evaluate calls 1..N-1 identically
-// (per-call cycle charges depend only on the trigger count, no
-// injections, no random draws — random retvals draw at fire time), so
-// memoization is never observable: TestSweepMemoIdentical and its
-// siblings require byte-identical reports between memoized and
-// non-memoized sweeps across engines, worker counts, eviction
-// pressure, -max-crashes and -resume. `lfi sweep` always memoizes. On
-// a heavy-startup exhaustive matrix the A/B measured 3.06x with a
+// same group — and the clean baseline freezes every group's prefix on
+// its way: the memo ladder. Up to a site, a memoizable experiment's run
+// differs from the pass-through baseline's in two things only, and the
+// stubs' static call counters (§5.1) fix both: each process's
+// evaluator has counted the calls to the site's function, and each of
+// those calls cost 2 cycles more per trigger on that function. So the
+// baseline arms the stub entry of every function with a group as one
+// vm.System.RunStops stop set, aimed at the next site on each
+// function, and at the first arrival where the arriving process's
+// counter reads N−1 and no process's reads N, it freezes a snapshot (a
+// rung) — registers, CoW page tables, kernel FS/FD/pipe state, cycle
+// counters and the mid-round scheduler position — and runs on;
+// successive rungs share every page neither interval wrote. A member
+// restores its site's rung and binds a fresh controller that
+// controller.Resume catches up from the counters: evaluator call
+// counts seeded per process, the skipped scan cycles charged to each
+// process and to the system total. If that corrected total already
+// reaches the cycle budget, the plan's run could have exhausted it
+// before the site, and the member starts lower instead. At every stop
+// the baseline also reads the counters of the functions not yet
+// called: each function anchors on the latest rung minted before its
+// first call, and since calls to functions a faultload does not name
+// cost the fixed dispatch charge and touch no evaluator, every other
+// run — singletons, non-memoizable plans, members of a group whose
+// site the baseline never reached, and budget fallbacks — starts from
+// the latest live rung at or below its functions' earliest anchor,
+// exactly as if from the entry (rung 0). Every rung is sealed before
+// the first experiment runs, under a byte budget
+// (core.DefaultMemoBudget, 256 MiB; Snapshot.Footprint is the unit): a
+// rung past it is not minted, and a rung lives until every experiment
+// starting from it is committed. Soundness rests on determinism:
+// same-site plans evaluate calls 1..N-1 identically (no injections, no
+// random draws — random retvals draw at fire time — and per-call cycle
+// charges that depend only on the trigger count), so memoization is
+// never observable: TestSweepMemoIdentical and its siblings require
+// byte-identical reports and store records between memoized sweeps
+// and the fresh-spawn oracle across engines, worker counts, a memo
+// budget that mints no rung, cycle budgets that force the fallback,
+// -max-crashes and -resume. `lfi sweep` always memoizes. On a
+// heavy-startup exhaustive matrix the A/B measured 3.06x with a
 // prefix run per group (BenchmarkSweepMemo, BENCH_sweep.json) and 17.6x
 // with the memo ladder (10.7 vs 189 ms per sweep, medians of 10
 // alternating runs on a 2-CPU x86-64 box); the short-prefix matrix of
@@ -371,8 +373,8 @@
 // harness_test.go): a report depends only on (binaries, profiles,
 // plan, budget). checkSweepInvariant runs the fresh-spawn oracle
 // (SweepOptions{Workers: 1}) once, then requires every relation — the
-// production executor at 4, 8 and a drawn number of workers, without
-// memo, with a one-byte memo budget, on the step engine, in a random
+// production executor at 4, 8 and a drawn number of workers, with a
+// one-byte memo budget (no rungs), on the step engine, in a random
 // execution order, with baseline pruning, and resumed from its own
 // campaign store killed mid-append at a drawn record — to fail as the
 // oracle fails or to render the same report, with the same cycles,

@@ -23,6 +23,7 @@ package asm
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -89,9 +90,16 @@ type assembler struct {
 	refs    []pendingRef
 	relocs  []obj.Reloc
 
-	curFunc     string
-	curFuncOff  int32
-	funcStartAt map[string]int32
+	curFunc    string
+	curFuncOff int32
+	// funcs lists the functions in declaration order, which is text
+	// order: their start offsets never decrease.
+	funcs []funcStart
+}
+
+type funcStart struct {
+	name string
+	off  int32
 }
 
 func (a *assembler) errf(format string, args ...interface{}) error {
@@ -100,7 +108,6 @@ func (a *assembler) errf(format string, args ...interface{}) error {
 
 func (a *assembler) run(source string) error {
 	a.file = &obj.File{Kind: obj.Library}
-	a.funcStartAt = make(map[string]int32)
 	lines := strings.Split(source, "\n")
 
 	// Pass 1: assign offsets to every label, symbol and instruction so
@@ -235,7 +242,7 @@ func (a *assembler) directive(line string, pass int) error {
 				return a.errf("duplicate symbol %q", fields[1])
 			}
 			a.labels[fields[1]] = a.curFuncOff
-			a.funcStartAt[fields[1]] = a.curFuncOff
+			a.funcs = append(a.funcs, funcStart{fields[1], a.curFuncOff})
 		}
 	case ".endfunc":
 		a.endFunc()
@@ -625,16 +632,14 @@ func (a *assembler) resolveRefs() error {
 	return nil
 }
 
+// funcNameAt names the function whose text holds the instruction at
+// off: the last one declared at or before it ("" before the first).
 func (a *assembler) funcNameAt(off int32) string {
-	name := ""
-	best := int32(-1)
-	for fn, start := range a.funcStartAt {
-		if start <= off && start > best {
-			best = start
-			name = fn
-		}
+	i := sort.Search(len(a.funcs), func(i int) bool { return a.funcs[i].off > off })
+	if i == 0 {
+		return ""
 	}
-	return name
+	return a.funcs[i-1].name
 }
 
 func splitMnemonic(line string) (string, string) {

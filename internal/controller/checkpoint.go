@@ -10,6 +10,11 @@
 //
 // Kernel state, armed degradations included, is the snapshot's half:
 // vm.Snapshot clones it with the rest of the guest.
+//
+// The campaign executor no longer takes checkpoints: its prefixes are
+// rungs of a pass-through baseline, and Resume rebuilds their evaluator
+// state from the stubs' call counters. The campaign benchmark's
+// replica (bench/replica.go) still builds per-group prefixes with them.
 package controller
 
 import "lfi/internal/scenario"

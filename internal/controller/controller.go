@@ -148,7 +148,7 @@ type Controller struct {
 	// trigger names it. Both are resolved once, when the stubs are bound.
 	fidToFunc []string
 	fidIndex  []int32
-	stub      *obj.File
+	stubs     *StubSet
 	evals     map[int]*scenario.Evaluator
 	log       []InjectionRecord
 	// frames is the backtrace buffer, reused across intercepted calls.
@@ -193,8 +193,8 @@ func (c *Controller) StubLibrary() (*obj.File, error) {
 	if c.err != nil {
 		return nil, fmt.Errorf("controller: %w", c.err)
 	}
-	if c.stub != nil {
-		return c.stub, nil
+	if c.stubs != nil {
+		return c.stubs.lib, nil
 	}
 	fns := c.cp.Functions()
 	if len(fns) == 0 {
@@ -205,14 +205,14 @@ func (c *Controller) StubLibrary() (*obj.File, error) {
 		return nil, err
 	}
 	c.bind(ss)
-	return c.stub, nil
+	return ss.lib, nil
 }
 
 // bind attaches the stub set and resolves, once, which of its fids the
 // plan triggers on: the per-call path then indexes a slice instead of
 // hashing a function name.
 func (c *Controller) bind(ss *StubSet) {
-	c.stub = ss.lib
+	c.stubs = ss
 	c.fidToFunc = ss.fns
 	c.fidIndex = make([]int32, len(ss.fns))
 	for fi, fn := range c.cp.Functions() {
@@ -299,6 +299,29 @@ const (
 	evalDispatchCycles = 10
 	evalScanCycles     = 2
 )
+
+// Resume primes the controller for a system restored from a
+// pass-through run on the same stub surface, stopped where no process
+// can yet have reached fn's first-fire site (scenario.FirstFireSite;
+// every trigger of the plan names fn). The plan's run would have
+// evaluated fn's triggers on each earlier call without firing, so each
+// process's evaluator resumes at the count fn's stub counter holds in
+// it, and each process is charged the trigger scans the pass-through
+// stubs skipped: evalScanCycles per trigger on fn, per call, on its
+// Cycles and the system's TotalCycles. Call it after Install and
+// before the system runs.
+func (c *Controller) Resume(sys *vm.System, fn string) {
+	scan := uint64(evalScanCycles * c.cp.TriggerCount(fn))
+	for _, p := range sys.Procs() {
+		n := c.stubs.Count(p, fn)
+		if n == 0 {
+			continue
+		}
+		c.evaluatorFor(p.ID).SetState(scenario.EvalState{Count: map[string]int32{fn: n}})
+		p.Cycles += scan * uint64(n)
+		sys.TotalCycles += scan * uint64(n)
+	}
+}
 
 // evalTrigger is the __lfi_eval host function: it evaluates the triggers
 // for the intercepted call, applies side effects and argument

@@ -448,7 +448,8 @@ int main(void) {
 // every process. A function only a spawned child calls counts once the
 // child has exited; a function whose code runs only through a direct
 // call inside libc (puts_fd's strlen) never passed its stub and does
-// not count, and neither does a function nobody calls.
+// not count, and neither does a function nobody calls. Count reads the
+// same counters one process at a time.
 func TestStubSetCalled(t *testing.T) {
 	child, err := minic.Compile("child", `
 needs "libc.so";
@@ -507,5 +508,15 @@ int main(void) {
 	want := map[string]bool{"getpid": true, "puts_fd": true, "spawn": true, "waitpid": true}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Called = %v, want %v", got, want)
+	}
+	procs := sys.Procs()
+	for _, c := range []struct {
+		proc int
+		fn   string
+		want int32
+	}{{0, "getpid", 0}, {1, "getpid", 1}, {0, "puts_fd", 1}, {1, "puts_fd", 0}, {0, "strlen", 0}, {0, "open", 0}} {
+		if n := ss.Count(procs[c.proc], c.fn); n != c.want {
+			t.Errorf("Count(process %d, %s) = %d, want %d", c.proc, c.fn, n, c.want)
+		}
 	}
 }

@@ -84,6 +84,25 @@ func (ss *StubSet) Called(sys *vm.System) map[string]bool {
 	return called
 }
 
+// Count returns fn's static call counter in process p: how many calls
+// p has entered fn's stub for, exited processes included. It is 0 when
+// the set has no stub for fn or p maps no stub library.
+func (ss *StubSet) Count(p *vm.Proc, fn string) int32 {
+	fid := sort.SearchStrings(ss.fns, fn)
+	if fid == len(ss.fns) || ss.fns[fid] != fn {
+		return 0
+	}
+	im, ok := p.ImageByName(StubLibName)
+	if !ok {
+		return 0
+	}
+	n, err := p.ReadWord(im.DataBase + uint32(ss.cnt[fid]))
+	if err != nil {
+		return 0
+	}
+	return n
+}
+
 // CallWatch follows a running system's stub counters from one stop to
 // the next: which functions Called has come to include since the last
 // poll. Counters only grow, so a function leaves the watch once seen.

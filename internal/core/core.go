@@ -84,12 +84,13 @@
 //     are copied; patched text, decoded instructions, symbol tables and
 //     the whole Image are shared immutably.
 //  4. Baseline: the clean run, with the pass-through faultload. On its
-//     way it stops at the first stub arrival of every function a
-//     first-call memo group targets and freezes a rung there, and it
-//     notes each function's anchor: the latest rung minted before the
-//     function's first call (memo.go). Every later run starts from the
-//     latest live rung at or below its functions' earliest anchor; the
-//     entry snapshot is rung 0.
+//     way it stops just before every first-fire site that a memo group
+//     of two or more experiments shares and freezes a rung there, and
+//     it notes each function's anchor: the latest rung minted before
+//     the function's first call (memo.go). A group member starts from
+//     its site's rung; every other run starts from the latest live rung
+//     at or below its functions' earliest anchor; the entry snapshot is
+//     rung 0.
 //  5. Prune: the stubs count their calls (§5.1), so the baseline tells
 //     which functions the workload calls through the surface; an
 //     experiment naming none of them can only replay the baseline and
@@ -107,18 +108,15 @@
 // into another.
 //
 // The snapshot executor also memoizes shared pre-fault prefixes
-// (memo.go, on by default; SweepOptions.NoMemo opts out for tests):
-// experiments whose faultload has a deterministic first-fire site
-// (scenario.FirstFireSite) are grouped by site, each group's prefix is
-// frozen once, just before the trigger call, as a mid-execution
-// snapshot plus controller checkpoint, and members restore from it to
-// run only their suffix. A group at its function's first call takes
-// the baseline's rung (vm.System.RunStops); any other group executes
-// its prefix once from its anchor, on the same engine and scheduler
-// loop as a full run (vm.System.RunBreak). The cache is a
-// byte-budgeted LRU shared across workers; SweepResult.Memo reports
-// its hit statistics. The rendered report stays byte-identical either
-// way (TestSweepMemoIdentical).
+// (memo.go): experiments whose faultload has a deterministic first-fire
+// site (scenario.FirstFireSite) are grouped by site, and the baseline
+// freezes each group's prefix once, just before the site, as a rung
+// (vm.System.RunStops). Members restore their site's rung and run only
+// their suffix, with a fresh controller caught up from the stubs' call
+// counters (controller.Resume). Rungs are minted under a byte budget
+// before any experiment runs; SweepResult.Memo reports the ladder's
+// statistics. The rendered report stays byte-identical at any budget
+// (TestSweepMemoIdentical).
 package core
 
 import (

@@ -84,8 +84,8 @@ func observe(cfg core.CampaignConfig, exps []core.Experiment, budget uint64, opt
 // checkSweepInvariant runs the oracle once and checks every relation
 // against it. The legs run the production executor (snapshot restores
 // with prefix memoization and baseline pruning) at 4 and 8 workers; and
-// at d.workers without memo, with a one-byte memo budget, on the step
-// engine, and — with live progress reporting, as `lfi sweep
+// at d.workers with a one-byte memo budget (no rungs: every run starts
+// from the entry), on the step engine, and — with live progress reporting, as `lfi sweep
 // -progress` runs — in a random execution order writing a campaign
 // store ("store"; plan order under an early stop) and resumed from that
 // store killed mid-append after d.split records ("resume"). Each leg
@@ -116,7 +116,6 @@ func checkSweepInvariant(t *testing.T, cfg core.CampaignConfig, exps []core.Expe
 	}{
 		{"workers=4", vm.EngineBlock, with(func(o *core.SweepOptions) { o.Workers = 4 }), raceEnabled && d.workers > 1},
 		{"workers=8", vm.EngineBlock, with(func(o *core.SweepOptions) { o.Workers = 8 }), raceEnabled && d.workers > 1},
-		{"nomemo", vm.EngineBlock, with(func(o *core.SweepOptions) { o.NoMemo = true }), false},
 		{"memo-budget=1", vm.EngineBlock, with(func(o *core.SweepOptions) { o.MemoBudget = 1 }), false},
 		{"step", vm.EngineStep, prod, raceEnabled},
 	}
@@ -272,9 +271,9 @@ func FuzzCampaign(f *testing.F) {
 		{shapeDegradation, guestCorpus | guestCoverage, 7, 1, 17, 4, 0},
 		{shapeRandom, guestCorpus, 42, 7, 18, 1, 0},
 		{shapeStatic, guestCorpus, 20090629, 2, 19, 3, 0},
-		// Later first-fire sites: memo members need the prefix's
-		// controller state (write is called four times; wide's
-		// functions once, so their groups end terminal).
+		// Later first-fire sites: members of a call-N rung resume its
+		// evaluator counts and cycles (write is called four times;
+		// wide's functions once, so their sites are never reached).
 		{shapeAvailability, guestFault, 0, 3, 20, 2, 0},
 		{shapeAvailability, guestWide, 0, 1, 21, 8, 0},
 		{shapeRandom, guestWide | guestCoverage, 0, 7, 22, 6, 0},

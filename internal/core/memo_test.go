@@ -36,7 +36,7 @@ func wideTarget(t testing.TB) (core.CampaignConfig, profile.Set) {
 			fn("read", -1, 5, 4, 11),
 			fn("close", -1, 9, 5, 4),
 			fn("malloc", 0, 12, 11, 22),
-			fn("write", -1, 32, 5, 28), // never called: terminal-prefix group
+			fn("write", -1, 32, 5, 28), // never called: a pruned group
 		},
 	}}
 	return cfg, set
@@ -44,7 +44,7 @@ func wideTarget(t testing.TB) (core.CampaignConfig, profile.Set) {
 
 // TestSweepMemoIdentical is the determinism bar of prefix memoization:
 // on an exhaustive errno matrix the memoized sweep renders like the
-// oracle at every worker count, without memo and under eviction.
+// oracle at every worker count and with no rung at all.
 func TestSweepMemoIdentical(t *testing.T) {
 	cfg, set := wideTarget(t)
 	checkSweepInvariant(t, cfg, core.PlanExperiments(set), 0, draws{workers: 1, perm: 7, split: 8})
@@ -52,11 +52,10 @@ func TestSweepMemoIdentical(t *testing.T) {
 
 // TestSweepMemoStats pins the bookkeeping: 5 functions × 3 errnos give
 // 5 groups of 3, but the never-called write group is pruned before it
-// reaches the memo cache, leaving 4 groups. Every group sits at its
-// function's first call, so the baseline mints one rung per group, no
-// prefix runs at all (no evictions under the default budget) and every
-// member starts from its own function's rung; the 4 reached sites
-// restore 3 members each, and no prefix terminated.
+// reaches the memo ladder, leaving 4 groups. Every group sits at its
+// function's first call, so the baseline mints one rung per group and
+// every member starts from its own function's rung: the 4 reached
+// sites restore 3 members each.
 func TestSweepMemoStats(t *testing.T) {
 	cfg, set := wideTarget(t)
 	res, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0,
@@ -78,28 +77,21 @@ func TestSweepMemoStats(t *testing.T) {
 	if m.Restored != 12 {
 		t.Errorf("restored = %d, want 12 (4 reached sites x 3 members)", m.Restored)
 	}
-	if m.Terminal != 0 {
-		t.Errorf("terminal-served = %d, want 0 (the write group is pruned)", m.Terminal)
-	}
 	if m.Pruned != 3 {
 		t.Errorf("pruned = %d, want 3 (the write group)", m.Pruned)
 	}
-	if m.Evictions != 0 {
-		t.Errorf("evictions = %d, want 0 under default budget", m.Evictions)
-	}
-	if m.Unmemoizable != 0 || m.Fallbacks != 0 {
-		t.Errorf("unmemoizable=%d fallbacks=%d, want 0", m.Unmemoizable, m.Fallbacks)
+	if m.Unmemoizable != 0 {
+		t.Errorf("unmemoizable=%d, want 0", m.Unmemoizable)
 	}
 	if m.PeakBytes <= 0 {
 		t.Errorf("peak bytes = %d, want > 0", m.PeakBytes)
 	}
 }
 
-// TestSweepMemoLaterSite exercises a non-trivial first-fire site: all
-// errno variants firing on read's second call share a prefix through
-// the first read. The app calls read once — so inject=2 never fires and
-// its group is served whole from the terminated prefix — and the
-// inject=1 variants restore theirs.
+// TestSweepMemoLaterSite exercises a first-fire site the baseline never
+// reaches: the app calls read once, so the errno variants firing on
+// read's second call get no rung and run whole from read's anchor,
+// while the inject=1 variants start from read's first-call rung.
 func TestSweepMemoLaterSite(t *testing.T) {
 	cfg, set := wideTarget(t)
 	var exps []core.Experiment
@@ -120,8 +112,8 @@ func TestSweepMemoLaterSite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Memo.Restored != 3 || got.Memo.Terminal != 3 {
-		t.Errorf("stats: %+v, want 3 restored (inject=1) and 3 terminal (inject=2)", *got.Memo)
+	if m := got.Memo; m.Rungs != 1 || m.Restored != 3 || m.Anchored != 3 {
+		t.Errorf("stats: %+v, want 1 rung and 3 restored (inject=1), 3 anchored (inject=2)", *m)
 	}
 }
 
@@ -152,10 +144,10 @@ func TestSweepMemoUnmemoizable(t *testing.T) {
 	}
 }
 
-// TestSweepMemoEviction: a one-byte budget cannot hold any prefix
-// snapshot, so sealed entries are evicted and later members rebuild
-// their prefix (the harness's "memo-budget=1" leg checks the report).
-func TestSweepMemoEviction(t *testing.T) {
+// TestSweepMemoBudget: a one-byte budget cannot hold any rung, so the
+// baseline mints none and every group member runs whole from the entry
+// (the harness's "memo-budget=1" leg checks the report).
+func TestSweepMemoBudget(t *testing.T) {
 	cfg, set := wideTarget(t)
 	for _, workers := range []int{1, 4} {
 		got, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0,
@@ -163,8 +155,8 @@ func TestSweepMemoEviction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Memo.Evictions == 0 {
-			t.Errorf("workers=%d: stats: %+v, want evictions under a 1-byte budget", workers, *got.Memo)
+		if m := got.Memo; m.Rungs != 0 || m.Restored != 0 || m.Anchored != 0 || m.PeakBytes != 0 {
+			t.Errorf("workers=%d: stats: %+v, want no rung and no run from one under a 1-byte budget", workers, *m)
 		}
 	}
 }
@@ -333,9 +325,9 @@ func errnoExp(fn string, inject int32, retval, errno string) core.Experiment {
 // TestSweepMemoLadder is the memo ladder's harness input: call-1 groups
 // the baseline mints rungs for (open and close in the parent, malloc
 // first called in a spawned child), a call-2 group on read, which the
-// guest calls before its site, so its prefix is built from read's
-// anchor, open's rung, and a read singleton, all with coverage on.
-// Every memo leg (rungs evicted and rebuilt under memo-budget=1
+// guest calls before its site, so its rung's runs resume read's
+// evaluator at one call, and a read singleton anchored on open's rung,
+// all with coverage on. Every memo leg (no rungs under memo-budget=1
 // included) must match the oracle record for record.
 func TestSweepMemoLadder(t *testing.T) {
 	cfg := twoProgTarget(t, ladderApp, ladderKid)
@@ -361,8 +353,8 @@ func TestSweepMemoLadder(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := res.Memo
-	if m.Rungs != 3 || m.Prefixes != 1 || m.Restored != 12 || m.Anchored != 2 || m.Singletons != 1 {
-		t.Errorf("stats: %+v, want 3 rungs (open, close, the kid's malloc), 1 prefix (read call 2), 12 restored, 2 anchored (the prefix and the singleton, on open's rung), 1 singleton", *m)
+	if m.Rungs != 4 || m.Prefixes != 0 || m.Restored != 12 || m.Anchored != 1 || m.Singletons != 1 {
+		t.Errorf("stats: %+v, want 4 rungs (open, read call 2, close, the kid's malloc), no prefix run, 12 restored, 1 anchored (the singleton, on open's rung), 1 singleton", *m)
 	}
 }
 
@@ -415,13 +407,13 @@ int main(void) {
 `
 
 // TestSweepMemoAnchor is the harness input of the start rule: every
-// experiment starts from the latest rung at which no process had
-// called a function its faultload names. The baseline mints two rungs,
-// at open's and close's first calls. Its experiments are a write
-// singleton called before the first rung (it starts from the entry); a
-// read singleton and a read probability plan, anchored on open's rung;
-// a read call-2 group whose prefix is built from there too; and a
-// malloc singleton whose first call is the kid's, before close's rung,
+// experiment outside a group with a rung starts from the latest rung
+// at which no process had called a function its faultload names. The
+// baseline mints three rungs, at open's and close's first calls and at
+// read's second. Its experiments are a write singleton called before
+// the first rung (it starts from the entry); a read singleton and a
+// read probability plan, anchored on open's rung; a read call-2 group
+// on its own rung; and a malloc singleton whose first call is the kid's, before close's rung,
 // though the parent calls malloc only after it — a check of the parent
 // alone would anchor it on close's rung and miss the kid's call.
 func TestSweepMemoAnchor(t *testing.T) {
@@ -452,10 +444,125 @@ func TestSweepMemoAnchor(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := res.Memo
-	if m.Rungs != 2 || m.Prefixes != 1 || m.Restored != 9 || m.Anchored != 4 ||
-		m.Singletons != 3 || m.Unmemoizable != 1 || m.Pruned != 0 || m.Fallbacks != 0 {
-		t.Errorf("stats: %+v, want 2 rungs (open, close), 1 prefix (read call 2), 9 restored, "+
-			"4 anchored on open's rung (the prefix, the read singleton, the probability plan, malloc), "+
+	if m.Rungs != 3 || m.Prefixes != 0 || m.Restored != 9 || m.Anchored != 3 ||
+		m.Singletons != 3 || m.Unmemoizable != 1 || m.Pruned != 0 {
+		t.Errorf("stats: %+v, want 3 rungs (open, read call 2, close), no prefix run, 9 restored, "+
+			"3 anchored on open's rung (the read singleton, the probability plan, malloc), "+
 			"3 singletons (write, read, malloc), 1 unmemoizable", *m)
+	}
+}
+
+// callNApp calls getpid three times, then spawns callNKid, which calls
+// it eight more times in its own process, and exits with the kid's
+// status.
+const callNApp = `
+needs "libc.so";
+extern int getpid(void);
+extern int spawn(byte *prog, int fdin, int fdout);
+extern int waitpid(int pid, int *status);
+int main(void) {
+  int i;
+  int pid;
+  int st;
+  for (i = 0; i < 3; i = i + 1) {
+    if (getpid() < 0) { return 2; }
+  }
+  pid = spawn("kid", 0, 1);
+  if (pid < 0) { return 4; }
+  st = 0;
+  waitpid(pid, &st);
+  return st;
+}
+`
+
+const callNKid = `
+needs "libc.so";
+extern int getpid(void);
+int main(void) {
+  int i;
+  for (i = 0; i < 8; i = i + 1) {
+    if (getpid() < 0) { return 3 + i; }
+  }
+  return 0;
+}
+`
+
+// TestSweepMemoCallN is the harness input of call-N rungs across
+// processes: groups at getpid's third call, which the parent makes, and
+// at its sixth, which only the kid reaches, after the parent's three
+// calls and two of its own. The kid's first stop after the parent's
+// rung comes at its third call, short of the site, so the climb
+// re-arms at the stop it is frozen on; its sixth call mints the rung.
+// Runs from that rung must resume the kid's evaluator at five calls and
+// the parent's at three, and charge both their skipped trigger scans.
+func TestSweepMemoCallN(t *testing.T) {
+	cfg := twoProgTarget(t, callNApp, callNKid)
+	var exps []core.Experiment
+	for _, call := range []int32{3, 6} {
+		for _, e := range []string{"5", "4", "11"} {
+			exps = append(exps, errnoExp("getpid", call, "-1", e))
+		}
+	}
+	checkSweepInvariant(t, cfg, exps, 0, draws{workers: 2, perm: 15, split: 4})
+
+	res, err := core.RunExperiments(cfg, exps, 0, core.SweepOptions{Workers: 2, Snapshot: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := res.Memo; m.Groups != 2 || m.Rungs != 2 || m.Restored != 6 || m.Anchored != 0 {
+		t.Errorf("stats: %+v, want 2 groups, 2 rungs (getpid calls 3 and 6), 6 restored, none anchored", *m)
+	}
+}
+
+// spinApp calls getpid a thousand times.
+const spinApp = `
+needs "libc.so";
+extern int getpid(void);
+int main(void) {
+  int i;
+  for (i = 0; i < 1000; i = i + 1) {
+    if (getpid() < 0) { return 2; }
+  }
+  return 0;
+}
+`
+
+// TestSweepMemoBudgetFallback is the harness input of the budget
+// fallback. Two plans of 40 triggers each fire from getpid's 1000th
+// call, so each earlier call costs their runs 80 cycles the baseline
+// does not pay. The baseline reaches that call at 56,959 cycles and
+// ends at 57,020; the plans' runs reach it at 136,879. Under a budget
+// of 60,000 the baseline survives and mints the site's rung, but a run
+// restored there starts past the budget: the plans' runs exhaust it
+// near getpid's 440th call, so both must run from the entry instead.
+func TestSweepMemoBudgetFallback(t *testing.T) {
+	cfg := twoProgTarget(t, spinApp, callNKid)
+	var exps []core.Experiment
+	for _, e := range []string{"5", "4"} {
+		plan := &scenario.Plan{}
+		for i := int32(0); i < 40; i++ {
+			plan.Triggers = append(plan.Triggers, scenario.Trigger{
+				Function: "getpid", Inject: 1000 + i, Retval: "-1", Errno: e, Once: true,
+			})
+		}
+		exps = append(exps, core.Experiment{
+			Library: libc.Name, Function: "getpid", Retval: -1,
+			Plan: plan, Compiled: scenario.MustCompile(plan, nil),
+		})
+	}
+	const budget = 60_000
+	checkSweepInvariant(t, cfg, exps, budget, draws{workers: 2, perm: 16, split: 1})
+
+	for _, c := range []struct {
+		budget   uint64
+		restored int
+	}{{0, 2}, {budget, 0}} {
+		res, err := core.RunExperiments(cfg, exps, c.budget, core.SweepOptions{Workers: 2, Snapshot: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := res.Memo; m.Rungs != 1 || m.Restored != c.restored {
+			t.Errorf("budget %d: stats: %+v, want 1 rung and %d restored", c.budget, *m, c.restored)
+		}
 	}
 }

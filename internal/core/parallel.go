@@ -38,27 +38,17 @@ type SweepOptions struct {
 	// that tests and the campaign benchmark check production against.
 	// Reports, cycle counts and injection logs are identical.
 	Snapshot bool
-	// NoMemo disables trigger-point prefix memoization, an oracle and
-	// test selector. Under Snapshot, the baseline snapshots itself at
-	// the first stub arrival of every function a first-call group
-	// targets (the memo ladder), and every experiment starts from the
-	// latest of those rungs at which no process had yet called a
-	// function its faultload names, instead of from the entry.
-	// Precompiled experiments sharing a deterministic first-fire site
-	// (scenario.FirstFireSite: same function, call number and trigger
-	// count, no probability/after-fault/sticky/pid/cycles conditions)
-	// are grouped, and each member restores from a mid-execution
-	// snapshot + controller checkpoint taken just before the site and
-	// runs only its suffix (memo.go): a first-call group's is its
-	// function's rung; any other group runs the prefix from its rung up
-	// to its site once. Reports are byte-identical either way; the zero
-	// value keeps memoization on, ladder included. Ignored unless
+	// MemoBudget caps the resident bytes of the memo ladder's rungs
+	// (memo.go); 0 means DefaultMemoBudget. Under Snapshot, the
+	// baseline snapshots itself just before every first-fire site
+	// shared by two or more precompiled experiments
+	// (scenario.FirstFireSite), and each such experiment starts from
+	// its site's rung, every other one from the latest rung at which
+	// no process had called a function its faultload names. A rung
+	// that would exceed the budget is not minted, and its experiments
+	// start lower; 1 mints none, so every run starts from the entry.
+	// Reports are byte-identical at any budget. Ignored unless
 	// Snapshot is set.
-	NoMemo bool
-	// MemoBudget caps the memo cache's resident snapshot bytes; 0 means
-	// DefaultMemoBudget. Least-recently-used prefixes are evicted (and
-	// rebuilt on demand) beyond the budget; tests starve it to force
-	// evictions. Ignored when memoization is inactive.
 	MemoBudget int64
 	// Skip, when non-nil, is consulted once per experiment before any
 	// run is spawned; returning (entry, true) commits the cached entry
@@ -100,10 +90,9 @@ type SweepProgress struct {
 	Done, Total int
 	// Served is how many of the Done entries were satisfied without a
 	// member-specific execution: resume entries served from the
-	// persistent store (Skip), experiments pruned because the baseline
-	// never called their functions, and memoized experiments served
-	// whole from a terminated shared prefix. Done - Served is the number
-	// of experiments actually executed.
+	// persistent store (Skip) and experiments pruned because the
+	// baseline never called their functions. Done - Served is the
+	// number of experiments actually executed.
 	Served int
 	// Entry is the experiment just committed.
 	Entry SweepEntry
@@ -172,14 +161,14 @@ func RunExperiments(cfg CampaignConfig, exps []Experiment, budget uint64, opts S
 				return entry, true, nil
 			}
 		}
-		entry, rep, served, err := r.run(exp, base, budget)
+		entry, rep, err := r.run(exp, base, budget)
 		if err != nil {
-			return entry, served, err
+			return entry, false, err
 		}
 		if opts.OnResult != nil {
 			opts.OnResult(&exp, entry, rep)
 		}
-		return entry, served, nil
+		return entry, false, nil
 	}
 	res := &SweepResult{Executable: cfg.Executable, Baseline: base.Status.Code}
 	if r.memo != nil {
@@ -342,9 +331,8 @@ func newCollector(res *SweepResult, total int, opts SweepOptions) *collector {
 
 // commit appends one in-execution-order entry (idx is its plan index)
 // and reports whether the sweep should stop early. served marks entries
-// satisfied without executing a run (resume cache hits, pruned
-// experiments, shared terminal prefixes), tallied separately from
-// executed experiments.
+// satisfied without executing a run (resume cache hits and pruned
+// experiments), tallied separately from executed experiments.
 func (c *collector) commit(idx int, entry SweepEntry, served bool) (stop bool) {
 	c.res.Entries = append(c.res.Entries, entry)
 	c.idxs = append(c.idxs, idx)

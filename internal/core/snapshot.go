@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"lfi/internal/controller"
 	"lfi/internal/scenario"
@@ -38,18 +39,14 @@ type snapshotRunner struct {
 	stubs    *controller.StubSet
 	snap     *vm.Snapshot
 	passthru *scenario.CompiledPlan // empty plan: the baseline's faultload
-	// stubVAs maps each intercepted function to its stub entry address
-	// in the template — the stops of prefix memoization.
-	stubVAs map[string]uint32
-	// memo, when non-nil, is the sweep-wide prefix cache and memo
-	// ladder (memo.go); nil runs every experiment in full from the
-	// entry.
+	// memo, when non-nil, is the sweep-wide memo ladder (memo.go); nil
+	// runs every experiment from the entry.
 	memo *memoCache
 }
 
 // newSnapshotRunner synthesises the sweep's stub surface and, under
 // opts.Snapshot, builds and freezes the template and plans the memo
-// cache.
+// ladder.
 func newSnapshotRunner(cfg CampaignConfig, exps []Experiment, opts SweepOptions) (*snapshotRunner, error) {
 	r := &snapshotRunner{cfg: cfg, passthru: scenario.MustCompile(&scenario.Plan{}, nil)}
 	var fns []string
@@ -73,19 +70,10 @@ func newSnapshotRunner(cfg CampaignConfig, exps []Experiment, opts SweepOptions)
 	if r.snap, err = sys.Snapshot(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if r.stubs == nil || opts.NoMemo {
-		return r, nil
+	if r.stubs != nil {
+		r.memo = newMemoCache(opts.MemoBudget, r.snap)
+		r.memo.plan(exps)
 	}
-	r.stubVAs = make(map[string]uint32)
-	if im, ok := sys.Procs()[0].ImageByName(controller.StubLibName); ok {
-		for _, fn := range r.stubs.Functions() {
-			if va, ok := im.SymbolVA(fn); ok {
-				r.stubVAs[fn] = va
-			}
-		}
-	}
-	r.memo = newMemoCache(opts.MemoBudget, r.snap)
-	r.memo.plan(exps)
 	return r, nil
 }
 
@@ -130,39 +118,25 @@ func experimentFunctions(exp *Experiment) []string {
 func (r *snapshotRunner) system(anchor int) (*vm.System, error) {
 	switch {
 	case r.memo != nil:
-		e := r.memo.start(anchor)
-		if e.rung > 0 {
+		snap, i := r.memo.start(anchor)
+		if i > 0 {
 			r.memo.note(func(s *MemoStats) { s.Anchored++ })
 		}
-		return e.snap.Restore(), nil
+		return snap.Restore(), nil
 	case r.snap != nil:
 		return r.snap.Restore(), nil
 	}
 	return r.spawn(r.cfg.VM)
 }
 
-// exec binds the faultload to sys's stub surface — seeded from ck when
-// sys is a memoized prefix — and runs it to completion under the
-// budget.
-func (r *snapshotRunner) exec(sys *vm.System, cp *scenario.CompiledPlan, ck *controller.Checkpoint, budget uint64) (*Report, error) {
-	ctl, err := r.bind(sys, cp, ck)
-	if err != nil {
-		return nil, err
-	}
-	return r.report(sys, ctl, sys.Run(budget))
-}
-
-// bind installs a controller for the faultload on sys's stub surface,
-// seeded from ck when sys is a memoized prefix. A surface-less template
-// has nothing to bind (nil controller) and runs uninstrumented.
-func (r *snapshotRunner) bind(sys *vm.System, cp *scenario.CompiledPlan, ck *controller.Checkpoint) (*controller.Controller, error) {
+// bind installs a controller for the faultload on sys's stub surface. A
+// surface-less template has nothing to bind (nil controller) and runs
+// uninstrumented.
+func (r *snapshotRunner) bind(sys *vm.System, cp *scenario.CompiledPlan) (*controller.Controller, error) {
 	if r.stubs == nil {
 		return nil, nil
 	}
 	ctl := controller.NewWithStubs(r.stubs, cp)
-	if ck != nil {
-		ctl.SeedCheckpoint(ck)
-	}
 	if err := ctl.Install(sys); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -191,7 +165,7 @@ func (r *snapshotRunner) baseline(budget uint64) (*Report, map[string]bool, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	ctl, err := r.bind(sys, r.passthru, nil)
+	ctl, err := r.bind(sys, r.passthru)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -212,13 +186,25 @@ func (r *snapshotRunner) baseline(budget uint64) (*Report, map[string]bool, erro
 	return rep, called, nil
 }
 
+// climbStop is one function's stop on the baseline's climb: its stub
+// entry and the call numbers of its group sites not yet reached.
+type climbStop struct {
+	fn    string
+	va    uint32
+	calls []int32
+}
+
 // climb runs the baseline to completion, minting the memo ladder's
-// rungs (memo.go) on the way: it stops at the first arrival at the
-// stub entry of every function with a call-1 group. At each stop it
-// anchors the functions first called since the last one on the latest
-// rung, then — unless some process already called the stop's function
-// — seals a snapshot as the next rung. Each stop is disarmed once hit;
-// the run continues with the rest, and with none left it is a plain
+// rungs (memo.go) on the way. It arms one stop per function with a
+// group site left, at the stub entry, aimed at the arrival that can
+// first be some process's call to the next site: RunStops counts
+// arrivals from each call's start, so the target is the site's call
+// number less the most calls any process has made (made). At each stop
+// it anchors the functions first called since the last one on the
+// latest rung; then, if the arriving process is making the site's call
+// and no process has made it yet, it seals a snapshot as the site's
+// rung. Sites some process has reached are dropped, and a function
+// with none left is disarmed; with no stop left the run is a plain
 // Run, after which the functions called since the last stop anchor on
 // the last rung. Snapshotting leaves the system untouched, so the
 // baseline's report is the unbroken run's.
@@ -226,64 +212,81 @@ func (r *snapshotRunner) climb(sys *vm.System, budget uint64) error {
 	if r.memo == nil {
 		return sys.Run(budget)
 	}
-	var (
-		fns   []string
-		stops []vm.Stop
-	)
-	for _, fn := range r.memo.stops {
-		if va, ok := r.stubVAs[fn]; ok {
-			fns = append(fns, fn)
-			stops = append(stops, vm.Stop{VA: va, Target: 1})
+	var sites []climbStop
+	if im, ok := sys.Procs()[0].ImageByName(controller.StubLibName); ok {
+		for fn, calls := range r.memo.calls {
+			if va, ok := im.SymbolVA(fn); ok {
+				sites = append(sites, climbStop{fn: fn, va: va, calls: calls})
+			}
 		}
 	}
+	slices.SortFunc(sites, func(a, b climbStop) int { return strings.Compare(a.fn, b.fn) })
+	stops := make([]vm.Stop, 0, len(sites))
 	watch := r.stubs.Watch()
 	for {
+		stops = stops[:0]
+		for i := 0; i < len(sites); {
+			st := &sites[i]
+			made := r.made(sys, st)
+			for len(st.calls) > 0 && st.calls[0] <= made {
+				st.calls = st.calls[1:]
+			}
+			if len(st.calls) == 0 {
+				sites = slices.Delete(sites, i, i+1)
+				continue
+			}
+			stops = append(stops, vm.Stop{VA: st.va, Target: st.calls[0] - made})
+			i++
+		}
 		hit, err := sys.RunStops(stops, budget)
 		watch.Poll(sys, r.memo.anchor)
 		if hit < 0 {
 			return err
 		}
-		if fn := fns[hit]; !r.memo.called(fn) {
+		st := &sites[hit]
+		call := st.calls[0]
+		if r.stubs.Count(sys.Stopped(), st.fn) == call-1 && r.most(sys, st.fn) == call-1 {
 			if snap, err := sys.Snapshot(); err == nil {
-				r.memo.mint(fn, snap)
+				r.memo.mint(memoSite{fn: st.fn, call: call}, snap)
 			}
 		}
-		fns = slices.Delete(fns, hit, hit+1)
-		stops = slices.Delete(stops, hit, hit+1)
 	}
 }
 
-// run executes one experiment from its anchor on the memo ladder.
-// Precompiled experiments whose faultload has a deterministic
-// first-fire site shared with at least one other experiment go through
-// the prefix memo cache (memo.go); everything else runs whole via
-// runPlain. The served flag is true when the entry was satisfied
-// without a member-specific run (terminated shared prefix).
-func (r *snapshotRunner) run(exp Experiment, base *Report, budget uint64) (SweepEntry, *Report, bool, error) {
-	anchor := 0
+// made returns the most calls any process of sys has made to the
+// stop's function, counting the arrival a process is frozen on at the
+// stop as made: RunStops has already counted it. The counters of a
+// function the baseline has not seen called are all 0.
+func (r *snapshotRunner) made(sys *vm.System, st *climbStop) int32 {
+	var n int32
+	if r.memo.called(st.fn) {
+		n = r.most(sys, st.fn)
+	}
+	if p := sys.Stopped(); p != nil && p.PC == st.va {
+		n = max(n, r.stubs.Count(p, st.fn)+1)
+	}
+	return n
+}
+
+// most returns the largest stub call counter of fn across the
+// processes of sys, exited ones included.
+func (r *snapshotRunner) most(sys *vm.System, fn string) int32 {
+	var n int32
+	for _, p := range sys.Procs() {
+		n = max(n, r.stubs.Count(p, fn))
+	}
+	return n
+}
+
+// run executes one experiment and classifies it, returning the run
+// report for OnResult observers alongside the entry. An experiment
+// without a faultload binds the pass-through plan and so classifies
+// not-triggered; a faultload that names no function has no fault to
+// inject and fails the sweep, in plan order.
+func (r *snapshotRunner) run(exp Experiment, base *Report, budget uint64) (SweepEntry, *Report, error) {
 	if r.memo != nil {
-		anchor = r.memo.anchorOf(&exp)
-		defer r.memo.release(anchor)
-		key, ok := groupOf(&exp)
-		switch {
-		case ok && r.memo.groupSize(key) >= 2:
-			return r.runMemo(exp, key, anchor, base, budget)
-		case ok:
-			r.memo.note(func(s *MemoStats) { s.Singletons++ })
-		case exp.Compiled != nil:
-			r.memo.note(func(s *MemoStats) { s.Unmemoizable++ })
-		}
+		defer r.memo.release(r.memo.home(&exp))
 	}
-	entry, rep, err := r.runPlain(exp, anchor, base, budget)
-	return entry, rep, false, err
-}
-
-// runPlain executes one experiment whole from its anchor and classifies
-// it, returning the run report for OnResult observers alongside the
-// entry. An experiment without a faultload binds the pass-through plan
-// and so classifies not-triggered; a faultload that names no function
-// has no fault to inject and fails the sweep, in plan order.
-func (r *snapshotRunner) runPlain(exp Experiment, anchor int, base *Report, budget uint64) (SweepEntry, *Report, error) {
 	entry := exp.entry()
 	cp := exp.Compiled
 	switch {
@@ -300,16 +303,55 @@ func (r *snapshotRunner) runPlain(exp Experiment, anchor int, base *Report, budg
 	if cp != r.passthru && len(cp.Functions()) == 0 {
 		return entry, nil, fmt.Errorf("core: controller: %w", controller.ErrNoTriggers)
 	}
-	sys, err := r.system(anchor)
+	sys, ctl, err := r.start(&exp, cp, budget)
 	if err != nil {
 		return entry, nil, err
 	}
-	rep, err := r.exec(sys, cp, nil, budget)
+	rep, err := r.report(sys, ctl, sys.Run(budget))
 	if err != nil {
 		return entry, nil, err
 	}
 	entry.classify(rep, base, r.cfg.Avail)
 	return entry, rep, nil
+}
+
+// start restores one run's system and binds its faultload. A member of
+// a group whose site has a live rung starts there, its controller
+// caught up from the stub counters — unless the corrected cycle total
+// already reaches the budget, where the run might have stopped before
+// the site. Every other run starts from the latest live rung at or
+// below its anchor.
+func (r *snapshotRunner) start(exp *Experiment, cp *scenario.CompiledPlan, budget uint64) (*vm.System, *controller.Controller, error) {
+	anchor := 0
+	if r.memo != nil {
+		anchor = r.memo.anchorOf(exp)
+		site, ok := groupOf(exp)
+		switch {
+		case ok && r.memo.groupSize(site) >= 2:
+			if snap := r.memo.site(site); snap != nil {
+				sys := snap.Restore()
+				ctl, err := r.bind(sys, cp)
+				if err != nil {
+					return nil, nil, err
+				}
+				ctl.Resume(sys, site.fn)
+				if sys.TotalCycles < budget {
+					r.memo.note(func(s *MemoStats) { s.Restored++ })
+					return sys, ctl, nil
+				}
+			}
+		case ok:
+			r.memo.note(func(s *MemoStats) { s.Singletons++ })
+		case exp.Compiled != nil:
+			r.memo.note(func(s *MemoStats) { s.Unmemoizable++ })
+		}
+	}
+	sys, err := r.system(anchor)
+	if err != nil {
+		return nil, nil, err
+	}
+	ctl, err := r.bind(sys, cp)
+	return sys, ctl, err
 }
 
 // pruneEntry short-circuits an experiment the baseline proves inert:

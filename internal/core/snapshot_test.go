@@ -136,8 +136,7 @@ func TestSweepSnapshotExecutorParityEdges(t *testing.T) {
 
 // prunedCount sweeps exps on the production executor and returns the
 // result with the number of experiments pruned: nothing is resumed, so
-// every served entry not served from a terminated memo prefix was
-// pruned.
+// every served entry was pruned.
 func prunedCount(t *testing.T, cfg core.CampaignConfig, exps []core.Experiment, workers int) (*core.SweepResult, int) {
 	t.Helper()
 	served := 0
@@ -148,7 +147,7 @@ func prunedCount(t *testing.T, cfg core.CampaignConfig, exps []core.Experiment, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, served - res.Memo.Terminal
+	return res, served
 }
 
 // TestSweepPruneUncalledIdentical: production must prune the write

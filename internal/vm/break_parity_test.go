@@ -262,3 +262,61 @@ func TestRunBreakCountsPerProcess(t *testing.T) {
 		})
 	}
 }
+
+// TestRunStopsRearmCountsNextArrival pins the re-arm rule the memo
+// ladder's call-N climb relies on. A process frozen at a hit has had
+// that arrival counted: re-arming its VA on the same system counts from
+// its next arrival, so a target of N − made, where made counts the
+// frozen arrival as a call, stops at exactly its N-th call, and a
+// target of 1 moves on instead of stopping where it stands. A restore
+// of the frozen system counts the parked arrival afresh.
+func TestRunStopsRearmCountsNextArrival(t *testing.T) {
+	const n = 5
+	for _, slice := range []int{1, 3, 4096} {
+		t.Run(fmt.Sprintf("slice%d", slice), func(t *testing.T) {
+			systems := map[string]*System{}
+			for _, engine := range []string{EngineStep, EngineBlock} {
+				sys := breakSystem(t, Options{Engine: engine, TimeSlice: slice, StackSize: 1 << 13})
+				va := breakTargetVA(t, sys, "libbrk.so", "f")
+				calls := func() int32 { // f's completed calls: its counter
+					t.Helper()
+					im, _ := sys.procs[0].ImageByName("libbrk.so")
+					v, err := sys.procs[0].ReadWord(im.DataBase)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return v
+				}
+				if hit, err := sys.RunBreak(va, 2, 0); !hit || err != nil {
+					t.Fatalf("%s: RunBreak(f, 2) = (%v, %v)", engine, hit, err)
+				}
+				if sys.Stopped() != sys.procs[0] || calls() != 1 {
+					t.Fatalf("%s: frozen at call %d, want the process at its 2nd", engine, calls()+1)
+				}
+				snap, err := sys.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if hit, err := sys.RunBreak(va, 1, 0); !hit || err != nil || calls() != 2 {
+					t.Fatalf("%s: re-armed target 1 = (%v, %v) at call %d, want its next arrival, call 3", engine, hit, err, calls()+1)
+				}
+				made := calls() + 1 // the frozen arrival is counted
+				if hit, err := sys.RunBreak(va, n-made, 0); !hit || err != nil || calls() != n-1 {
+					t.Fatalf("%s: re-armed target %d = (%v, %v) at call %d, want call %d", engine, n-made, hit, err, calls()+1, n)
+				}
+				fresh := breakSystem(t, Options{Engine: engine, TimeSlice: slice, StackSize: 1 << 13})
+				if hit, err := fresh.RunBreak(va, n, 0); !hit || err != nil {
+					t.Fatalf("%s: fresh RunBreak(f, %d) = (%v, %v)", engine, n, hit, err)
+				}
+				compareBreakState(t, fresh, sys)
+				restored := snap.Restore()
+				c0 := restored.TotalCycles
+				if hit, err := restored.RunBreak(va, 1, 0); !hit || err != nil || restored.TotalCycles != c0 {
+					t.Fatalf("%s: restored RunBreak(f, 1) = (%v, %v) after %d cycles, want the parked arrival counted afresh", engine, hit, err, restored.TotalCycles-c0)
+				}
+				systems[engine] = sys
+			}
+			compareBreakState(t, systems[EngineStep], systems[EngineBlock])
+		})
+	}
+}

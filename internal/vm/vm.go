@@ -1254,7 +1254,10 @@ func (b *breakpoint) rangeIn(im *Image) (int, uint) {
 // matching the per-process trigger evaluators whose call counts a
 // memoized prefix must reproduce. An arrival is counted once when a
 // slice ends (or a blocked instruction yields) with the PC parked on
-// the VA. On a hit it returns the stop's index in stops, with the
+// the VA; so the process a previous call froze at its hit (Stopped),
+// re-armed at that VA on the same system, counts from its next
+// arrival, while a restore of the frozen system counts the parked one
+// afresh. On a hit it returns the stop's index in stops, with the
 // system frozen before the instruction at that VA executes and the
 // scheduler's mid-round position recorded, so Snapshot/Restore/Run (or
 // another RunStops) continues with slice boundaries, budget checks and
@@ -1291,8 +1294,13 @@ func (s *System) RunStops(stops []Stop, budget uint64) (int, error) {
 		}
 	}
 	b.armed = true
+	held := s.Stopped()
 	for _, p := range s.procs {
-		p.parked = 0
+		j := -1
+		if p == held && p.parked != 0 {
+			j = b.find(p.PC) // its arrival there is counted
+		}
+		p.parked = j + 1
 		p.stopCounts = resetCounts(p.stopCounts, len(b.stops))
 		if s.opts.Engine != EngineStep && !p.Exited {
 			for _, im := range p.Images {
@@ -1321,6 +1329,15 @@ func resetCounts(c []int32, n int) []int32 {
 	c = c[:n]
 	clear(c)
 	return c
+}
+
+// Stopped returns the process frozen at the stop the last RunStops
+// call hit, or nil when the system has run on since (or never stopped).
+func (s *System) Stopped() *Proc {
+	if !s.resume.pending {
+		return nil
+	}
+	return s.procs[s.resume.procIdx]
 }
 
 // RunBreak is RunStops with the one-stop set {va, target}: it reports

@@ -367,7 +367,7 @@ func checkPlan(path string, set profile.Set, files []*obj.File) error {
 			fmt.Println("memo: stateful degradation arms at fire time: the shared prefix stays pre-fire, each suffix is private")
 		}
 	} else {
-		fmt.Printf("memo: non-memoizable (%s): snapshot sweeps fall back to the entry snapshot\n", reason)
+		fmt.Printf("memo: non-memoizable (%s): snapshot sweeps share no prefix and run it from the latest rung before its functions' first call\n", reason)
 	}
 	if warns := scenario.Lint(plan, set); len(warns) > 0 {
 		fmt.Println("warnings:")

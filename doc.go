@@ -140,6 +140,34 @@
 // The legacy interpreter remains only as the test oracle
 // (vm.Options.Engine = vm.EngineStep).
 //
+// The block engine also fast-forwards provable spins (vm/spin.go); the
+// step engine never does. A process that retries a failing syscall
+// while every other live process is blocked — the availability
+// matrix's accept wedges — keeps its guest-visible result for the rest
+// of the budget, and only monotone counters move. When a syscall fails
+// again at the PC, stack pointer, number and result of the process's
+// previous failure, one period is replayed on the reference
+// interpreter with every value tracked, up to the next failure there.
+// The spin is proved when the process is back with the same registers
+// it read, flags and call stack, the kernel equals its snapshot (it
+// has no clock, so a blocked peer cannot wake), each blocked peer only
+// retried once per round, every guest byte written is unchanged but
+// the stubs' __cnt_ words (and copies of them, which reach no compare,
+// address or argument), and each host function called proves that its
+// calls repeat (vm.HostSpin; the trigger evaluator proves it when the
+// period injected nothing and every trigger on the functions called
+// has spent itself — a fired one-shot, or an inject= call in the
+// past). The engine then skips whole multiples of lcm(time slice,
+// period) instructions, keeping the slice phase the budget check
+// depends on, as many as keep TotalCycles below the budget, adds each
+// counter's delta (process and peer cycles, TotalCycles, counter words,
+// evaluator counts) and runs the tail normally: the budget stops the
+// run on the same instruction and cycle as on the step engine. Only
+// Run with a budget jumps; RunUntil, RunStops and the step engine do
+// not. One accept wedge of a minidb sweep took 1.71–1.78 s and now
+// takes about 0.07–0.09 s (one worker, 2-CPU x86-64); its stored
+// Cycles are unchanged.
+//
 // # Copy-on-write restores
 //
 // Snapshot restores are page-granular copy-on-write (internal/vm,
@@ -182,9 +210,9 @@
 // becomes fireable: single-function plans whose triggers carry no
 // probability, sticky, pid, after-fault or cycles conditions resolve
 // to the earliest call any trigger can fire at; everything else is
-// non-memoizable and falls back to plain entry-snapshot runs
-// (scenario.Lint names the blocking condition, surfaced by `lfi plan
-// -check`). Experiments are grouped by site — in an exhaustive errno
+// non-memoizable and runs whole from the latest rung before its
+// functions' first call (scenario.Lint names the blocking condition,
+// surfaced by `lfi plan -check`). Experiments are grouped by site — in an exhaustive errno
 // sweep every errno variant of one (function, call) cell lands in the
 // same group — and the clean baseline freezes every group's prefix on
 // its way: the memo ladder. Up to a site, a memoizable experiment's run
@@ -320,7 +348,12 @@
 // against a disk that stays full (degraded) or a call stalled past
 // the budget (wedged). Where a resource fault is armed matters as
 // much as which resource: fd pressure at accept wedges the service,
-// at write it never binds.
+// at write it never binds. A wedge verdict costs the whole cycle
+// budget, but not its interpretation: the wedged server retries accept
+// while its client waits, and the block engine proves that spin and
+// skips to the budget's last periods (see Execution engine), so the
+// accept wedges run about 20x faster than they interpret; the step
+// engine runs them in full, as the reference.
 //
 // # Caller-side audit
 //
@@ -367,7 +400,15 @@
 // at a time comparing full machine state (internal/vm/exec_test.go),
 // and the sweep-level tests (TestSweepEngineDifferential, and the
 // step leg of the determinism harness) require byte-identical reports
-// from the step oracle.
+// from the step oracle. Spin fast-forward is the block engine's one
+// departure from replaying every instruction, and it is judged the
+// same way: internal/controller's TestSpinFastForwardLockstep runs a
+// wedged server to budgets inside, across and at the boundaries of the
+// spin's periods, at time slices sharing factors with the period and
+// coprime to it, and requires the step engine's registers, pages,
+// cycles, kernel, injection log and evaluator counts, with cycles
+// actually skipped; TestSpinFastForwardRefuses requires no jump where
+// one would be wrong.
 //
 // One harness checks the sweep-level contract (internal/core,
 // harness_test.go): a report depends only on (binaries, profiles,
@@ -378,9 +419,11 @@
 // execution order, with baseline pruning, and resumed from its own
 // campaign store killed mid-append at a drawn record — to fail as the
 // oracle fails or to render the same report, with the same cycles,
-// injection log and store record for every run. FuzzCampaign draws
-// the guest (the fixed targets, the CLI workflows' applications,
-// generated corpus libraries), the plan shape (errno, degradation,
+// injection log and store record for every run. The oracle runs on the
+// block engine and fast-forwards spins like production, so the step
+// leg is what judges those jumps. FuzzCampaign draws the guest (the
+// fixed targets, the CLI workflows' applications, generated corpus
+// libraries), the plan shape (errno, degradation,
 // both, availability windows, seeded random triggers, audit-ranked
 // order, early stops), the worker count, the permutation, the split
 // and the budget; the named determinism tests are its fixed inputs.

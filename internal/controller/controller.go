@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -153,6 +154,8 @@ type Controller struct {
 	log       []InjectionRecord
 	// frames is the backtrace buffer, reused across intercepted calls.
 	frames []scenario.StackFrame
+	// spin proves the evaluator's calls during a spin (vm.HostSpin).
+	spin evalSpin
 	// PassThrough forces every decision to call the original function
 	// after trigger evaluation — used by the overhead experiments
 	// (Tables 3 and 4), which must let the workload complete.
@@ -270,8 +273,57 @@ func (c *Controller) Install(sys *vm.System) error {
 		return err
 	}
 	sys.Register(stub)
-	sys.RegisterHost(evalHostFunc, c.evalTrigger)
+	c.spin.c = c
+	sys.RegisterHostSpin(evalHostFunc, c.evalTrigger, &c.spin)
 	return nil
+}
+
+// evalSpin is the trigger evaluator's half of the block engine's spin
+// proofs (vm.HostSpin): the intercepted calls of a period repeat
+// exactly when they injected nothing and every trigger on each
+// function they called has spent itself (scenario.Evaluator.Repeats),
+// since each later call then passes through with the same scan charge.
+// Calls to functions no trigger names always repeat. The proof reads
+// only the evaluators: a spent trigger consults neither the cycle
+// clock nor the random stream.
+type evalSpin struct {
+	c   *Controller
+	pid int
+	// log and counts are the injection-log length and the process's
+	// evaluator counts at Mark.
+	log    int
+	counts []int32
+}
+
+func (s *evalSpin) Mark(p *vm.Proc) {
+	s.pid, s.log, s.counts = p.ID, len(s.c.log), s.counts[:0]
+	if ev, ok := s.c.evals[p.ID]; ok {
+		s.counts = ev.Counts(s.counts)
+	}
+}
+
+func (s *evalSpin) Repeats(p *vm.Proc) uint64 {
+	if p.ID != s.pid || len(s.c.log) != s.log {
+		return 0
+	}
+	ev, ok := s.c.evals[p.ID]
+	if !ok {
+		return math.MaxUint64
+	}
+	return ev.Repeats(s.counts)
+}
+
+func (s *evalSpin) Advance(p *vm.Proc, n uint64) {
+	if ev, ok := s.c.evals[p.ID]; ok {
+		ev.Advance(s.counts, n)
+	}
+}
+
+// Counter owns the stubs' __cnt_ words: each stub bumps its own, and
+// nothing else reads them.
+func (s *evalSpin) Counter(p *vm.Proc, addr uint32) bool {
+	im, ok := p.ImageByName(StubLibName)
+	return ok && s.c.stubs.counter(int32(addr-im.DataBase))
 }
 
 // PreloadList returns the preload set for SpawnConfig (the LD_PRELOAD

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"lfi/internal/asm"
@@ -62,6 +63,13 @@ func NewStubSet(fns []string) (*StubSet, error) {
 		ss.cnt[fid] = offs[counterSym(fn)]
 	}
 	return ss, nil
+}
+
+// counter reports whether off is the data offset of a stub's call
+// counter. The counters are declared in fid order, so cnt is sorted.
+func (ss *StubSet) counter(off int32) bool {
+	_, ok := slices.BinarySearch(ss.cnt, off)
+	return ok
 }
 
 // Library returns the synthesised interceptor library (treat as

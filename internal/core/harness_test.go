@@ -7,6 +7,11 @@ package core_test
 // configuration that must leave the report, and each run's cycles and
 // injection log, exactly as the oracle has them. Adding an executor
 // axis means adding one leg to checkSweepInvariant.
+//
+// The oracle's block engine fast-forwards provable spins (vm/spin.go),
+// as every production leg does, so oracle and production agreeing says
+// nothing about the jump. The "step" leg judges it: the step engine
+// never jumps, and its records must equal the oracle's.
 
 import (
 	"bytes"
@@ -85,7 +90,9 @@ func observe(cfg core.CampaignConfig, exps []core.Experiment, budget uint64, opt
 // against it. The legs run the production executor (snapshot restores
 // with prefix memoization and baseline pruning) at 4 and 8 workers; and
 // at d.workers with a one-byte memo budget (no rungs: every run starts
-// from the entry), on the step engine, and — with live progress reporting, as `lfi sweep
+// from the entry), on the step engine (the one leg that never
+// fast-forwards a spin, so it is what checks the block engine's jumps,
+// the oracle's included), and — with live progress reporting, as `lfi sweep
 // -progress` runs — in a random execution order writing a campaign
 // store ("store"; plan order under an early stop) and resumed from that
 // store killed mid-append after d.split records ("resume"). Each leg
@@ -293,8 +300,12 @@ func FuzzCampaign(f *testing.F) {
 }
 
 // FuzzCampaign's guests; the high bit turns VM coverage on. The minidb
-// availability campaign is no guest here: one minidb input runs for
-// 14–21 s, and a fuzzing worker aborts any input that runs over 10 s.
+// availability campaign is no guest here. Since the block engine
+// fast-forwards its accept wedges, one minidb input runs for 1.2–6.5 s
+// in a plain `go test` (2-CPU x86-64, any shape, 1 or 8 workers), but
+// a fuzzing worker aborts any input that runs over 10 s, and under
+// `go test -fuzz -parallel 2` on the same box a random-shape minidb
+// input that runs in 1.8 s plain hung the fuzzer within 18 s.
 // TestAvailabilitySweepDeterminism is its harness input.
 const (
 	guestMixed    = iota // mixedTarget

@@ -1,5 +1,7 @@
 package kernel
 
+import "reflect"
+
 // Snapshot is a frozen, immutable copy of a kernel's whole resource
 // state: file system, per-process descriptor tables, pipes, sockets and
 // listeners. It backs the VM's fork-server campaign runtime: one
@@ -29,6 +31,14 @@ func (k *Kernel) Snapshot() *Snapshot {
 // no convoy on the per-experiment hot path.
 func (s *Snapshot) Restore() *Kernel {
 	return s.frozen.clone()
+}
+
+// Same reports whether k's whole resource state equals the snapshot's.
+// The block engine's spin proofs (vm/spin.go) use it to show that a
+// period left the kernel as it found it, so a blocked process cannot
+// wake: the kernel has no clock of its own.
+func (s *Snapshot) Same(k *Kernel) bool {
+	return reflect.DeepEqual(s.frozen, k.clone())
 }
 
 // clone deep-copies the kernel, preserving aliasing: every *file,

@@ -15,6 +15,7 @@ package scenario
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -87,6 +88,9 @@ type compiledTrigger struct {
 	exhaust      *Exhaust
 
 	random bool
+	// inject is the flat inject= attribute (0 when unset): the trigger
+	// can match no call past the inject-th.
+	inject int32
 	// candidates are the pre-resolved random-fault error codes from the
 	// function's profile (nil when no profile covers the function).
 	candidates []profile.ErrorCode
@@ -180,6 +184,7 @@ func compileTrigger(idx int, t *Trigger, set profile.Set, index map[string]int) 
 		callOriginal: t.CallOriginal,
 		modify:       t.Modify,
 		random:       t.Random,
+		inject:       t.Inject,
 	}
 	if t.Function == "" {
 		return ct, errors.New("missing function name")
@@ -647,6 +652,66 @@ func (e *Evaluator) OnCallIndex(fi int, stack []StackFrame, cycle uint64) Decisi
 	return Decision{CallCount: at.n, Scanned: scanned}
 }
 
+// Counts appends the evaluator's call count of every triggered
+// function, by FuncIndex, to dst.
+func (e *Evaluator) Counts(dst []int32) []int32 { return append(dst, e.count...) }
+
+// Repeats reports how many more times the calls made since mark (the
+// Counts of an earlier moment; missing entries count as 0) can repeat
+// with exactly the decisions and scan charges they got: each function
+// called since then must have spent every trigger on it, so all its
+// later calls pass through after scanning all of them. It is 0 when
+// one has not. Counts stay below math.MaxInt32.
+func (e *Evaluator) Repeats(mark []int32) uint64 {
+	reps := uint64(math.MaxUint64)
+	for fi, n := range e.count {
+		d := n - countAt(mark, fi)
+		if d == 0 {
+			continue
+		}
+		if d < 0 {
+			return 0
+		}
+		for i := range e.cp.byFn[fi] {
+			if !e.spent(&e.cp.byFn[fi][i], n) {
+				return 0
+			}
+		}
+		reps = min(reps, uint64(math.MaxInt32-n)/uint64(d))
+	}
+	return reps
+}
+
+// Advance adds n repeats of the calls made since mark to the counts,
+// as if they had been evaluated; Repeats bounds n.
+func (e *Evaluator) Advance(mark []int32, n uint64) {
+	for fi, c := range e.count {
+		e.count[fi] = c + int32(uint64(c-countAt(mark, fi))*n)
+	}
+}
+
+func countAt(mark []int32, fi int) int32 {
+	if fi < len(mark) {
+		return mark[fi]
+	}
+	return 0
+}
+
+// spent reports whether trigger ct matches none of its function's
+// calls past the n-th: a fired one-shot, or a trigger pinned by
+// inject= to an earlier call (its nth condition precedes any draw).
+func (e *Evaluator) spent(ct *compiledTrigger, n int32) bool {
+	if e.fired[ct.idx] {
+		if ct.sticky {
+			return false
+		}
+		if ct.once {
+			return true
+		}
+	}
+	return ct.inject > 0 && n >= ct.inject
+}
+
 // fire materialises the decision for a matched trigger.
 func (e *Evaluator) fire(ct *compiledTrigger, fi int, n int32) Decision {
 	e.faults[fi]++
@@ -727,14 +792,14 @@ func Lint(plan *Plan, set profile.Set) []string {
 	}
 	// One warning per blocking condition kind: snapshot sweeps cannot
 	// share the pre-fault prefix of a plan whose first fire site is not
-	// statically deterministic, and fall back to replaying the whole run
-	// from the entry snapshot.
+	// statically deterministic, and run it whole from the latest memo
+	// rung the baseline minted before its functions' first call.
 	memoWarned := make(map[string]bool)
 	for i := range plan.Triggers {
 		t := &plan.Triggers[i]
 		if b := memoBlocker(t); b != "" && !memoWarned[b] {
 			memoWarned[b] = true
-			warn(i, t.Function, "%s condition makes the plan non-memoizable: snapshot sweeps fall back to the entry snapshot", b)
+			warn(i, t.Function, "%s condition makes the plan non-memoizable: snapshot sweeps share no prefix and run it from the latest rung before its functions' first call", b)
 		}
 	}
 	return warns

@@ -374,9 +374,10 @@ func TestLint(t *testing.T) {
 	if !strings.Contains(warns[1], `no trigger targets "malloc"`) {
 		t.Errorf("warns[1] = %q", warns[1])
 	}
-	// Probability and after-fault both force the entry-snapshot
-	// fallback, one warning per condition kind.
-	if !strings.Contains(warns[2], "probability condition makes the plan non-memoizable") {
+	// Probability and after-fault both rule out a shared prefix, one
+	// warning per condition kind; such a run starts from its anchor rung.
+	if !strings.Contains(warns[2], "probability condition makes the plan non-memoizable") ||
+		!strings.Contains(warns[2], "from the latest rung before its functions' first call") {
 		t.Errorf("warns[2] = %q", warns[2])
 	}
 	if !strings.Contains(warns[3], "after-fault condition makes the plan non-memoizable") {

@@ -28,9 +28,10 @@ type FireSite struct {
 // its earliest possible injection. The empty reason means the plan is
 // memoizable: a sweep may run any same-shaped plan to just before the
 // site and reuse the resulting state for every plan sharing the site.
-// A non-empty reason names what forces the fallback to the entry
-// snapshot: "probability", "after-fault", "sticky", "pid", "cycles",
-// "triggers target multiple functions", or "no triggers".
+// A non-empty reason names what forces the sweep to run the plan whole
+// from the latest rung before its functions' first call:
+// "probability", "after-fault", "sticky", "pid", "cycles", "triggers
+// target multiple functions", or "no triggers".
 //
 // The site is a lower bound, not an exact fire point — conditions the
 // analyzer does not model (stacktrace, <calls> windows inside <or>)

@@ -283,8 +283,17 @@ func (p *Proc) stay(im *Image, ran, max int) int {
 // instruction, so any split point is a valid entry).
 func (p *Proc) runSliceBlocks(n int) int {
 	ran := 0
+	if p.spin.pr != nil {
+		p.spin.pr.slices++
+	}
 	for ran < n && !p.Exited {
-		m, cont := p.execBlock(n - ran)
+		var m int
+		var cont bool
+		if p.spin.pr == nil {
+			m, cont = p.execBlock(n - ran)
+		} else {
+			m, cont = p.proveSpin(n - ran)
+		}
 		ran += m
 		if !cont {
 			break // blocked in a syscall or at a stop: yield the slice
@@ -543,18 +552,29 @@ dispatch:
 				p.PC = im.TextBase + uint32(idx+k+1)*isa.Size
 				return ran, true
 
-			case isa.OpCall, isa.OpCallR, isa.OpJmpI, isa.OpRet, isa.OpSyscall:
+			case isa.OpCall, isa.OpCallR, isa.OpJmpI, isa.OpRet:
 				// A transfer resolved at run time: fold the run, let
 				// transfer set p.PC, and stay in the loop when the target
-				// is in this image. A blocked syscall yields the slice
-				// with PC parked on it: each attempt costs a cycle, as on
-				// the step engine, but no step of the slice.
+				// is in this image.
+				p.chargeRun(im, idx, idx+k)
+				p.transfer(im, idx+k, in)
+				ran += k + 1
+				if idx = p.stay(im, ran, max); idx >= 0 {
+					continue dispatch
+				}
+				return ran, true
+			case isa.OpSyscall:
+				// As above, but a blocked syscall yields the slice with PC
+				// parked on it: each attempt costs a cycle, as on the step
+				// engine, but no step of the slice. A failing syscall that
+				// opened a spin proof leaves the loop: the proof watches
+				// the period from here (spin.go).
 				p.chargeRun(im, idx, idx+k)
 				if !p.transfer(im, idx+k, in) {
 					return ran + k, false
 				}
 				ran += k + 1
-				if idx = p.stay(im, ran, max); idx >= 0 {
+				if idx = p.stay(im, ran, max); idx >= 0 && p.spin.pr == nil {
 					continue dispatch
 				}
 				return ran, true

@@ -57,7 +57,7 @@ import (
 type Snapshot struct {
 	opts        Options
 	programs    map[string]*obj.File
-	hosts       []HostFunc
+	hosts       []host
 	hostIdx     map[string]int
 	kern        *kernel.Snapshot
 	nextPID     int
@@ -128,7 +128,7 @@ func (s *System) Snapshot() (*Snapshot, error) {
 	snap := &Snapshot{
 		opts:        s.opts,
 		programs:    s.programs,
-		hosts:       append([]HostFunc(nil), s.hosts...),
+		hosts:       slices.Clone(s.hosts),
 		hostIdx:     s.hostIdx,
 		kern:        s.kern.Snapshot(),
 		nextPID:     s.nextPID,
@@ -213,7 +213,7 @@ func (s *Snapshot) Restore() *System {
 	sys := &System{
 		opts:        s.opts,
 		programs:    s.programs,
-		hosts:       append([]HostFunc(nil), s.hosts...),
+		hosts:       slices.Clone(s.hosts),
 		hostIdx:     s.hostIdx,
 		sharedMaps:  true,
 		kern:        s.kern.Restore(),

@@ -121,6 +121,9 @@ func (p *Proc) doSyscall(next uint32) bool {
 	p.blocked = false
 	p.Regs[isa.R0] = uint32(ret)
 	p.PC = next
+	if ret < 0 && p.Sys.spinLimit != 0 {
+		p.failedSyscall(num, ret)
+	}
 	return true
 }
 

@@ -13,7 +13,10 @@
 // Execution is deterministic: processes are scheduled round-robin with
 // fixed time slices, every instruction costs one cycle, and the kernel
 // introduces no spontaneous events. Virtual time (cycles / ClockHz) is
-// what the overhead experiments (paper Tables 3 and 4) report.
+// what the overhead experiments (paper Tables 3 and 4) report. The two
+// engines (Options.Engine) end every run in the same state; the block
+// engine may skip the periods of a provable budget-bound spin
+// (spin.go) to get there, the step engine never does.
 package vm
 
 import (
@@ -274,6 +277,8 @@ type Proc struct {
 	// since its last counted arrival, 0 otherwise.
 	stopCounts []int32
 	parked     int
+	// spin is the block engine's spin detector (spin.go).
+	spin spinState
 }
 
 // segment is one mapping of a process address space. Exactly one of
@@ -377,10 +382,12 @@ const (
 	// resolution, segment-cached memory and batched cycle/coverage
 	// accounting (see exec.go). Decision-for-decision identical to
 	// EngineStep: same scheduling, cycle counts at every observable
-	// boundary, coverage bits, exit statuses.
+	// boundary, coverage bits, exit statuses. Within a Run with a
+	// budget it also skips whole periods of provable spins (spin.go),
+	// landing in the state the skipped instructions would have left.
 	EngineBlock = "block"
 	// EngineStep is the legacy one-instruction-at-a-time interpreter,
-	// kept as the test oracle for EngineBlock.
+	// kept as the test oracle for EngineBlock. It never skips.
 	EngineStep = "step"
 )
 
@@ -400,9 +407,17 @@ type Options struct {
 	// Engine selects the interpreter: EngineBlock or EngineStep
 	// (default DefaultEngine). It is the test-oracle selector: the
 	// lockstep and sweep differential tests set EngineStep to run the
-	// reference interpreter beside the block engine. Both engines are
-	// decision-for-decision identical; see the package doc's
-	// determinism contract.
+	// reference interpreter beside the block engine. The contract: a
+	// system ends every Run, RunUntil and RunStops call in the same
+	// state on both engines — registers, flags, memory, call stacks,
+	// cycle counters, kernel, coverage, and the state of host functions
+	// — and observes the same values at every host call and syscall
+	// it executes. The block engine gets there by batching, and by
+	// skipping the periods of a provable spin (spin.go), which the step
+	// engine executes one instruction at a time; so host calls and
+	// syscalls inside skipped periods are not made on the block
+	// engine, and a host function's part in a skip is its HostSpin
+	// proof. See the package doc's determinism contract.
 	Engine string
 }
 
@@ -410,7 +425,7 @@ type Options struct {
 type System struct {
 	opts     Options
 	programs map[string]*obj.File
-	hosts    []HostFunc
+	hosts    []host
 	hostIdx  map[string]int
 	// sharedMaps is set while programs and hostIdx are shared with a
 	// snapshot (taken of this system, or restored into it): the next
@@ -428,6 +443,12 @@ type System struct {
 	// stop is the stop set RunStops arms for the duration of its
 	// schedule call (unarmed otherwise).
 	stop breakpoint
+	// spinLimit is the absolute TotalCycles budget limit below which
+	// the block engine may fast-forward a proved spin (spin.go), for
+	// the duration of a schedule call that allows it; 0 otherwise.
+	spinLimit uint64
+	// skipped counts the cycles spin fast-forwards skipped.
+	skipped uint64
 	// TotalCycles accumulates cycles across all processes.
 	TotalCycles uint64
 }
@@ -479,15 +500,22 @@ func (s *System) Register(f *obj.File) {
 
 // RegisterHost installs a named host function resolvable as an import.
 // Rebinding an installed name writes only the system's private slot
-// table.
+// table. The function has no spin prover, so no spin that calls it is
+// fast-forwarded.
 func (s *System) RegisterHost(name string, fn HostFunc) {
+	s.RegisterHostSpin(name, fn, nil)
+}
+
+// RegisterHostSpin is RegisterHost for a host function whose calls
+// during a spin sp can prove to repeat (HostSpin, spin.go).
+func (s *System) RegisterHostSpin(name string, fn HostFunc, sp HostSpin) {
 	if idx, ok := s.hostIdx[name]; ok {
-		s.hosts[idx] = fn
+		s.hosts[idx] = host{fn, sp}
 		return
 	}
 	s.ownMaps()
 	s.hostIdx[name] = len(s.hosts)
-	s.hosts = append(s.hosts, fn)
+	s.hosts = append(s.hosts, host{fn, sp})
 }
 
 // ownMaps gives the system private copies of the program registry and
@@ -1100,6 +1128,9 @@ func (s *System) RunUntil(cond func() bool, budget uint64) error {
 // call finishes that round first, so every slice boundary lands where
 // an unbroken run puts it.
 func (s *System) schedule(cond func() bool, start, budget uint64, stall error) error {
+	if disarm := s.spinBudget(cond, start, budget); disarm != nil {
+		defer disarm()
+	}
 	r, resumed := s.resume, s.resume.pending
 	s.resume = schedResume{}
 	for {
@@ -1644,7 +1675,7 @@ func (p *Proc) doCall(target, retPC uint32, lbl *frameLabel) bool {
 			return true
 		}
 		p.hc = HostCall{Sys: p.Sys, Proc: p, sp: p.Regs[isa.SP]}
-		ret := p.Sys.hosts[idx](&p.hc)
+		ret := p.Sys.hosts[idx].fn(&p.hc)
 		if p.Exited {
 			return true
 		}

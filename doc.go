@@ -25,8 +25,8 @@
 // below). The fresh-spawn oracle (core.SweepOptions{}) rebuilds the
 // same template for every run, so cycle counts, injection logs and
 // reports are equal on both by construction (TestSweepSnapshotIdentical;
-// BenchmarkSweepSnapshot vs BenchmarkSweepParallel in BENCH_sweep.json
-// records the campaign throughput gain). The production executor also
+// the campaign benchmark in bench/ measures production's throughput).
+// The production executor also
 // skips experiments whose functions the baseline never calls through
 // their stubs (the stubs' static call counters, §5.1, tell): such a run
 // can only replay the baseline, which is committed in its place. And
@@ -70,8 +70,9 @@
 // position-carrying error), random-fault candidates pre-resolved — and
 // per-process Evaluators carry only thin mutable state, so each
 // intercepted call examines the triggers for that function instead of
-// scanning the whole plan (BenchmarkEvaluatorLargePlan: flat per-call
-// cost as exhaustive plans grow 10x). Campaign schedulers compile once
+// scanning the whole plan (TestEvaluatorScanIsFlat: two triggers
+// scanned and nothing allocated per call, at 50 and at 500 functions).
+// Campaign schedulers compile once
 // and share the CompiledPlan read-only across all workers. Triggers
 // compose beyond the paper's flat attributes — <and>/<or>/<not> over
 // call-count windows, cycle windows, pids, probabilities, backtraces,
@@ -132,12 +133,11 @@
 // searching the segments, enough for a loop touching its stack, its
 // data, a library's data and TLS (all windows are dropped when Brk
 // moves the heap's backing array, a CoW page's read windows when the
-// page is privatized; restores start cold). BenchmarkVMExec records 2.5-3.2x instruction throughput over
-// the legacy per-instruction interpreter depending on kernel, and
-// BenchmarkSweepSnapshot improves ~1.5x end to end (BENCH_vm.json;
-// BenchmarkVMExec runs each kernel as a step/block sub-benchmark pair,
-// so one `go test -bench BenchmarkVMExec .` regenerates the comparison).
-// The legacy interpreter remains only as the test oracle
+// page is privatized; restores start cold). The block engine measured
+// 2.5-3.3x the instruction throughput of the per-instruction
+// interpreter, depending on the kernel (CHANGES.md, "Block-compiled
+// execution engine"), which is why
+// that interpreter remains only as the test oracle
 // (vm.Options.Engine = vm.EngineStep).
 //
 // The block engine also fast-forwards provable spins (vm/spin.go); the
@@ -197,9 +197,9 @@
 // sweep reports from both, and TestSweepSnapshotIdentical requires
 // equal per-experiment cycle counts and injection logs from the
 // fresh-spawn oracle and CoW restores at any worker count.
-// BenchmarkRestoreCoW measured 9.6x per restore+run over the deep-copy
-// restore it replaced, on a low-dirty-ratio guest (BENCH_vm.json
-// "restore").
+// Copy-on-write measured 9.6x per restore+run over the deep-copy
+// restore it replaced, on a low-dirty-ratio guest (CHANGES.md,
+// "Copy-on-write snapshot restore").
 //
 // # Prefix memoization
 //
@@ -242,7 +242,7 @@
 // the latest live rung at or below its functions' earliest anchor,
 // exactly as if from the entry (rung 0). Every rung is sealed before
 // the first experiment runs, under a byte budget
-// (core.DefaultMemoBudget, 256 MiB; Snapshot.Footprint is the unit): a
+// (256 MiB; Snapshot.Footprint is the unit): a
 // rung past it is not minted, and a rung lives until every experiment
 // starting from it is committed. Soundness rests on determinism:
 // same-site plans evaluate calls 1..N-1 identically (no injections, no
@@ -252,13 +252,11 @@
 // byte-identical reports and store records between memoized sweeps
 // and the fresh-spawn oracle across engines, worker counts, a memo
 // budget that mints no rung, cycle budgets that force the fallback,
-// -max-crashes and -resume. `lfi sweep` always memoizes. On a
-// heavy-startup exhaustive matrix the A/B measured 3.06x with a
-// prefix run per group (BenchmarkSweepMemo, BENCH_sweep.json) and 17.6x
-// with the memo ladder (10.7 vs 189 ms per sweep, medians of 10
-// alternating runs on a 2-CPU x86-64 box); the short-prefix matrix of
-// 2-member groups the same record shows memo losing on now gains too
-// (BenchmarkSweepSnapshot, 2.28 vs 2.70 ms). Starting singletons and
+// -max-crashes and -resume. `lfi sweep` always memoizes: on a
+// heavy-startup exhaustive matrix the memo ladder measured 17.6x over
+// running every experiment from the entry (10.7 vs 189 ms per sweep,
+// medians of 10 alternating runs on a 2-CPU x86-64 box; CHANGES.md,
+// "Memo ladder"). Starting singletons and
 // non-memoizable plans from their anchor rung took the paper-scale
 // errno sweep of the campaign benchmark (errno-corpus) from 4.7k to
 // 8.3k experiments per second (medians of 10 alternating 10-s pairs,
@@ -429,9 +427,10 @@
 // and the budget; the named determinism tests are its fixed inputs.
 // A new executor axis is one more relation.
 //
-// The sections above are the design inventory; the BENCH_*.json files
-// record measured results, and bench/README.md documents the
-// end-to-end campaign benchmark. The public entry point for
+// The sections above are the design inventory; the BENCH_audit,
+// BENCH_availability and BENCH_faults JSON files record the outcome
+// studies, and bench/README.md documents the end-to-end campaign
+// benchmark. The public entry point for
 // programmatic use is internal/core; the command-line tools are
 // cmd/lfi, cmd/lfi-bench and cmd/lfi-corpus.
 package lfi

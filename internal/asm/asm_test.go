@@ -100,6 +100,7 @@ func TestBranchTargetsResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every branch should carry a text reloc whose Index equals its Imm.
+	relocs := relocsByOff(f)
 	nbranch := 0
 	for i, in := range insts {
 		if !in.Op.IsBranch() {
@@ -107,7 +108,7 @@ func TestBranchTargetsResolve(t *testing.T) {
 		}
 		nbranch++
 		off := int32(i * isa.Size)
-		r, ok := f.RelocAt(off)
+		r, ok := relocs[off]
 		if !ok || r.Kind != obj.RelocText {
 			t.Errorf("branch at %#x lacks text reloc", off)
 			continue
@@ -123,14 +124,15 @@ func TestBranchTargetsResolve(t *testing.T) {
 
 func TestImportAndDataRelocs(t *testing.T) {
 	f := mustAssemble(t, sampleLib)
-	if f.ImportIndex("write") != 0 {
+	if len(f.Imports) == 0 || f.Imports[0] != "write" {
 		t.Errorf("import table = %v", f.Imports)
 	}
+	relocs := relocsByOff(f)
 	insts, _ := isa.DecodeAll(f.Text)
 	var sawImportCall, sawDataLea, sawTLSLea, sawLocalCall bool
 	for i, in := range insts {
 		off := int32(i * isa.Size)
-		r, ok := f.RelocAt(off)
+		r, ok := relocs[off]
 		if !ok {
 			continue
 		}
@@ -226,4 +228,14 @@ func TestStoreImmediateEncoding(t *testing.T) {
 	if insts[0].Op != isa.OpStoreI || insts[0].StoreIDisp() != -8 || insts[0].Imm != 42 {
 		t.Errorf("storei encoding: %+v disp=%d", insts[0], insts[0].StoreIDisp())
 	}
+}
+
+// relocsByOff indexes f's relocation records by the text offset of the
+// instruction each patches.
+func relocsByOff(f *obj.File) map[int32]obj.Reloc {
+	m := make(map[int32]obj.Reloc, len(f.Relocs))
+	for _, r := range f.Relocs {
+		m[r.Off] = r
+	}
+	return m
 }

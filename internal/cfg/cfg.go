@@ -65,22 +65,6 @@ type Graph struct {
 	byStart map[int32]*Block
 }
 
-// BlockAt returns the block starting at the given text offset.
-func (g *Graph) BlockAt(off int32) (*Block, bool) {
-	b, ok := g.byStart[off]
-	return b, ok
-}
-
-// BlockContaining returns the block whose range covers the given offset.
-func (g *Graph) BlockContaining(off int32) (*Block, bool) {
-	for _, b := range g.Blocks {
-		if off >= b.Start && off < b.End {
-			return b, true
-		}
-	}
-	return nil, false
-}
-
 // ExitBlocks returns the blocks ending in OpRet or OpHalt.
 func (g *Graph) ExitBlocks() []*Block {
 	var out []*Block

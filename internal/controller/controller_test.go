@@ -208,86 +208,45 @@ int main(void) {
 	}
 }
 
-// deepApp reaches close through a four-deep call chain so the recorded
-// backtrace exceeds small truncation depths.
+// deepApp reaches close through an eight-deep call chain, deeper than
+// the six frames an injection record keeps.
 const deepApp = appHeader + `
 static int leaf(int fd) { return close(fd); }
-static int mid(int fd) { return leaf(fd); }
-static int outer(int fd) { return mid(fd); }
+static int l2(int fd) { return leaf(fd); }
+static int l3(int fd) { return l2(fd); }
+static int l4(int fd) { return l3(fd); }
+static int l5(int fd) { return l4(fd); }
+static int l6(int fd) { return l5(fd); }
+static int l7(int fd) { return l6(fd); }
 int main(void) {
   int fd;
   fd = open("/f", 65, 0);
-  return outer(fd);
+  return l7(fd);
 }`
 
-func TestBacktraceDepthOption(t *testing.T) {
-	plan := func() *scenario.Plan {
-		return &scenario.Plan{Triggers: []scenario.Trigger{{
-			Function: "close", Inject: 1, Retval: "-1", Errno: "EBADF",
-		}}}
-	}
+// TestBacktraceDepthCap: an injection record keeps the six innermost
+// frames of its backtrace, and the replay plan pins injections by call
+// count alone, so replay triggers carry no stack.
+func TestBacktraceDepthCap(t *testing.T) {
+	plan := &scenario.Plan{Triggers: []scenario.Trigger{{
+		Function: "close", Inject: 1, Retval: "-1", Errno: "EBADF",
+	}}}
 	set := libcProfiles(t)
-
-	// Default: up to DefaultBacktraceDepth (6) frames.
-	_, ctl := runWithPlan(t, deepApp, plan(), set)
+	_, ctl := runWithPlan(t, deepApp, plan, set)
 	log := ctl.Log()
 	if len(log) != 1 {
 		t.Fatalf("log = %+v", log)
 	}
-	if got := len(log[0].Stack); got != 5 { // close<-leaf<-mid<-outer<-main
-		t.Fatalf("default stack depth = %d (%v)", got, log[0].Stack)
+	want := []string{"close", "leaf", "l2", "l3", "l4", "l5"}
+	if !reflect.DeepEqual(log[0].Stack, want) {
+		t.Fatalf("stack = %v, want %v", log[0].Stack, want)
 	}
-
-	// A shallower option truncates the record.
-	exe, err := minic.Compile("app", deepApp, obj.Executable)
-	if err != nil {
-		t.Fatal(err)
+	replay := ctl.ReplayPlan()
+	if len(replay.Triggers) != 1 || replay.Triggers[0].Stacktrace != nil {
+		t.Fatalf("replay = %+v, want one trigger without a stack", replay)
 	}
-	lc, err := libc.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := vm.NewSystem(vm.Options{})
-	sys.Register(lc)
-	sys.Register(exe)
-	ctl2 := controller.New(set, plan())
-	ctl2.BacktraceDepth = 2
-	ctl2.ReplayStacks = true
-	if err := ctl2.Install(sys); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Spawn("app", vm.SpawnConfig{Preload: ctl2.PreloadList()}); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Run(100_000_000); err != nil {
-		t.Fatal(err)
-	}
-	log2 := ctl2.Log()
-	if len(log2) != 1 || len(log2[0].Stack) != 2 {
-		t.Fatalf("depth-2 stack = %+v", log2)
-	}
-	if log2[0].Stack[0] != "close" || log2[0].Stack[1] != "leaf" {
-		t.Errorf("stack = %v, want [close leaf]", log2[0].Stack)
-	}
-
-	// ReplayStacks pins the truncated backtrace on the replay trigger,
-	// and the replay plan still reproduces the injection.
-	replay := ctl2.ReplayPlan()
-	if len(replay.Triggers) != 1 {
-		t.Fatalf("replay = %+v", replay)
-	}
-	if frames := replay.Triggers[0].Frames(); len(frames) != 2 || frames[1] != "leaf" {
-		t.Fatalf("replay frames = %v, want the depth-2 stack", frames)
-	}
-	st3, ctl3 := runWithPlan(t, deepApp, replay, set)
-	if st3.Signal != 0 || len(ctl3.Log()) != 1 {
-		t.Errorf("stack-pinned replay diverged: status %+v, log %+v", st3, ctl3.Log())
-	}
-
-	// Without ReplayStacks the replay trigger carries no stack.
-	replayPlain := ctl.ReplayPlan()
-	if replayPlain.Triggers[0].Stacktrace != nil {
-		t.Error("replay stacks must be opt-in")
+	if _, ctl2 := runWithPlan(t, deepApp, replay, set); !reflect.DeepEqual(ctl2.Log(), log) {
+		t.Errorf("replay log = %+v, want %+v", ctl2.Log(), log)
 	}
 }
 

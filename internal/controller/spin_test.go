@@ -8,6 +8,7 @@ package controller
 // injection log and evaluator count it ends with is the reference.
 
 import (
+	"encoding/xml"
 	"reflect"
 	"strings"
 	"testing"
@@ -323,8 +324,8 @@ func TestSpinFastForwardRefuses(t *testing.T) {
 		// A live trigger keeps evaluating every call: a late window, a
 		// cycle window and a coin flip, none of which fires in time.
 		{"every", spinCase{plan: spinPlan(far(scenario.Calls(1_000_000, 1000, 0)))}},
-		{"cycles", spinCase{plan: spinPlan(far(scenario.Cycles(1<<40, 0)))}},
-		{"probability", spinCase{plan: spinPlan(far(scenario.Probability(1e-9)))}},
+		{"cycles", spinCase{plan: spinPlan(far(scenario.Cond{XMLName: xml.Name{Local: "cycles"}, Min: 1 << 40}))}},
+		{"probability", spinCase{plan: spinPlan(far(scenario.Cond{XMLName: xml.Name{Local: "probability"}, Pct: 1e-9}))}},
 		// Another process stays runnable.
 		{"runnable peer", spinCase{spawn: `spawn("spinbusy", 0, 0);`, plan: spinPlan()}},
 	} {

@@ -72,10 +72,6 @@ func (ss *StubSet) counter(off int32) bool {
 	return ok
 }
 
-// Library returns the synthesised interceptor library (treat as
-// immutable).
-func (ss *StubSet) Library() *obj.File { return ss.lib }
-
 // Functions returns the intercepted function names in fid order.
 func (ss *StubSet) Functions() []string { return append([]string(nil), ss.fns...) }
 

@@ -53,8 +53,8 @@
 //
 // A single Campaign is not safe for concurrent use; concurrency comes
 // from running many systems. CampaignConfig inputs (Programs, Profiles,
-// Files, Compiled) are shared across workers and must not be mutated
-// during a sweep — the VM loader copies text and data segments per
+// Files) are shared across workers and must not be mutated during a
+// sweep — the VM loader copies text and data segments per
 // process, the controller treats profiles as immutable, and faultloads
 // are compiled once into an immutable scenario.CompiledPlan
 // (PlanExperiments pre-compiles each experiment's single-trigger plan
@@ -202,17 +202,10 @@ type CampaignConfig struct {
 	// Plan is the fault scenario; nil runs without injection. It is
 	// compiled once per campaign (NewCampaign reports compile errors).
 	Plan *scenario.Plan
-	// Compiled, when set, is the pre-compiled faultload and takes
-	// precedence over Plan. CompiledPlans are immutable, so campaign
-	// schedulers compile once and share one across all workers.
-	Compiled *scenario.CompiledPlan
 	// Files are installed into the kernel file system before the run.
 	Files map[string][]byte
 	// VM tunes the virtual machine (coverage, heap limit, ...).
 	VM vm.Options
-	// PassThrough forces trigger evaluation without fault activation
-	// (the Tables 3/4 overhead methodology).
-	PassThrough bool
 	// Avail, when set, opts the campaign into availability collection:
 	// the Executable is treated as a traffic driver and every report
 	// carries its phase counters (Report.Avail). Nil leaves reports
@@ -274,14 +267,8 @@ func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 		c.sys.Kernel().AddFile(path, data)
 	}
 	spawnCfg := vm.SpawnConfig{}
-	switch {
-	case cfg.Compiled != nil:
-		c.ctl = controller.NewCompiled(cfg.Compiled)
-	case cfg.Plan != nil:
+	if cfg.Plan != nil {
 		c.ctl = controller.New(cfg.Profiles, cfg.Plan)
-	}
-	if c.ctl != nil {
-		c.ctl.PassThrough = cfg.PassThrough
 		if err := c.ctl.Install(c.sys); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
@@ -292,9 +279,6 @@ func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 	}
 	return c, nil
 }
-
-// System exposes the VM for workload drivers.
-func (c *Campaign) System() *vm.System { return c.sys }
 
 // Controller returns the injection controller (nil without a plan).
 func (c *Campaign) Controller() *controller.Controller { return c.ctl }

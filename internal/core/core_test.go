@@ -162,15 +162,15 @@ func TestCampaignPassThroughMode(t *testing.T) {
 		Function: "open", Inject: 1, Retval: "-1", Errno: "EIO",
 	}}}
 	c, err := core.NewCampaign(core.CampaignConfig{
-		Programs:    []*obj.File{lc, app},
-		Executable:  "app",
-		Plan:        plan,
-		PassThrough: true,
-		Files:       map[string][]byte{"/data": []byte("x")},
+		Programs:   []*obj.File{lc, app},
+		Executable: "app",
+		Plan:       plan,
+		Files:      map[string][]byte{"/data": []byte("x")},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.Controller().PassThrough = true
 	rep, err := c.Run(50_000_000)
 	if err != nil {
 		t.Fatal(err)

@@ -38,18 +38,12 @@ func readCounter(t *testing.T, sys *vm.System, client, sym string) int32 {
 // at that instant restores — on either engine — to a kernel that is
 // still armed, still tripped, and still starving the same connection.
 func TestExhaustFDsAcceptSnapshotRestore(t *testing.T) {
-	_, set := availTarget(t, "minidb")
 	plan := &scenario.Plan{Triggers: []scenario.Trigger{{
 		Function: "accept",
 		Once:     true,
 		Exhaust:  &scenario.Exhaust{Resource: scenario.ResourceFDs, Slots: 0},
 		Conds:    []scenario.Cond{scenario.Calls(50, 0, 0)},
 	}}}
-	cp, err := scenario.Compile(plan, set)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	type endState struct {
 		deg      kernel.DegradationState
 		warmOK   int32
@@ -58,7 +52,7 @@ func TestExhaustFDsAcceptSnapshotRestore(t *testing.T) {
 	}
 	leg := func(engine string) endState {
 		cfg, _ := availTarget(t, "minidb")
-		cfg.Compiled = cp
+		cfg.Plan = plan
 		cfg.VM.Engine = engine
 		c, err := core.NewCampaign(cfg)
 		if err != nil {

@@ -123,7 +123,7 @@ func checkSweepInvariant(t *testing.T, cfg core.CampaignConfig, exps []core.Expe
 	}{
 		{"workers=4", vm.EngineBlock, with(func(o *core.SweepOptions) { o.Workers = 4 }), raceEnabled && d.workers > 1},
 		{"workers=8", vm.EngineBlock, with(func(o *core.SweepOptions) { o.Workers = 8 }), raceEnabled && d.workers > 1},
-		{"memo-budget=1", vm.EngineBlock, with(func(o *core.SweepOptions) { o.MemoBudget = 1 }), false},
+		{"memo-budget=1", vm.EngineBlock, with(func(o *core.SweepOptions) { *o = core.WithMemoBudget(*o, 1) }), false},
 		{"step", vm.EngineStep, prod, raceEnabled},
 	}
 	for _, l := range legs {

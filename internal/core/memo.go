@@ -56,9 +56,10 @@ import (
 // byte budget is not minted. A rung is dropped once every experiment
 // starting from it is committed or served from the store.
 
-// DefaultMemoBudget caps the resident bytes of the memo ladder's rungs
-// when SweepOptions.MemoBudget is zero.
-const DefaultMemoBudget = 256 << 20
+// defaultMemoBudget caps the resident bytes of the memo ladder's rungs
+// (vm.Snapshot.Footprint is the unit). Tests lower it per sweep through
+// SweepOptions.memoBudget to cover the refused-rung path.
+const defaultMemoBudget = 256 << 20
 
 // memoSite identifies one shared-prefix group: the experiments whose
 // faultload can first fire at the call-th intercepted call to fn in
@@ -161,7 +162,7 @@ type memoCache struct {
 
 func newMemoCache(budget int64, entry *vm.Snapshot) *memoCache {
 	if budget <= 0 {
-		budget = DefaultMemoBudget
+		budget = defaultMemoBudget
 	}
 	return &memoCache{
 		budget:  budget,

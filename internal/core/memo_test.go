@@ -151,7 +151,7 @@ func TestSweepMemoBudget(t *testing.T) {
 	cfg, set := wideTarget(t)
 	for _, workers := range []int{1, 4} {
 		got, err := core.RunExperiments(cfg, core.PlanExperiments(set), 0,
-			core.SweepOptions{Workers: workers, Snapshot: true, MemoBudget: 1})
+			core.WithMemoBudget(core.SweepOptions{Workers: workers, Snapshot: true}, 1))
 		if err != nil {
 			t.Fatal(err)
 		}

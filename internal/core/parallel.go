@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -38,18 +39,6 @@ type SweepOptions struct {
 	// that tests and the campaign benchmark check production against.
 	// Reports, cycle counts and injection logs are identical.
 	Snapshot bool
-	// MemoBudget caps the resident bytes of the memo ladder's rungs
-	// (memo.go); 0 means DefaultMemoBudget. Under Snapshot, the
-	// baseline snapshots itself just before every first-fire site
-	// shared by two or more precompiled experiments
-	// (scenario.FirstFireSite), and each such experiment starts from
-	// its site's rung, every other one from the latest rung at which
-	// no process had called a function its faultload names. A rung
-	// that would exceed the budget is not minted, and its experiments
-	// start lower; 1 mints none, so every run starts from the entry.
-	// Reports are byte-identical at any budget. Ignored unless
-	// Snapshot is set.
-	MemoBudget int64
 	// Skip, when non-nil, is consulted once per experiment before any
 	// run is spawned; returning (entry, true) commits the cached entry
 	// in plan order without executing. This is the resume filter of
@@ -82,6 +71,18 @@ type SweepOptions struct {
 	// Called concurrently at Workers > 1 — implementations must be safe
 	// for concurrent use.
 	OnResult func(exp *Experiment, entry SweepEntry, rep *Report)
+
+	// memoBudget caps the resident bytes of the memo ladder's rungs
+	// (memo.go); 0 means defaultMemoBudget. Under Snapshot, the
+	// baseline snapshots itself just before every first-fire site
+	// shared by two or more precompiled experiments
+	// (scenario.FirstFireSite), and each such experiment starts from
+	// its site's rung, every other one from the latest rung at which
+	// no process had called a function its faultload names. A rung
+	// that would exceed the budget is not minted, and its experiments
+	// start lower; 1 mints none, so every run starts from the entry.
+	// Reports are byte-identical at any budget; only tests set it.
+	memoBudget int64
 }
 
 // SweepProgress is one live progress update of a running sweep.
@@ -179,25 +180,9 @@ func RunExperiments(cfg CampaignConfig, exps []Experiment, budget uint64, opts S
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(exps) {
-		workers = len(exps)
-	}
+	workers = max(1, min(workers, len(exps)))
 
 	collect := newCollector(res, len(exps), opts)
-	if workers <= 1 {
-		for k := range exps {
-			i := pos(k)
-			entry, served, err := run(exps[i])
-			if err != nil {
-				return nil, err
-			}
-			if collect.commit(i, entry, served) {
-				break
-			}
-		}
-		collect.reassemble()
-		return res, nil
-	}
 
 	type job struct {
 		idx int
@@ -361,18 +346,16 @@ func (c *collector) reassemble() {
 	if c.opts.ExecOrder == nil {
 		return
 	}
-	sort.Sort(&byPlanIndex{entries: c.res.Entries, idxs: c.idxs})
-}
-
-// byPlanIndex sorts entries and their plan indices together.
-type byPlanIndex struct {
-	entries []SweepEntry
-	idxs    []int
-}
-
-func (s *byPlanIndex) Len() int           { return len(s.idxs) }
-func (s *byPlanIndex) Less(i, j int) bool { return s.idxs[i] < s.idxs[j] }
-func (s *byPlanIndex) Swap(i, j int) {
-	s.entries[i], s.entries[j] = s.entries[j], s.entries[i]
-	s.idxs[i], s.idxs[j] = s.idxs[j], s.idxs[i]
+	type committed struct {
+		idx   int
+		entry SweepEntry
+	}
+	pairs := make([]committed, len(c.idxs))
+	for k, idx := range c.idxs {
+		pairs[k] = committed{idx, c.res.Entries[k]}
+	}
+	slices.SortFunc(pairs, func(a, b committed) int { return cmp.Compare(a.idx, b.idx) })
+	for k, p := range pairs {
+		c.res.Entries[k] = p.entry
+	}
 }

@@ -71,7 +71,7 @@ func newSnapshotRunner(cfg CampaignConfig, exps []Experiment, opts SweepOptions)
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	if r.stubs != nil {
-		r.memo = newMemoCache(opts.MemoBudget, r.snap)
+		r.memo = newMemoCache(opts.memoBudget, r.snap)
 		r.memo.plan(exps)
 	}
 	return r, nil

@@ -44,7 +44,7 @@ func TestSweepSnapshotIdentical(t *testing.T) {
 	}
 	for i, exp := range exps {
 		one := cfg
-		one.Compiled = exp.Compiled
+		one.Plan = exp.Plan
 		c, err := core.NewCampaign(one)
 		if err != nil {
 			t.Fatal(err)

@@ -5,7 +5,7 @@
 // quality as basic-block coverage and shows that fully automatic random
 // fault injection raises it (73% → 74% overall, +12% in one module). This
 // package reproduces that measurement: the VM records which instruction
-// slots executed; Report maps them onto the CFG of every function in a
+// slots executed; MergeBits maps them onto the CFG of every function in a
 // module and counts blocks whose leader instruction ran.
 package coverage
 
@@ -24,14 +24,6 @@ type FuncCoverage struct {
 	Name    string
 	Total   int
 	Covered int
-}
-
-// Fraction returns covered/total (1 for empty functions).
-func (f FuncCoverage) Fraction() float64 {
-	if f.Total == 0 {
-		return 1
-	}
-	return float64(f.Covered) / float64(f.Total)
 }
 
 // ModuleCoverage aggregates coverage across one module.
@@ -53,69 +45,6 @@ func (m ModuleCoverage) Fraction() float64 {
 // String renders a one-line summary.
 func (m ModuleCoverage) String() string {
 	return fmt.Sprintf("%s: %d/%d blocks (%.1f%%)", m.Module, m.Covered, m.Total, 100*m.Fraction())
-}
-
-// Report computes basic-block coverage for a module image executed in the
-// VM. Blocks are discovered by building the CFG of every function symbol
-// in the module; a block counts as covered when its first instruction ran.
-func Report(im *vm.Image) (ModuleCoverage, error) {
-	out := ModuleCoverage{Module: im.File.Name}
-	prog, err := disasm.Disassemble(im.File)
-	if err != nil {
-		return out, err
-	}
-	funcs := im.File.Funcs()
-	sort.Slice(funcs, func(i, j int) bool { return funcs[i].Name < funcs[j].Name })
-	for _, fn := range funcs {
-		g, err := cfg.Build(prog, fn.Off)
-		if err != nil {
-			return out, fmt.Errorf("coverage: %s.%s: %w", im.File.Name, fn.Name, err)
-		}
-		fc := FuncCoverage{Name: fn.Name, Total: len(g.Blocks)}
-		for _, b := range g.Blocks {
-			if im.Covered(b.Start) {
-				fc.Covered++
-			}
-		}
-		out.Funcs = append(out.Funcs, fc)
-		out.Total += fc.Total
-		out.Covered += fc.Covered
-	}
-	return out, nil
-}
-
-// Merge combines two coverage snapshots of the same module layout,
-// counting a block covered if it is covered in either. It assumes both
-// reports came from Report on images of the same file, so the function
-// lists align.
-func Merge(a, b ModuleCoverage) ModuleCoverage {
-	if len(a.Funcs) == 0 {
-		return b
-	}
-	if len(b.Funcs) == 0 {
-		return a
-	}
-	out := ModuleCoverage{Module: a.Module}
-	byName := make(map[string]FuncCoverage, len(b.Funcs))
-	for _, f := range b.Funcs {
-		byName[f.Name] = f
-	}
-	for _, fa := range a.Funcs {
-		fb := byName[fa.Name]
-		fc := FuncCoverage{Name: fa.Name, Total: fa.Total}
-		// Without per-block identity in the merged view we approximate
-		// union by max — safe because both runs share the same CFG and
-		// the union is at least the larger of the two.
-		if fb.Covered > fa.Covered {
-			fc.Covered = fb.Covered
-		} else {
-			fc.Covered = fa.Covered
-		}
-		out.Funcs = append(out.Funcs, fc)
-		out.Total += fc.Total
-		out.Covered += fc.Covered
-	}
-	return out
 }
 
 // MergeBits merges raw coverage bitmaps (block-accurate union) from

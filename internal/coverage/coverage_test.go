@@ -53,7 +53,7 @@ func runCovered(t *testing.T) *vm.Image {
 
 func TestReportCountsBlocks(t *testing.T) {
 	im := runCovered(t)
-	mc, err := coverage.Report(im)
+	mc, err := coverage.MergeBits(im.File, []*vm.Image{im})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestMergeBitsUnion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solo, err := coverage.Report(im1)
+	solo, err := coverage.MergeBits(f, []*vm.Image{im1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,32 +117,11 @@ func TestMergeBitsUnion(t *testing.T) {
 	}
 }
 
-func TestMergeApprox(t *testing.T) {
-	a := coverage.ModuleCoverage{
-		Module: "m",
-		Funcs:  []coverage.FuncCoverage{{Name: "f", Total: 4, Covered: 2}},
-		Total:  4, Covered: 2,
+func TestModuleCoverageFraction(t *testing.T) {
+	if (coverage.ModuleCoverage{Total: 0}).Fraction() != 1 {
+		t.Error("an empty module should count as fully covered")
 	}
-	b := coverage.ModuleCoverage{
-		Module: "m",
-		Funcs:  []coverage.FuncCoverage{{Name: "f", Total: 4, Covered: 3}},
-		Total:  4, Covered: 3,
-	}
-	m := coverage.Merge(a, b)
-	if m.Covered != 3 || m.Total != 4 {
-		t.Errorf("merge = %d/%d", m.Covered, m.Total)
-	}
-	// Merging with an empty report returns the other side.
-	if got := coverage.Merge(coverage.ModuleCoverage{}, b); got.Covered != 3 {
-		t.Error("empty merge broken")
-	}
-}
-
-func TestFuncCoverageFraction(t *testing.T) {
-	if (coverage.FuncCoverage{Total: 0}).Fraction() != 1 {
-		t.Error("empty function should count as fully covered")
-	}
-	if (coverage.FuncCoverage{Total: 4, Covered: 1}).Fraction() != 0.25 {
+	if (coverage.ModuleCoverage{Total: 4, Covered: 1}).Fraction() != 0.25 {
 		t.Error("fraction arithmetic")
 	}
 }
@@ -162,7 +141,7 @@ func TestUncoveredWithoutCoverageOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	im, _ := p.ImageByName("a")
-	mc, err := coverage.Report(im)
+	mc, err := coverage.MergeBits(im.File, []*vm.Image{im})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,9 +43,6 @@ func Disassemble(f *obj.File) (*Program, error) {
 	return p, nil
 }
 
-// NumInsts returns the number of instructions in the program.
-func (p *Program) NumInsts() int { return len(p.Insts) }
-
 // InstAt returns the instruction starting at the given text offset.
 func (p *Program) InstAt(off int32) (isa.Inst, bool) {
 	idx := int(off) / isa.Size

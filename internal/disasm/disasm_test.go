@@ -51,8 +51,8 @@ func TestInstAt(t *testing.T) {
 	if _, ok := p.InstAt(1 << 20); ok {
 		t.Error("out of range should fail")
 	}
-	if p.NumInsts() != 7 {
-		t.Errorf("NumInsts = %d", p.NumInsts())
+	if len(p.Insts) != 7 {
+		t.Errorf("len(Insts) = %d", len(p.Insts))
 	}
 }
 

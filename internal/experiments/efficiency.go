@@ -113,19 +113,3 @@ func (r *EfficiencyResult) Render() string {
 	}
 	return b.String()
 }
-
-// RoughlyLinear reports whether time grows sub-quadratically with code
-// size across the series (the §6.2 claim: "profiling time is mainly
-// influenced by code size").
-func (r *EfficiencyResult) RoughlyLinear() bool {
-	if len(r.Points) < 2 {
-		return true
-	}
-	first, last := r.Points[0], r.Points[len(r.Points)-1]
-	if first.CodeKB == 0 || first.WallTime <= 0 {
-		return true
-	}
-	sizeRatio := float64(last.CodeKB) / float64(first.CodeKB)
-	timeRatio := float64(last.WallTime) / float64(first.WallTime)
-	return timeRatio < sizeRatio*sizeRatio
-}

@@ -155,7 +155,7 @@ func TestEfficiencySeries(t *testing.T) {
 	if len(r.Points) < 4 {
 		t.Fatalf("points = %d", len(r.Points))
 	}
-	if !r.RoughlyLinear() {
+	if !roughlyLinear(r) {
 		t.Errorf("profiling time grows super-quadratically:\n%s", r.Render())
 	}
 	// Largest library must still profile in seconds, not minutes.
@@ -334,17 +334,17 @@ func TestFaultModelsComparison(t *testing.T) {
 	// The headline: one retry absorbs a one-shot errno fault on write,
 	// but not a disk that stays full — the error-return matrix calls
 	// the retrying writer robust where the stateful model does not.
-	if got := r.Outcome("retrying", "write", "errno"); got != "handled" {
+	if got := sweptOutcome(r, "retrying", "write", "errno"); got != "handled" {
 		t.Errorf("retrying/write under errno = %s, want handled", got)
 	}
-	if got := r.Outcome("retrying", "write", "exhaust=disk:after=0"); got != "error-exit" {
+	if got := sweptOutcome(r, "retrying", "write", "exhaust=disk:after=0"); got != "error-exit" {
 		t.Errorf("retrying/write under disk exhaustion = %s, want error-exit", got)
 	}
-	if got := r.Outcome("checking", "write", "errno"); got != "error-exit" {
+	if got := sweptOutcome(r, "checking", "write", "errno"); got != "error-exit" {
 		t.Errorf("checking/write under errno = %s, want error-exit", got)
 	}
 	// A stalled call hangs either app; no error-return fault can.
-	if got := r.Outcome("retrying", "write", "delay=200000000"); got != "hang" {
+	if got := sweptOutcome(r, "retrying", "write", "delay=200000000"); got != "hang" {
 		t.Errorf("retrying/write under delay = %s, want hang", got)
 	}
 	if r.Masked("retrying") == 0 {
@@ -468,4 +468,43 @@ func TestStaticAuditExperiment(t *testing.T) {
 			r.Render(), seq.Render())
 	}
 	t.Logf("\n%s", r.Render())
+}
+
+// roughlyLinear reports whether time grows sub-quadratically with code
+// size across the series (the §6.2 claim: "profiling time is mainly
+// influenced by code size").
+func roughlyLinear(r *EfficiencyResult) bool {
+	if len(r.Points) < 2 {
+		return true
+	}
+	first, last := r.Points[0], r.Points[len(r.Points)-1]
+	if first.CodeKB == 0 || first.WallTime <= 0 {
+		return true
+	}
+	sizeRatio := float64(last.CodeKB) / float64(first.CodeKB)
+	timeRatio := float64(last.WallTime) / float64(first.WallTime)
+	return timeRatio < sizeRatio*sizeRatio
+}
+
+// sweptOutcome returns the swept outcome of one (app, function) cell under
+// the named model ("errno" or a degradation fault label); "" if absent.
+func sweptOutcome(r *FaultModelsResult, app, function, fault string) core.Outcome {
+	for _, a := range r.Apps {
+		if a.Name != app {
+			continue
+		}
+		entries := a.Errno.Entries
+		if fault != "errno" {
+			entries = a.Degradation.Entries
+		}
+		for _, e := range entries {
+			if e.Function != function {
+				continue
+			}
+			if fault == "errno" || e.Fault == fault {
+				return e.Outcome
+			}
+		}
+	}
+	return ""
 }

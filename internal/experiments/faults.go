@@ -144,29 +144,6 @@ func FaultModels(workers int) (*FaultModelsResult, error) {
 	return res, nil
 }
 
-// Outcome returns the swept outcome of one (app, function) cell under
-// the named model ("errno" or a degradation fault label); "" if absent.
-func (r *FaultModelsResult) Outcome(app, function, fault string) core.Outcome {
-	for _, a := range r.Apps {
-		if a.Name != app {
-			continue
-		}
-		entries := a.Errno.Entries
-		if fault != "errno" {
-			entries = a.Degradation.Entries
-		}
-		for _, e := range entries {
-			if e.Function != function {
-				continue
-			}
-			if fault == "errno" || e.Fault == fault {
-				return e.Outcome
-			}
-		}
-	}
-	return ""
-}
-
 // Masked counts the cells where the error-return model reports handled
 // but some degradation of the same function does not — the stateful
 // failures a one-shot errno sweep under-approximates.

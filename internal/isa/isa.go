@@ -281,13 +281,6 @@ func (in Inst) Encode(dst []byte) {
 	binary.LittleEndian.PutUint32(dst[4:8], uint32(in.Imm))
 }
 
-// EncodeBytes returns the 8-byte encoding of the instruction.
-func (in Inst) EncodeBytes() []byte {
-	b := make([]byte, Size)
-	in.Encode(b)
-	return b
-}
-
 // Decode decodes one instruction from src. It returns an error if src is
 // too short or the opcode or register fields are out of range.
 func Decode(src []byte) (Inst, error) {

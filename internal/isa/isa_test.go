@@ -21,7 +21,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		{Op: OpRet},
 	}
 	for _, in := range cases {
-		got, err := Decode(in.EncodeBytes())
+		got, err := Decode(encode(in))
 		if err != nil {
 			t.Fatalf("decode %v: %v", in, err)
 		}
@@ -40,7 +40,7 @@ func TestEncodeDecodeQuick(t *testing.T) {
 			Aux: aux,
 			Imm: imm,
 		}
-		got, err := Decode(in.EncodeBytes())
+		got, err := Decode(encode(in))
 		return err == nil && got == in
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -52,12 +52,12 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode([]byte{1, 2, 3}); err == nil {
 		t.Error("short buffer should fail")
 	}
-	bad := Inst{Op: OpNop}.EncodeBytes()
+	bad := encode(Inst{Op: OpNop})
 	bad[0] = 0 // OpInvalid
 	if _, err := Decode(bad); err == nil {
 		t.Error("invalid opcode should fail")
 	}
-	bad = Inst{Op: OpMovRR}.EncodeBytes()
+	bad = encode(Inst{Op: OpMovRR})
 	bad[1] = byte(NumRegs)
 	if _, err := Decode(bad); err == nil {
 		t.Error("invalid register should fail")
@@ -71,7 +71,7 @@ func TestDecodeAll(t *testing.T) {
 	}
 	var text []byte
 	for _, in := range prog {
-		text = append(text, in.EncodeBytes()...)
+		text = append(text, encode(in)...)
 	}
 	got, err := DecodeAll(text)
 	if err != nil {
@@ -142,4 +142,11 @@ func TestInstString(t *testing.T) {
 			t.Errorf("String() = %q, want %q", got, want)
 		}
 	}
+}
+
+// encode returns the 8-byte encoding of in.
+func encode(in Inst) []byte {
+	b := make([]byte, Size)
+	in.Encode(b)
+	return b
 }

@@ -2,6 +2,31 @@ package kernel
 
 import "testing"
 
+// Dup duplicates a descriptor like dup(2), which guests cannot call, to
+// alias one open-file description in tests: it is installed at the
+// lowest free descriptor, sharing position and pipe/socket identity.
+// Returns the new fd or -errno; at the table cap it fails with EMFILE,
+// the same check as every other allocation path.
+func (k *Kernel) Dup(pid int, fd int32) int32 {
+	t := k.table(pid)
+	f := t.get(fd)
+	if f == nil {
+		return -EBADF
+	}
+	if !k.room(t, 1) {
+		return -EMFILE
+	}
+	nfd := t.add(f)
+	if f.kind == filePipe {
+		if f.rdEnd {
+			f.pipe.readers++
+		} else {
+			f.pipe.writers++
+		}
+	}
+	return nfd
+}
+
 // Disk-quota degradation: writes consume the armed quota, the last
 // write is partial, and exhaustion returns ENOSPC from both Write and
 // node-creating Open.

@@ -202,8 +202,8 @@ func (k *Kernel) table(pid int) *fdTable {
 // the table cap. The cap is MaxFDs, shrunk to the armed fd-pressure
 // limit when that degradation is in effect; EMFILE under the shrunk
 // limit marks the degradation tripped. This is the single
-// descriptor-allocation authority — Open, Pipe, Dup, Socket and Accept
-// all ask it before building anything, so the boundary check cannot
+// descriptor-allocation authority — Open, Pipe, Socket and Accept all
+// ask it before building anything, so the boundary check cannot
 // drift between paths and a failing allocation allocates nothing.
 func (k *Kernel) room(t *fdTable, need int) bool {
 	max := MaxFDs
@@ -217,30 +217,6 @@ func (k *Kernel) room(t *fdTable, need int) bool {
 		return false
 	}
 	return true
-}
-
-// Dup implements sys_dup: fd's open-file description is installed at
-// the lowest free descriptor, sharing position and pipe/socket identity.
-// Returns the new fd or -errno; at the table cap it fails with EMFILE —
-// the same check as every other allocation path.
-func (k *Kernel) Dup(pid int, fd int32) int32 {
-	t := k.table(pid)
-	f := t.get(fd)
-	if f == nil {
-		return -EBADF
-	}
-	if !k.room(t, 1) {
-		return -EMFILE
-	}
-	nfd := t.add(f)
-	if f.kind == filePipe {
-		if f.rdEnd {
-			f.pipe.readers++
-		} else {
-			f.pipe.writers++
-		}
-	}
-	return nfd
 }
 
 // InstallAt force-installs a shared open file at a specific descriptor in

@@ -190,37 +190,6 @@ func (f *File) Funcs() []Symbol {
 	return out
 }
 
-// FuncAt returns the function symbol covering the given text offset.
-func (f *File) FuncAt(off int32) (Symbol, bool) {
-	for _, s := range f.Funcs() {
-		if off >= s.Off && off < s.Off+s.Size {
-			return s, true
-		}
-	}
-	return Symbol{}, false
-}
-
-// ImportIndex returns the index of name in the import table, or -1.
-func (f *File) ImportIndex(name string) int {
-	for i, im := range f.Imports {
-		if im == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// RelocAt returns the relocation record, if any, applying to the
-// instruction that starts at the given text offset.
-func (f *File) RelocAt(off int32) (Reloc, bool) {
-	for _, r := range f.Relocs {
-		if r.Off == off {
-			return r, true
-		}
-	}
-	return Reloc{}, false
-}
-
 // Strip returns a copy of the file with all non-exported symbols removed,
 // simulating a stripped production library. Relocations and imports are
 // retained (they are required for dynamic linking, as in ELF .dynsym).

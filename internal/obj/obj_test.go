@@ -1,6 +1,7 @@
 package obj
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -15,7 +16,9 @@ func sampleFile() *File {
 		{Op: isa.OpCall, Imm: 0},
 		{Op: isa.OpRet},
 	} {
-		text = append(text, in.EncodeBytes()...)
+		var b [isa.Size]byte
+		in.Encode(b[:])
+		text = append(text, b[:]...)
 	}
 	return &File{
 		Name:     "libx.so",
@@ -126,15 +129,6 @@ func TestLookupAndExports(t *testing.T) {
 	if len(ex) != 1 || ex[0].Name != "f" {
 		t.Errorf("exported funcs = %+v", ex)
 	}
-	if got, ok := f.FuncAt(2 * isa.Size); !ok || got.Name != "f" {
-		t.Errorf("FuncAt = %+v, %v", got, ok)
-	}
-	if _, ok := f.FuncAt(1 << 20); ok {
-		t.Error("FuncAt beyond text should fail")
-	}
-	if f.ImportIndex("write") != 0 || f.ImportIndex("nope") != -1 {
-		t.Error("ImportIndex wrong")
-	}
 }
 
 func TestStripKeepsDynamicInfo(t *testing.T) {
@@ -162,12 +156,20 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// TestRelocAt: each relocation record names the instruction it patches
+// by its text offset, and keeps that offset through an encode/decode
+// round trip.
 func TestRelocAt(t *testing.T) {
 	f := sampleFile()
-	if r, ok := f.RelocAt(isa.Size); !ok || r.Kind != RelocData {
-		t.Errorf("RelocAt(8) = %+v, %v", r, ok)
+	g, err := Decode(f.Encode())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := f.RelocAt(0); ok {
-		t.Error("no reloc at 0 expected")
+	want := []Reloc{
+		{Off: isa.Size, Kind: RelocData, Index: 0},
+		{Off: 2 * isa.Size, Kind: RelocImport, Index: 0},
+	}
+	if !reflect.DeepEqual(g.Relocs, want) {
+		t.Errorf("relocs = %+v, want %+v", g.Relocs, want)
 	}
 }

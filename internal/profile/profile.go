@@ -164,15 +164,6 @@ func (p *Profile) String() string {
 // controller receives for a multi-library injection experiment.
 type Set map[string]*Profile
 
-// Lookup finds the profile entry for libName.funcName.
-func (s Set) Lookup(libName, funcName string) (*Function, bool) {
-	p, ok := s[libName]
-	if !ok {
-		return nil, false
-	}
-	return p.Lookup(funcName)
-}
-
 // FindFunction searches every profile for the named function, returning
 // the owning library too (the interception mechanism is name-based, so
 // function names are assumed unique across the profiled set, as with

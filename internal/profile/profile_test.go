@@ -106,11 +106,8 @@ func TestSortDeterminism(t *testing.T) {
 
 func TestSetLookup(t *testing.T) {
 	s := Set{"libc.so": sampleProfile()}
-	if _, ok := s.Lookup("libc.so", "close"); !ok {
-		t.Error("set lookup failed")
-	}
-	if _, ok := s.Lookup("nope.so", "close"); ok {
-		t.Error("missing library should fail")
+	if _, _, ok := s.FindFunction("nope"); ok {
+		t.Error("a function no profile names should not be found")
 	}
 	lib, f, ok := s.FindFunction("alloc")
 	if !ok || lib != "libc.so" || f.Name != "alloc" {

@@ -555,15 +555,6 @@ func (cp *CompiledPlan) NewEvaluator() *Evaluator {
 	}
 }
 
-// NewEvaluator compiles the plan and mints an evaluator in one step — a
-// convenience for plans known to be valid (it panics on compile errors,
-// which Unmarshal and Compile report gracefully). Callers running many
-// evaluators over one plan should Compile once and mint evaluators from
-// the CompiledPlan instead.
-func NewEvaluator(plan *Plan, set profile.Set) *Evaluator {
-	return MustCompile(plan, set).NewEvaluator()
-}
-
 // rand returns the evaluator's random stream, seeding it from Plan.Seed
 // on first use.
 func (e *Evaluator) rand() *rand.Rand {
@@ -576,44 +567,6 @@ func (e *Evaluator) rand() *rand.Rand {
 // SetPID identifies the process this evaluator serves, for pid-pinned
 // replay triggers.
 func (e *Evaluator) SetPID(pid int) { e.pid = pid }
-
-// CallCount returns the number of calls seen so far for fn. Calls are
-// counted only for functions the plan triggers on — nothing reads the
-// others: decisions, injection logs and <after-fault> conditions all
-// concern triggered functions — so for any other function it is 0.
-func (e *Evaluator) CallCount(fn string) int32 {
-	if fi := e.cp.FuncIndex(fn); fi >= 0 {
-		return e.count[fi]
-	}
-	return 0
-}
-
-// FaultCount returns the number of faults injected into fn so far — the
-// state <after-fault> conditions read.
-func (e *Evaluator) FaultCount(fn string) int32 {
-	if fi := e.cp.FuncIndex(fn); fi >= 0 {
-		return e.faults[fi]
-	}
-	return 0
-}
-
-// OnCall records one call to fn and evaluates its triggers. stack is
-// the runtime backtrace, innermost frame first. Cycle-window conditions
-// see cycle 0; interceptors with a clock use OnCallAt.
-func (e *Evaluator) OnCall(fn string, stack []StackFrame) Decision {
-	return e.OnCallAt(fn, stack, 0)
-}
-
-// OnCallAt is OnCall with the process's current virtual cycle, for
-// <cycles> window conditions. A call to a function no trigger names
-// examines nothing and returns the zero Decision.
-func (e *Evaluator) OnCallAt(fn string, stack []StackFrame, cycle uint64) Decision {
-	fi := e.cp.FuncIndex(fn)
-	if fi < 0 {
-		return Decision{}
-	}
-	return e.OnCallIndex(fi, stack, cycle)
-}
 
 // OnCallIndex records one call to the triggered function at index fi
 // (CompiledPlan.FuncIndex) and evaluates its triggers, in plan order;

@@ -73,45 +73,14 @@ type Cond struct {
 	Kids []Cond `xml:",any"`
 }
 
-// And builds an <and> condition.
-func And(kids ...Cond) Cond { return Cond{XMLName: condName(condAnd), Kids: kids} }
-
-// Or builds an <or> condition.
-func Or(kids ...Cond) Cond { return Cond{XMLName: condName(condOr), Kids: kids} }
-
-// Not builds a <not> condition.
-func Not(kid Cond) Cond { return Cond{XMLName: condName(condNot), Kids: []Cond{kid}} }
-
 // Calls builds a <calls> call-count window (0 leaves a bound open).
 func Calls(after, every, until int32) Cond {
 	return Cond{XMLName: condName(condCalls), After: after, Every: every, Until: until}
 }
 
-// Cycles builds a <cycles> virtual-cycle window (max 0 = open-ended).
-func Cycles(min, max uint64) Cond {
-	return Cond{XMLName: condName(condCycles), Min: min, Max: max}
-}
-
-// PidIs builds a <pid> condition.
-func PidIs(pid int) Cond { return Cond{XMLName: condName(condPid), Is: pid} }
-
-// Probability builds a <probability> condition (pct in (0, 100]).
-func Probability(pct float64) Cond { return Cond{XMLName: condName(condProb), Pct: pct} }
-
-// Stack builds a <stacktrace> condition, innermost frame first.
-func Stack(frames ...string) Cond {
-	return Cond{XMLName: condName(condStack), Frames: frames}
-}
-
 // AfterFault builds an <after-fault> condition on one prior fault.
 func AfterFault(function string) Cond {
 	return Cond{XMLName: condName(condAfterFault), Function: function}
-}
-
-// AfterFaultN builds an <after-fault> condition requiring count prior
-// faults. Count 0 means the default of 1, matching the XML attribute.
-func AfterFaultN(function string, count int32) Cond {
-	return Cond{XMLName: condName(condAfterFault), Function: function, Count: count}
 }
 
 func condName(local string) xml.Name { return xml.Name{Local: local} }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -356,6 +357,38 @@ func TestTriggerCountIndex(t *testing.T) {
 	ev3.OnCall("read", nil)
 	if d := ev3.OnCall("read", nil); d.Scanned != 2 {
 		t.Errorf("read call 2 scanned %d, want 2", d.Scanned)
+	}
+}
+
+// TestEvaluatorScanIsFlat states the per-call cost of trigger
+// evaluation as an exact count. On an exhaustive-style plan (two
+// triggers per function, none of which fires) every call scans only
+// its own function's two triggers and allocates nothing, whether the
+// plan names 50 functions or 500.
+func TestEvaluatorScanIsFlat(t *testing.T) {
+	for _, nfns := range []int{50, 500} {
+		plan := &Plan{}
+		fns := make([]string, nfns)
+		for i := range fns {
+			fns[i] = fmt.Sprintf("fn%04d", i)
+			for c := int32(0); c < 2; c++ {
+				plan.Triggers = append(plan.Triggers, Trigger{
+					Function: fns[i], Inject: 1_000_000_000 + c, Retval: "-1", Errno: "EIO",
+				})
+			}
+		}
+		ev := MustCompile(plan, nil).NewEvaluator()
+		callAll := func() {
+			for _, fn := range fns {
+				if d := ev.OnCallAt(fn, nil, 0); d.Inject || d.Scanned != 2 {
+					t.Fatalf("%d functions: %s: inject=%v scanned=%d, want no fault and 2 scanned",
+						nfns, fn, d.Inject, d.Scanned)
+				}
+			}
+		}
+		if allocs := testing.AllocsPerRun(5, callAll); allocs != 0 {
+			t.Errorf("%d functions: %.1f allocations per pass over the plan, want 0", nfns, allocs)
+		}
 	}
 }
 

@@ -585,7 +585,9 @@ func TestDlNextNegativeImmFaults(t *testing.T) {
 			{Op: isa.OpDlNext, A: isa.R1, Imm: imm},
 			{Op: isa.OpRet},
 		} {
-			text = append(text, in.EncodeBytes()...)
+			var b [isa.Size]byte
+			in.Encode(b[:])
+			text = append(text, b[:]...)
 		}
 		return &obj.File{
 			Name:    "crafted",

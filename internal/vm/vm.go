@@ -1731,6 +1731,3 @@ func (p *Proc) Brk(newBrk uint32) int32 {
 	p.brk = newBrk
 	return int32(p.brk)
 }
-
-// HeapLimit reports the configured per-process heap cap.
-func (s *System) HeapLimit() uint32 { return s.opts.HeapLimit }

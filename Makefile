@@ -1,6 +1,13 @@
 # Convenience targets; CI runs the same commands (see .github/workflows/ci.yml).
+# `make verify` runs every gate CI runs before its focused -run steps.
 
-.PHONY: test race verify
+.PHONY: fmt vet test race bench-module verify
+
+fmt:
+	test -z "$$(gofmt -l $$(git ls-files '*.go') | tee /dev/stderr)"
+
+vet:
+	go vet ./...
 
 test:
 	go build ./... && go test ./...
@@ -8,4 +15,8 @@ test:
 race:
 	go test -race ./internal/core/... ./internal/campaign/... ./internal/controller/... ./internal/vm/... ./internal/kernel/...
 
-verify: test race
+# bench/ is its own module: tier-1 neither builds nor tests it.
+bench-module:
+	cd bench && go vet ./... && go test -short ./...
+
+verify: fmt vet test race bench-module

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"lfi/internal/controller"
+	"lfi/internal/core"
 	"lfi/internal/corpus"
 	"lfi/internal/experiments"
 	"lfi/internal/kernel"
@@ -23,7 +24,6 @@ import (
 	"lfi/internal/obj"
 	"lfi/internal/profiler"
 	"lfi/internal/scenario"
-	"lfi/internal/vm"
 )
 
 // benchEnv caches the compiled environment across benchmarks.
@@ -212,34 +212,29 @@ int main(void) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(withLFI bool) uint64 {
-		sys := vm.NewSystem(vm.Options{})
-		sys.Register(lc)
-		sys.Register(app)
-		cfg := vm.SpawnConfig{}
-		if withLFI {
-			plan := &scenario.Plan{Triggers: []scenario.Trigger{{
-				Function: "getpid", Inject: 1 << 30, Retval: "-1",
-			}}}
-			ctl := controller.New(nil, plan)
+	run := func(plan *scenario.Plan) uint64 {
+		c, err := core.NewCampaign(core.CampaignConfig{
+			Programs: []*obj.File{lc, app}, Executable: "bench", Plan: plan,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if ctl := c.Controller(); ctl != nil {
 			ctl.PassThrough = true
-			if err := ctl.Install(sys); err != nil {
-				b.Fatal(err)
-			}
-			cfg.Preload = ctl.PreloadList()
 		}
-		if _, err := sys.Spawn("bench", cfg); err != nil {
+		rep, err := c.Run(0)
+		if err != nil {
 			b.Fatal(err)
 		}
-		if err := sys.Run(0); err != nil {
-			b.Fatal(err)
-		}
-		return sys.TotalCycles
+		return rep.Cycles
 	}
+	plan := &scenario.Plan{Triggers: []scenario.Trigger{{
+		Function: "getpid", Inject: 1 << 30, Retval: "-1",
+	}}}
 	var base, intercepted uint64
 	for i := 0; i < b.N; i++ {
-		base = run(false)
-		intercepted = run(true)
+		base = run(nil)
+		intercepted = run(plan)
 	}
 	b.ReportMetric(float64(intercepted-base)/1000, "vcycles/intercepted-call")
 }
@@ -353,11 +348,10 @@ func BenchmarkAblationSymbolicPruning(b *testing.B) {
 // growing interception surfaces.
 func BenchmarkStubSynthesis(b *testing.B) {
 	e := env(b)
-	plan := scenario.Exhaustive(e.LibcProfiles)
+	fns := scenario.Exhaustive(e.LibcProfiles).Functions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ctl := controller.New(e.LibcProfiles, plan)
-		if _, err := ctl.StubLibrary(); err != nil {
+		if _, err := controller.NewStubSet(fns); err != nil {
 			b.Fatal(err)
 		}
 	}

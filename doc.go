@@ -26,6 +26,11 @@
 // same template for every run, so cycle counts, injection logs and
 // reports are equal on both by construction (TestSweepSnapshotIdentical;
 // the campaign benchmark in bench/ measures production's throughput).
+// A single run — core.Campaign, behind `lfi run` and the paper's
+// experiments — is that template built fresh for one experiment, its
+// stub surface the functions its own faultload names, so it reports
+// exactly what a one-experiment oracle sweep does
+// (TestCampaignIsOneExperimentOracle); no other path assembles a guest.
 // The production executor also
 // skips experiments whose functions the baseline never calls through
 // their stubs (the stubs' static call counters, §5.1, tell): such a run

@@ -11,7 +11,8 @@ import (
 	"lfi/internal/workload"
 )
 
-func newSystem(t *testing.T, names ...string) *vm.System {
+// loadApps returns a system with libc and the named apps registered.
+func loadApps(t *testing.T, names ...string) *vm.System {
 	t.Helper()
 	sys := vm.NewSystem(vm.Options{})
 	lc, err := libc.Compile()
@@ -49,7 +50,7 @@ func TestAllAppsCompile(t *testing.T) {
 }
 
 func TestHttpdServesStaticAndPHP(t *testing.T) {
-	sys := newSystem(t, "httpd")
+	sys := loadApps(t, "httpd")
 	for p, data := range apps.WWWFiles() {
 		sys.Kernel().AddFile(p, data)
 	}
@@ -97,7 +98,7 @@ func TestHttpdServesStaticAndPHP(t *testing.T) {
 }
 
 func TestMinidbTransactions(t *testing.T) {
-	sys := newSystem(t, "minidb")
+	sys := loadApps(t, "minidb")
 	if _, err := sys.Spawn("minidb", vm.SpawnConfig{}); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestMinidbTransactions(t *testing.T) {
 }
 
 func TestOLTPWorkloads(t *testing.T) {
-	sys := newSystem(t, "minidb")
+	sys := loadApps(t, "minidb")
 	if _, err := sys.Spawn("minidb", vm.SpawnConfig{}); err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestOLTPWorkloads(t *testing.T) {
 }
 
 func TestPidginCleanRunResolvesAll(t *testing.T) {
-	sys := newSystem(t, "pidgin", "resolver")
+	sys := loadApps(t, "pidgin", "resolver")
 	p, err := sys.Spawn("pidgin", vm.SpawnConfig{})
 	if err != nil {
 		t.Fatal(err)

@@ -42,7 +42,7 @@ func TestNewServerAppsCompile(t *testing.T) {
 func driveClean(t *testing.T, server string, extra ...string) *vm.Proc {
 	t.Helper()
 	client := apps.AvailClientName(server)
-	sys := newSystem(t, append([]string{server, client}, extra...)...)
+	sys := loadApps(t, append([]string{server, client}, extra...)...)
 	for p, data := range apps.WWWFiles() {
 		sys.Kernel().AddFile(p, data)
 	}

@@ -3,11 +3,14 @@
 // interceptor library, drives the injection at run time, records an
 // injection log and generates replay scripts.
 //
-// Following Figure 3, the stub generator emits one SIA-32 interception
-// stub per function named in the scenario, combines them with boilerplate
-// (a call counter and the dlsym(RTLD_NEXT)-style tail jump), and the
-// result is a real SLEF library that the VM loader preloads ahead of the
-// original libraries — the LD_PRELOAD analogue. Each stub:
+// Following Figure 3, the stub generator (NewStubSet) emits one SIA-32
+// interception stub per function of an interception surface, combines
+// them with boilerplate (a call counter and the dlsym(RTLD_NEXT)-style
+// tail jump), and the result is a real SLEF library that the VM loader
+// preloads ahead of the original libraries — the LD_PRELOAD analogue.
+// A controller (NewWithStubs) binds one compiled scenario to such a
+// surface; stubs for functions the scenario does not name pass
+// through. Each stub:
 //
 //  1. increments its static call counter (as in the paper's stub sketch);
 //  2. calls the trigger evaluator with its function id;
@@ -32,7 +35,6 @@ import (
 	"strconv"
 	"strings"
 
-	"lfi/internal/obj"
 	"lfi/internal/profile"
 	"lfi/internal/scenario"
 	"lfi/internal/vm"
@@ -140,9 +142,6 @@ const backtraceDepth = 6
 // Controller drives one fault-injection campaign.
 type Controller struct {
 	cp *scenario.CompiledPlan
-	// err is a deferred plan-compilation error, surfaced by Install and
-	// StubLibrary so construction stays infallible.
-	err error
 
 	// fidToFunc names each stub's function by fid; fidIndex maps the fid
 	// to 1 + the function's scenario.FuncIndex in the plan, or 0 when no
@@ -162,52 +161,8 @@ type Controller struct {
 	PassThrough bool
 }
 
-// New creates a controller for the given profiles and scenario. The
-// plan is compiled immediately (one compilation per campaign); a
-// compile error is reported by Install/StubLibrary.
-func New(set profile.Set, plan *scenario.Plan) *Controller {
-	c := &Controller{evals: make(map[int]*scenario.Evaluator)}
-	c.cp, c.err = scenario.Compile(plan, set)
-	return c
-}
-
 // Log returns the injection records so far.
 func (c *Controller) Log() []InjectionRecord { return append([]InjectionRecord(nil), c.log...) }
-
-// StubLibrary synthesises (once) the interceptor library for every
-// function the plan names.
-func (c *Controller) StubLibrary() (*obj.File, error) {
-	if c.err != nil {
-		return nil, fmt.Errorf("controller: %w", c.err)
-	}
-	if c.stubs != nil {
-		return c.stubs.lib, nil
-	}
-	fns := c.cp.Functions()
-	if len(fns) == 0 {
-		return nil, fmt.Errorf("controller: %w", ErrNoTriggers)
-	}
-	ss, err := NewStubSet(fns)
-	if err != nil {
-		return nil, err
-	}
-	c.bind(ss)
-	return ss.lib, nil
-}
-
-// bind attaches the stub set and resolves, once, which of its fids the
-// plan triggers on: the per-call path then indexes a slice instead of
-// hashing a function name.
-func (c *Controller) bind(ss *StubSet) {
-	c.stubs = ss
-	c.fidToFunc = ss.fns
-	c.fidIndex = make([]int32, len(ss.fns))
-	for fi, fn := range c.cp.Functions() {
-		if fid := sort.SearchStrings(ss.fns, fn); fid < len(ss.fns) && ss.fns[fid] == fn {
-			c.fidIndex[fid] = int32(fi + 1)
-		}
-	}
-}
 
 // GenerateStubSource emits the interceptor library's assembly: per-function
 // stubs plus shared boilerplate, mirroring the paper's §5.1 stub shape.
@@ -249,14 +204,10 @@ func GenerateStubSource(fns []string) string {
 }
 
 // Install registers the stub library and the trigger-evaluation host
-// function with the system. Spawn the target with PreloadList() to enable
-// interception.
+// function with the system. Spawn the target with the stub set's
+// PreloadList() to enable interception.
 func (c *Controller) Install(sys *vm.System) error {
-	stub, err := c.StubLibrary()
-	if err != nil {
-		return err
-	}
-	sys.Register(stub)
+	sys.Register(c.stubs.lib)
 	c.spin.c = c
 	sys.RegisterHostSpin(evalHostFunc, c.evalTrigger, &c.spin)
 	return nil
@@ -309,10 +260,6 @@ func (s *evalSpin) Counter(p *vm.Proc, addr uint32) bool {
 	im, ok := p.ImageByName(StubLibName)
 	return ok && s.c.stubs.counter(int32(addr-im.DataBase))
 }
-
-// PreloadList returns the preload set for SpawnConfig (the LD_PRELOAD
-// line).
-func (c *Controller) PreloadList() []string { return []string{StubLibName} }
 
 // evaluatorFor returns (creating on demand) the per-process evaluator;
 // call counts and random streams are per process, like the static

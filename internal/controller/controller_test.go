@@ -57,11 +57,14 @@ func runWithPlan(t *testing.T, src string, plan *scenario.Plan, set profile.Set)
 	sys.Register(lc)
 	sys.Register(exe)
 
-	ctl := controller.New(set, plan)
+	ctl, err := controller.NewForPlan(set, plan)
+	if err != nil {
+		t.Fatalf("bind controller: %v", err)
+	}
 	if err := ctl.Install(sys); err != nil {
 		t.Fatalf("install controller: %v", err)
 	}
-	p, err := sys.Spawn("app", vm.SpawnConfig{Preload: ctl.PreloadList()})
+	p, err := sys.Spawn("app", vm.SpawnConfig{Preload: []string{controller.StubLibName}})
 	if err != nil {
 		t.Fatalf("spawn: %v", err)
 	}
@@ -250,15 +253,16 @@ func TestBacktraceDepthCap(t *testing.T) {
 	}
 }
 
-func TestCompileErrorSurfacesAtInstall(t *testing.T) {
+// TestCompileErrorSurfacesBeforeBind: a controller binds only a
+// compiled plan, so a malformed trigger is rejected, with its position,
+// before any stub is synthesised or run.
+func TestCompileErrorSurfacesBeforeBind(t *testing.T) {
 	plan := &scenario.Plan{Triggers: []scenario.Trigger{{
 		Function: "close", Inject: 1, Retval: "not-a-number",
 	}}}
-	ctl := controller.New(libcProfiles(t), plan)
-	sys := vm.NewSystem(vm.Options{})
-	err := ctl.Install(sys)
+	_, err := controller.NewForPlan(libcProfiles(t), plan)
 	if err == nil {
-		t.Fatal("unparsable retval must fail Install, not be skipped at fire time")
+		t.Fatal("unparsable retval must fail before the run, not be skipped at fire time")
 	}
 	if !strings.Contains(err.Error(), `trigger 0 (function "close")`) ||
 		!strings.Contains(err.Error(), "not-a-number") {
@@ -385,11 +389,14 @@ int main(void) {
 	sys.Register(lc)
 	sys.Register(exe)
 	sys.Register(child)
-	ctl := controller.New(set, plan)
+	ctl, err := controller.NewForPlan(set, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := ctl.Install(sys); err != nil {
 		t.Fatal(err)
 	}
-	p, err := sys.Spawn("app", vm.SpawnConfig{Preload: ctl.PreloadList()})
+	p, err := sys.Spawn("app", vm.SpawnConfig{Preload: []string{controller.StubLibName}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,11 +30,14 @@ func buildAndRun(t *testing.T, libs map[string]string, appSrc string, plan *scen
 		t.Fatalf("compile app: %v", err)
 	}
 	sys.Register(app)
-	ctl := controller.New(profile.Set{}, plan)
+	ctl, err := controller.NewForPlan(profile.Set{}, plan)
+	if err != nil {
+		t.Fatalf("bind: %v", err)
+	}
 	if err := ctl.Install(sys); err != nil {
 		t.Fatalf("install: %v", err)
 	}
-	p, err := sys.Spawn("app", vm.SpawnConfig{Preload: ctl.PreloadList()})
+	p, err := sys.Spawn("app", vm.SpawnConfig{Preload: []string{controller.StubLibName}})
 	if err != nil {
 		t.Fatalf("spawn: %v", err)
 	}

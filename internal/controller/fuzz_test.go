@@ -81,11 +81,14 @@ int main(void) {
 		sys := vm.NewSystem(vm.Options{})
 		sys.Register(lc)
 		sys.Register(app)
-		ctl := controller.New(libcProfiles(t), plan)
+		ctl, err := controller.NewForPlan(libcProfiles(t), plan)
+		if err != nil {
+			t.Fatalf("plan %d: bind: %v", i, err)
+		}
 		if err := ctl.Install(sys); err != nil {
 			t.Fatalf("plan %d: install: %v", i, err)
 		}
-		p, err := sys.Spawn("stress", vm.SpawnConfig{Preload: ctl.PreloadList()})
+		p, err := sys.Spawn("stress", vm.SpawnConfig{Preload: []string{controller.StubLibName}})
 		if err != nil {
 			t.Fatalf("plan %d: spawn: %v", i, err)
 		}

@@ -73,17 +73,9 @@ int main(void) {
 		{Function: "a_op", Inject: 1, Retval: "-10"},
 		{Function: "b_op", Inject: 1, Retval: "-20"},
 	}}
-	ctl := controller.New(set, plan)
-	stub, err := ctl.StubLibrary()
+	ctl, err := controller.NewForPlan(set, plan)
 	if err != nil {
 		t.Fatal(err)
-	}
-	// One synthesized library carries stubs for both original libraries.
-	if _, ok := stub.LookupExport("a_op"); !ok {
-		t.Error("stub library missing a_op")
-	}
-	if _, ok := stub.LookupExport("b_op"); !ok {
-		t.Error("stub library missing b_op")
 	}
 
 	sys := vm.NewSystem(vm.Options{})
@@ -93,9 +85,19 @@ int main(void) {
 	if err := ctl.Install(sys); err != nil {
 		t.Fatal(err)
 	}
-	p, err := sys.Spawn("app", vm.SpawnConfig{Preload: ctl.PreloadList()})
+	p, err := sys.Spawn("app", vm.SpawnConfig{Preload: []string{controller.StubLibName}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// One synthesized library carries stubs for both original libraries.
+	stub, ok := p.ImageByName(controller.StubLibName)
+	if !ok {
+		t.Fatal("stub library not preloaded")
+	}
+	for _, fn := range []string{"a_op", "b_op"} {
+		if _, ok := stub.File.LookupExport(fn); !ok {
+			t.Errorf("stub library missing %s", fn)
+		}
 	}
 	if err := sys.Run(10_000_000); err != nil {
 		t.Fatal(err)

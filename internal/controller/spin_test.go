@@ -146,7 +146,11 @@ func spinSystem(t *testing.T, engine string, opts vm.Options, c spinCase) *spinR
 		}
 		sys.Register(f)
 	}
-	r := &spinRun{sys: sys, ctl: New(nil, c.plan)}
+	ctl, err := NewForPlan(nil, c.plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &spinRun{sys: sys, ctl: ctl}
 	if err := r.ctl.Install(sys); err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +162,7 @@ func spinSystem(t *testing.T, engine string, opts vm.Options, c spinCase) *spinR
 		}
 		return r.ctl.evalTrigger(hc)
 	}, &r.ctl.spin)
-	p, err := sys.Spawn("spincli", vm.SpawnConfig{Preload: r.ctl.PreloadList()})
+	p, err := sys.Spawn("spincli", vm.SpawnConfig{Preload: []string{StubLibName}})
 	if err != nil {
 		t.Fatal(err)
 	}

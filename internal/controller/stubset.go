@@ -176,8 +176,8 @@ func (ss *StubSet) InstallTemplate(sys *vm.System) {
 	sys.RegisterHost(evalHostFunc, func(*vm.HostCall) int32 { return 0 })
 }
 
-// PreloadList returns the preload set for SpawnConfig — identical to
-// the controller's, exposed here so template spawns need no controller.
+// PreloadList returns the preload set for SpawnConfig (the LD_PRELOAD
+// line).
 func (ss *StubSet) PreloadList() []string { return []string{StubLibName} }
 
 // NewWithStubs creates a controller that drives the compiled plan
@@ -187,8 +187,17 @@ func (ss *StubSet) PreloadList() []string { return []string{StubLibName} }
 // restore half of the fork-server runtime — the stub set and compiled
 // plan are shared immutably while each controller owns only the thin
 // per-run state (evaluators and the injection log).
+//
+// Binding resolves, once, which of the set's fids the plan triggers on:
+// the per-call path then indexes a slice instead of hashing a function
+// name.
 func NewWithStubs(ss *StubSet, cp *scenario.CompiledPlan) *Controller {
-	c := &Controller{cp: cp, evals: make(map[int]*scenario.Evaluator)}
-	c.bind(ss)
+	c := &Controller{cp: cp, stubs: ss, fidToFunc: ss.fns, evals: make(map[int]*scenario.Evaluator)}
+	c.fidIndex = make([]int32, len(ss.fns))
+	for fi, fn := range cp.Functions() {
+		if fid := sort.SearchStrings(ss.fns, fn); fid < len(ss.fns) && ss.fns[fid] == fn {
+			c.fidIndex[fid] = int32(fi + 1)
+		}
+	}
 	return c
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"lfi/internal/kernel"
 	"lfi/internal/profile"
@@ -200,81 +199,11 @@ func ClassifyAvail(rep, base *Report, latencyPct int) AvailClass {
 // triggers are call-keyed, so availability sweeps shard, resume and
 // memoize like every other matrix.
 func AvailabilityExperiments(set profile.Set, after int32) []Experiment {
-	var out []Experiment
-	libs := make([]string, 0, len(set))
-	for lib := range set {
-		libs = append(libs, lib)
-	}
-	sort.Strings(libs)
-	window := func() []scenario.Cond { return []scenario.Cond{scenario.Calls(after, 0, 0)} }
-	for _, lib := range libs {
-		for _, fn := range set[lib].Functions {
-			for _, ec := range fn.ErrorCodes {
-				exp := Experiment{Library: lib, Function: fn.Name, Retval: ec.Retval}
-				// Inject stays 0: the <calls> window alone decides the
-				// fire site (Inject=1 would demand the first call AND a
-				// call past the window — unsatisfiable together).
-				trigger := scenario.Trigger{
-					Function: fn.Name,
-					Retval:   fmt.Sprint(ec.Retval),
-					Once:     true,
-					Conds:    window(),
-				}
-				if errno, ok := errnoSideEffect(ec); ok {
-					exp.HasErrno = true
-					exp.Errno = errno
-					trigger.Errno = errnoLabel(errno)
-				}
-				exp.Plan = &scenario.Plan{Triggers: []scenario.Trigger{trigger}}
-				if cp, err := scenario.Compile(exp.Plan, set); err == nil {
-					exp.Compiled = cp
-				}
-				out = append(out, exp)
-			}
-			models := []struct {
-				label   string
-				trigger scenario.Trigger
-			}{
-				{
-					label: fmt.Sprintf("delay=%d", AvailDelaySlowCycles),
-					trigger: scenario.Trigger{
-						Function: fn.Name, Once: true, Conds: window(),
-						Delay: &scenario.Delay{Cycles: AvailDelaySlowCycles},
-					},
-				},
-				{
-					label: fmt.Sprintf("delay=%d", AvailDelayWedgeCycles),
-					trigger: scenario.Trigger{
-						Function: fn.Name, Once: true, Conds: window(),
-						Delay: &scenario.Delay{Cycles: AvailDelayWedgeCycles},
-					},
-				},
-				{
-					label: "exhaust=disk:after=0",
-					trigger: scenario.Trigger{
-						Function: fn.Name, Once: true, Conds: window(),
-						Exhaust: &scenario.Exhaust{Resource: scenario.ResourceDisk, After: 0},
-					},
-				},
-				{
-					label: "exhaust=fds:slots=0",
-					trigger: scenario.Trigger{
-						Function: fn.Name, Once: true, Conds: window(),
-						Exhaust: &scenario.Exhaust{Resource: scenario.ResourceFDs, Slots: 0},
-					},
-				},
-			}
-			for _, m := range models {
-				exp := Experiment{Library: lib, Function: fn.Name, Fault: m.label}
-				exp.Plan = &scenario.Plan{Triggers: []scenario.Trigger{m.trigger}}
-				if cp, err := scenario.Compile(exp.Plan, set); err == nil {
-					exp.Compiled = cp
-				}
-				out = append(out, exp)
-			}
-		}
-	}
-	return out
+	// Inject stays 0: the <calls> window alone decides the fire site
+	// (Inject=1 would demand the first call AND a call past the window —
+	// unsatisfiable together).
+	window := scenario.Trigger{Once: true, Conds: []scenario.Cond{scenario.Calls(after, 0, 0)}}
+	return expand(set, window, true, []uint64{AvailDelaySlowCycles, AvailDelayWedgeCycles})
 }
 
 // errnoSideEffect extracts the TLS-errno side effect of one profiled

@@ -64,12 +64,15 @@
 //
 // Every sweep runs one guest: the executable spawned with a single
 // interceptor stub library preloaded, synthesised for the union of
-// every function any experiment intercepts (ZOFI's fork-server trade;
-// a standalone Campaign instead preloads stubs for its own faultload's
-// functions, as the paper's controller does). Each run — the baseline
-// included — binds only its own compiled faultload to that surface
-// through a thin controller (controller.NewWithStubs); stubs for
-// functions the faultload does not name pass through. The production
+// every function any experiment intercepts (ZOFI's fork-server trade).
+// Each run — the baseline included — binds only its own compiled
+// faultload to that surface through a thin controller
+// (controller.NewWithStubs); stubs for functions the faultload does not
+// name pass through. The executor's template (snapshot.go) is the only
+// guest builder: a standalone Campaign is its fresh path for a single
+// experiment, so its surface is that faultload's functions, as the
+// paper's controller's is, and its report equals the one a
+// one-experiment oracle sweep produces. The production
 // executor, SweepOptions.Snapshot, pays the load pipeline once:
 //
 //  1. Template build (once): register programs and kernel files,
@@ -120,7 +123,6 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 
 	"lfi/internal/controller"
@@ -213,9 +215,12 @@ type CampaignConfig struct {
 	Avail *AvailSpec
 }
 
-// Campaign is a configured injection experiment.
+// Campaign is one fault-injection run: the sweep executor's template
+// for a single experiment, built fresh. Its interception surface is
+// the functions its own faultload names, as the paper's controller
+// synthesises it.
 type Campaign struct {
-	cfg CampaignConfig
+	r   *snapshotRunner
 	sys *vm.System
 	ctl *controller.Controller
 }
@@ -255,42 +260,41 @@ type Report struct {
 	Coverage int
 }
 
-// NewCampaign builds the system: registers programs, installs kernel
-// files, synthesises and installs the interceptor library, and spawns the
-// executable with the interceptor preloaded.
+// NewCampaign builds the system: it registers programs, installs
+// kernel files, synthesises the interceptor library for the plan's
+// functions, spawns the executable with it preloaded and binds the
+// compiled plan. A nil Plan runs uninstrumented.
 func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
-	c := &Campaign{cfg: cfg, sys: vm.NewSystem(cfg.VM)}
-	for _, f := range cfg.Programs {
-		c.sys.Register(f)
+	exp := Experiment{Plan: cfg.Plan}
+	r, err := newSnapshotRunner(cfg, []Experiment{exp}, SweepOptions{})
+	if err != nil {
+		return nil, err
 	}
-	for path, data := range cfg.Files {
-		c.sys.Kernel().AddFile(path, data)
+	cp, err := r.compile(&exp)
+	if err != nil {
+		return nil, err
 	}
-	spawnCfg := vm.SpawnConfig{}
-	if cfg.Plan != nil {
-		c.ctl = controller.New(cfg.Profiles, cfg.Plan)
-		if err := c.ctl.Install(c.sys); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		spawnCfg.Preload = c.ctl.PreloadList()
+	sys, err := r.spawn(cfg.VM)
+	if err != nil {
+		return nil, err
 	}
-	if _, err := c.sys.Spawn(cfg.Executable, spawnCfg); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+	ctl, err := r.bind(sys, cp)
+	if err != nil {
+		return nil, err
 	}
-	return c, nil
+	return &Campaign{r: r, sys: sys, ctl: ctl}, nil
 }
 
 // Controller returns the injection controller (nil without a plan).
 func (c *Campaign) Controller() *controller.Controller { return c.ctl }
 
+// System returns the campaign's VM, for workloads that drive the guest
+// themselves (traffic generators, steppers) instead of calling Run.
+func (c *Campaign) System() *vm.System { return c.sys }
+
 // Run executes to completion (budget 0 = unlimited) and reports.
 func (c *Campaign) Run(budget uint64) (*Report, error) {
-	err := c.sys.Run(budget) // sequenced: status/cycles are read post-run
-	rep, rerr := assembleReport(err, c.sys, c.ctl, c.cfg.Avail)
-	if c.cfg.VM.Coverage {
-		rep.Coverage = coveredInsts(c.sys)
-	}
-	return rep, rerr
+	return c.r.report(c.sys, c.ctl, c.sys.Run(budget))
 }
 
 // assembleReport turns a finished run (fresh-spawn or snapshot-restore)

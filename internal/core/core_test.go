@@ -1,14 +1,15 @@
 package core_test
 
 import (
+	"errors"
 	"testing"
 
+	"lfi/internal/controller"
 	"lfi/internal/core"
 	"lfi/internal/libc"
 	"lfi/internal/minic"
 	"lfi/internal/obj"
 	"lfi/internal/scenario"
-	"lfi/internal/vm"
 )
 
 const appSrc = `
@@ -196,8 +197,7 @@ func TestCampaignErrors(t *testing.T) {
 		Programs:   []*obj.File{lc},
 		Executable: "app",
 		Plan:       &scenario.Plan{}, // no triggers
-	}); err == nil {
-		t.Error("empty plan must fail stub synthesis")
+	}); !errors.Is(err, controller.ErrNoTriggers) {
+		t.Errorf("empty plan: err = %v, want %v", err, controller.ErrNoTriggers)
 	}
-	_ = vm.Options{}
 }

@@ -23,7 +23,8 @@ import (
 //     as a vm.Snapshot, and each run restores from it in O(writable
 //     bytes);
 //   - with snap nil (the fresh-spawn oracle of SweepOptions{}), every
-//     run builds the template anew.
+//     run builds the template anew. A standalone Campaign is this path
+//     for its one experiment.
 //
 // Cycle counts, injection logs, budget verdicts and availability
 // envelopes are therefore equal on both paths by construction.
@@ -56,7 +57,7 @@ func newSnapshotRunner(cfg CampaignConfig, exps []Experiment, opts SweepOptions)
 	if len(fns) > 0 {
 		stubs, err := controller.NewStubSet(fns)
 		if err != nil {
-			return nil, fmt.Errorf("core: sweep: %w", err)
+			return nil, fmt.Errorf("core: %w", err)
 		}
 		r.stubs = stubs
 	}
@@ -288,20 +289,9 @@ func (r *snapshotRunner) run(exp Experiment, base *Report, budget uint64) (Sweep
 		defer r.memo.release(r.memo.home(&exp))
 	}
 	entry := exp.entry()
-	cp := exp.Compiled
-	switch {
-	case cp != nil:
-	case exp.Plan == nil:
-		cp = r.passthru
-	default:
-		var err error
-		cp, err = scenario.Compile(exp.Plan, r.cfg.Profiles)
-		if err != nil {
-			return entry, nil, fmt.Errorf("core: %w", err)
-		}
-	}
-	if cp != r.passthru && len(cp.Functions()) == 0 {
-		return entry, nil, fmt.Errorf("core: controller: %w", controller.ErrNoTriggers)
+	cp, err := r.compile(&exp)
+	if err != nil {
+		return entry, nil, err
 	}
 	sys, ctl, err := r.start(&exp, cp, budget)
 	if err != nil {
@@ -313,6 +303,28 @@ func (r *snapshotRunner) run(exp Experiment, base *Report, budget uint64) (Sweep
 	}
 	entry.classify(rep, base, r.cfg.Avail)
 	return entry, rep, nil
+}
+
+// compile returns an experiment's faultload: its precompiled plan, the
+// pass-through plan when it has none, or its plan compiled against the
+// campaign's profiles. A faultload that names no function has no fault
+// to inject and is an error.
+func (r *snapshotRunner) compile(exp *Experiment) (*scenario.CompiledPlan, error) {
+	cp := exp.Compiled
+	switch {
+	case cp != nil:
+	case exp.Plan == nil:
+		return r.passthru, nil
+	default:
+		var err error
+		if cp, err = scenario.Compile(exp.Plan, r.cfg.Profiles); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+	}
+	if len(cp.Functions()) == 0 {
+		return nil, fmt.Errorf("core: controller: %w", controller.ErrNoTriggers)
+	}
+	return cp, nil
 }
 
 // start restores one run's system and binds its faultload. A member of

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -14,8 +15,9 @@ import (
 // every experiment runs for the same number of cycles, logs the same
 // injections and renders the same row — at the default budget and at a
 // tight one, where all must fail alike. An independent leg runs each
-// experiment alone through NewCampaign (the per-faultload interceptor)
-// and checks it classifies as the sweep does.
+// experiment alone through NewCampaign, whose stubs cover only its own
+// faultload's functions, and checks it classifies as the sweep does on
+// the union surface.
 func TestSweepSnapshotIdentical(t *testing.T) {
 	cfg, set := mixedTarget(t)
 	exps := core.PlanExperiments(set)
@@ -58,6 +60,37 @@ func TestSweepSnapshotIdentical(t *testing.T) {
 			rep.Status.Code != e.ExitCode || rep.Status.Signal != e.Signal {
 			t.Errorf("%s: alone %s (exit %d, signal %d), in the sweep %s (exit %d, signal %d)",
 				exp.Key(), got, rep.Status.Code, rep.Status.Signal, e.Outcome, e.ExitCode, e.Signal)
+		}
+	}
+}
+
+// TestCampaignIsOneExperimentOracle: a standalone campaign is the sweep
+// executor's one-run fresh path, so its report equals the one a
+// one-experiment oracle sweep hands OnResult — cycles, injections,
+// replay plan, crash stack and coverage included.
+func TestCampaignIsOneExperimentOracle(t *testing.T) {
+	cfg, set := mixedTarget(t)
+	cfg.VM.Coverage = true
+	for _, exp := range core.PlanExperiments(set) {
+		one := cfg
+		one.Plan = exp.Plan
+		c, err := core.NewCampaign(one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := c.Run(core.DefaultSweepBudget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want *core.Report
+		if _, err := core.RunExperiments(cfg, []core.Experiment{exp}, core.DefaultSweepBudget, core.SweepOptions{
+			Workers:  1,
+			OnResult: func(_ *core.Experiment, _ core.SweepEntry, r *core.Report) { want = r },
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if want == nil || want.Coverage == 0 || !reflect.DeepEqual(rep, want) {
+			t.Errorf("%s: campaign report\n%+v\nsweep report\n%+v", exp.Key(), rep, want)
 		}
 	}
 }

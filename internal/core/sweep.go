@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -208,38 +209,73 @@ func (exp *Experiment) Key() string {
 // lexicographic library order. This is the generator half of a sweep; the
 // executor half is RunExperiments.
 func PlanExperiments(set profile.Set) []Experiment {
-	var out []Experiment
+	return expand(set, scenario.Trigger{Inject: 1, Once: true}, true, nil)
+}
+
+// expand is the one experiment-matrix generator. For every profiled
+// function (libraries in lexicographic order, functions in profile
+// order) it emits these experiments, each armed by the trigger arm:
+//   - with errorReturns, one error return per profiled error code,
+//     which also stores the code's errno side effect;
+//   - with delays non-nil, one latency injection per delay, then a
+//     disk-full and an fd-saturation degradation.
+//
+// Each experiment owns a one-trigger plan, pre-compiled against set so
+// that every run and worker shares one immutable compiled plan. The
+// order is deterministic, so sweeps shard, resume and memoize
+// identically.
+func expand(set profile.Set, arm scenario.Trigger, errorReturns bool, delays []uint64) []Experiment {
 	libs := make([]string, 0, len(set))
 	for lib := range set {
 		libs = append(libs, lib)
 	}
 	sort.Strings(libs)
+	// Fault labels are computed once and shared: strings are immutable.
+	delayLabels := make([]string, len(delays))
+	for i, d := range delays {
+		delayLabels[i] = fmt.Sprintf("delay=%d", d)
+	}
+	diskLabel := fmt.Sprintf("exhaust=disk:after=%d", DegradationDiskBytes)
+	fdsLabel := fmt.Sprintf("exhaust=fds:slots=%d", DegradationFDSlots)
+	var out []Experiment
+	add := func(exp Experiment, fault string, t scenario.Trigger) {
+		exp.Fault = fault
+		t.Function = exp.Function
+		t.Conds = slices.Clone(t.Conds)
+		exp.Plan = &scenario.Plan{Triggers: []scenario.Trigger{t}}
+		// Generated triggers always compile.
+		if cp, err := scenario.Compile(exp.Plan, set); err == nil {
+			exp.Compiled = cp
+		}
+		out = append(out, exp)
+	}
 	for _, lib := range libs {
 		for _, fn := range set[lib].Functions {
-			for _, ec := range fn.ErrorCodes {
-				exp := Experiment{
-					Library: lib, Function: fn.Name, Retval: ec.Retval,
+			row := Experiment{Library: lib, Function: fn.Name}
+			if errorReturns {
+				for _, ec := range fn.ErrorCodes {
+					exp, t := row, arm
+					exp.Retval, t.Retval = ec.Retval, fmt.Sprint(ec.Retval)
+					if errno, ok := errnoSideEffect(ec); ok {
+						exp.HasErrno, exp.Errno, t.Errno = true, errno, errnoLabel(errno)
+					}
+					add(exp, "", t)
 				}
-				trigger := scenario.Trigger{
-					Function: fn.Name,
-					Inject:   1,
-					Retval:   fmt.Sprint(ec.Retval),
-					Once:     true,
-				}
-				if errno, ok := errnoSideEffect(ec); ok {
-					exp.HasErrno = true
-					exp.Errno = errno
-					trigger.Errno = errnoLabel(errno)
-				}
-				exp.Plan = &scenario.Plan{Triggers: []scenario.Trigger{trigger}}
-				// Generated triggers always compile; sharing the
-				// immutable compiled form across runs and workers
-				// replaces the old defensive per-run plan clone.
-				if cp, err := scenario.Compile(exp.Plan, set); err == nil {
-					exp.Compiled = cp
-				}
-				out = append(out, exp)
 			}
+			if delays == nil {
+				continue
+			}
+			for i, d := range delays {
+				t := arm
+				t.Delay = &scenario.Delay{Cycles: d}
+				add(row, delayLabels[i], t)
+			}
+			t := arm
+			t.Exhaust = &scenario.Exhaust{Resource: scenario.ResourceDisk, After: DegradationDiskBytes}
+			add(row, diskLabel, t)
+			t = arm
+			t.Exhaust = &scenario.Exhaust{Resource: scenario.ResourceFDs, Slots: DegradationFDSlots}
+			add(row, fdsLabel, t)
 		}
 	}
 	return out
@@ -272,51 +308,7 @@ const (
 // deterministic in the same lexicographic order as PlanExperiments,
 // so degradation sweeps shard, resume and memoize identically.
 func DegradationExperiments(set profile.Set) []Experiment {
-	var out []Experiment
-	libs := make([]string, 0, len(set))
-	for lib := range set {
-		libs = append(libs, lib)
-	}
-	sort.Strings(libs)
-	for _, lib := range libs {
-		for _, fn := range set[lib].Functions {
-			models := []struct {
-				label   string
-				trigger scenario.Trigger
-			}{
-				{
-					label: fmt.Sprintf("delay=%d", DegradationDelayCycles),
-					trigger: scenario.Trigger{
-						Function: fn.Name, Inject: 1, Once: true,
-						Delay: &scenario.Delay{Cycles: DegradationDelayCycles},
-					},
-				},
-				{
-					label: fmt.Sprintf("exhaust=disk:after=%d", DegradationDiskBytes),
-					trigger: scenario.Trigger{
-						Function: fn.Name, Inject: 1, Once: true,
-						Exhaust: &scenario.Exhaust{Resource: scenario.ResourceDisk, After: DegradationDiskBytes},
-					},
-				},
-				{
-					label: fmt.Sprintf("exhaust=fds:slots=%d", DegradationFDSlots),
-					trigger: scenario.Trigger{
-						Function: fn.Name, Inject: 1, Once: true,
-						Exhaust: &scenario.Exhaust{Resource: scenario.ResourceFDs, Slots: DegradationFDSlots},
-					},
-				},
-			}
-			for _, m := range models {
-				exp := Experiment{Library: lib, Function: fn.Name, Fault: m.label}
-				exp.Plan = &scenario.Plan{Triggers: []scenario.Trigger{m.trigger}}
-				if cp, err := scenario.Compile(exp.Plan, set); err == nil {
-					exp.Compiled = cp
-				}
-				out = append(out, exp)
-			}
-		}
-	}
-	return out
+	return expand(set, scenario.Trigger{Inject: 1, Once: true}, false, []uint64{DegradationDelayCycles})
 }
 
 // checkBaseline rejects crashed or wedged baselines — no classification

@@ -5,11 +5,11 @@ import (
 	"strings"
 
 	"lfi/internal/controller"
+	"lfi/internal/core"
 	"lfi/internal/libc"
 	"lfi/internal/minic"
 	"lfi/internal/obj"
 	"lfi/internal/scenario"
-	"lfi/internal/vm"
 )
 
 // correlatedAppSrc models a service loop under heap pressure: each
@@ -86,25 +86,25 @@ func Correlated() (*CorrelatedResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys := vm.NewSystem(vm.Options{})
-	sys.Register(lc)
-	sys.Register(app)
-	ctl := controller.New(nil, CorrelatedPlan())
-	if err := ctl.Install(sys); err != nil {
-		return nil, err
-	}
-	p, err := sys.Spawn("correlated", vm.SpawnConfig{Preload: ctl.PreloadList()})
+	c, err := core.NewCampaign(core.CampaignConfig{
+		Programs:   []*obj.File{lc, app},
+		Executable: "correlated",
+		Plan:       CorrelatedPlan(),
+	})
 	if err != nil {
 		return nil, err
 	}
-	if err := sys.Run(100_000_000); err != nil {
+	rep, err := c.Run(100_000_000)
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	if p.Status.Signal != 0 {
-		return nil, fmt.Errorf("correlated: app died on signal %d", p.Status.Signal)
+	case rep.Deadlocked:
+		return nil, fmt.Errorf("correlated: app hung after %d cycles", rep.Cycles)
+	case rep.Status.Signal != 0:
+		return nil, fmt.Errorf("correlated: app died on signal %d", rep.Status.Signal)
 	}
 
-	res := &CorrelatedResult{ExitCode: p.Status.Code, Log: ctl.Log()}
+	res := &CorrelatedResult{ExitCode: rep.Status.Code, Log: rep.Injections}
 	mallocSeen := false
 	for _, r := range res.Log {
 		switch r.Function {

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"lfi/internal/apps"
-	"lfi/internal/controller"
 	"lfi/internal/coverage"
 	"lfi/internal/scenario"
 	"lfi/internal/vm"
@@ -102,16 +101,16 @@ func DBCoverage(e *Env) (*CoverageResult, error) {
 // runSuite executes the regression suite; faultFuncs nil means no LFI.
 func (e *Env) runSuite(faultFuncs []string, probability float64) (images []*vm.Image, crashes, injections int, err error) {
 	for i, test := range regressionSuite() {
-		sys := e.newSystem(vm.Options{Coverage: true}, e.Minidb)
-		var ctl *controller.Controller
+		var plan *scenario.Plan
 		if faultFuncs != nil {
-			plan := scenario.RandomSubset(e.LibcProfiles, faultFuncs, probability, int64(1000+i))
-			ctl = controller.New(e.LibcProfiles, plan)
+			plan = scenario.RandomSubset(e.LibcProfiles, faultFuncs, probability, int64(1000+i))
 		}
-		proc, serr := e.spawnUnder(sys, ctl, "minidb")
+		c, serr := e.campaign("minidb", plan, vm.Options{Coverage: true}, nil, e.Minidb)
 		if serr != nil {
 			return nil, 0, 0, serr
 		}
+		sys := c.System()
+		proc := sys.Procs()[0]
 		if serr := workload.Settle(sys); serr != nil {
 			return nil, 0, 0, serr
 		}
@@ -126,7 +125,7 @@ func (e *Env) runSuite(faultFuncs []string, probability float64) (images []*vm.I
 		if proc.Exited && proc.Status.Signal != 0 {
 			crashes++
 		}
-		if ctl != nil {
+		if ctl := c.Controller(); ctl != nil {
 			injections += len(ctl.Log())
 		}
 		if im, ok := proc.ImageByName("minidb"); ok {

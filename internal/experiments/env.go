@@ -3,14 +3,17 @@
 // gaps, Figure 2's CFG). Each harness returns a result value with a
 // Render method that prints the paper-style rows; cmd/lfi-bench and the
 // top-level benchmarks drive them, and the BENCH_*.json files record
-// measured values.
+// measured values. Every guest the harnesses run comes from the core
+// executor: single runs are core.Campaigns (driven by their own
+// workload where the run serves traffic) and matrices are
+// core.RunExperiments sweeps.
 package experiments
 
 import (
 	"fmt"
 
 	"lfi/internal/apps"
-	"lfi/internal/controller"
+	"lfi/internal/core"
 	"lfi/internal/kernel"
 	"lfi/internal/libc"
 	"lfi/internal/obj"
@@ -74,35 +77,29 @@ func NewEnv() (*Env, error) {
 	return e, nil
 }
 
-// newSystem builds a VM system with libc registered plus the given
-// programs and kernel files.
-func (e *Env) newSystem(opts vm.Options, programs ...*obj.File) *vm.System {
-	sys := vm.NewSystem(opts)
-	sys.Register(e.Libc)
-	for _, f := range programs {
-		sys.Register(f)
-	}
-	return sys
-}
-
-// spawnUnder spawns exe with (optionally) the controller's interceptor
-// preloaded.
-func (e *Env) spawnUnder(sys *vm.System, ctl *controller.Controller, exe string) (*vm.Proc, error) {
-	cfg := vm.SpawnConfig{}
-	if ctl != nil {
-		if err := ctl.Install(sys); err != nil {
-			return nil, err
-		}
-		cfg.Preload = ctl.PreloadList()
-	}
-	return sys.Spawn(exe, cfg)
+// campaign builds a standalone campaign that runs exe, linked against
+// libc and the given programs, under plan (nil = no LFI) with libc's
+// profiles.
+func (e *Env) campaign(exe string, plan *scenario.Plan, opts vm.Options, files map[string][]byte, programs ...*obj.File) (*core.Campaign, error) {
+	return core.NewCampaign(core.CampaignConfig{
+		Programs:   append([]*obj.File{e.Libc}, programs...),
+		Executable: exe,
+		Profiles:   e.LibcProfiles,
+		Plan:       plan,
+		Files:      files,
+		VM:         opts,
+	})
 }
 
 // passthroughPlan builds an n-trigger plan over the hot function list
 // that evaluates on every call but never fires — the Tables 3/4
 // methodology ("LFI always passes the call through to the original
-// library after evaluating the trigger").
+// library after evaluating the trigger"). With n = 0 it is nil: the
+// baseline runs without LFI.
 func passthroughPlan(hot []string, n int) *scenario.Plan {
+	if n == 0 {
+		return nil
+	}
 	plan := &scenario.Plan{}
 	for i := 0; i < n; i++ {
 		plan.Triggers = append(plan.Triggers, scenario.Trigger{

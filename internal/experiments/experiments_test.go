@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lfi/internal/core"
+	"lfi/internal/vm"
 )
 
 var envCache *Env
@@ -231,6 +232,17 @@ func TestPidginBugFoundAndReplayed(t *testing.T) {
 		t.Errorf("clean run resolved %d, want 12", r.CleanExitCode)
 	}
 	t.Logf("\n%s", r.Render())
+}
+
+// TestPidginBudgetStopIsHang: a run stopped by its cycle budget is a
+// hang (code -1), as a deadlocked one is, so PidginBug moves on to the
+// next seed instead of failing.
+func TestPidginBudgetStopIsHang(t *testing.T) {
+	e := testEnv(t)
+	st, _, err := e.runPidgin(nil, 100)
+	if err != nil || st != (vm.ExitStatus{Code: -1}) {
+		t.Errorf("100-cycle clean run: status %+v, err %v; want code -1 and no error", st, err)
+	}
 }
 
 func TestDBCoverageImproves(t *testing.T) {

@@ -5,7 +5,8 @@ import (
 	"strings"
 
 	"lfi/internal/apps"
-	"lfi/internal/controller"
+	"lfi/internal/core"
+	"lfi/internal/obj"
 	"lfi/internal/vm"
 	"lfi/internal/workload"
 )
@@ -95,20 +96,23 @@ func Table4Cell(e *Env, triggers int, readWrite bool, txns int) (workload.OLTPRe
 	return e.runOLTP(triggers, kind, txns)
 }
 
+// overheadCampaign builds one Tables 3/4 cell: exe under n pass-through
+// triggers on its hot functions, every decision forced to call the
+// original (none without LFI).
+func (e *Env) overheadCampaign(exe string, hot []string, n int, files map[string][]byte, prog *obj.File) (*core.Campaign, error) {
+	c, err := e.campaign(exe, passthroughPlan(hot, n), vm.Options{}, files, prog)
+	if err == nil && c.Controller() != nil {
+		c.Controller().PassThrough = true
+	}
+	return c, err
+}
+
 func (e *Env) runAB(triggers int, path string, requests int) (workload.ABResult, error) {
-	sys := e.newSystem(vm.Options{}, e.Httpd)
-	for p, data := range apps.WWWFiles() {
-		sys.Kernel().AddFile(p, data)
-	}
-	var ctl *controller.Controller
-	if triggers > 0 {
-		ctl = controller.New(e.LibcProfiles, passthroughPlan(httpdHot, triggers))
-		ctl.PassThrough = true
-	}
-	if _, err := e.spawnUnder(sys, ctl, "httpd"); err != nil {
+	c, err := e.overheadCampaign("httpd", httpdHot, triggers, apps.WWWFiles(), e.Httpd)
+	if err != nil {
 		return workload.ABResult{}, err
 	}
-	r, err := workload.RunAB(sys, apps.HTTPPort, path, requests)
+	r, err := workload.RunAB(c.System(), apps.HTTPPort, path, requests)
 	if err != nil {
 		return r, err
 	}
@@ -208,16 +212,11 @@ func Table4(e *Env, txns int) (*Table4Result, error) {
 }
 
 func (e *Env) runOLTP(triggers int, kind workload.OLTPKind, txns int) (workload.OLTPResult, error) {
-	sys := e.newSystem(vm.Options{}, e.Minidb)
-	var ctl *controller.Controller
-	if triggers > 0 {
-		ctl = controller.New(e.LibcProfiles, passthroughPlan(dbHot, triggers))
-		ctl.PassThrough = true
-	}
-	if _, err := e.spawnUnder(sys, ctl, "minidb"); err != nil {
+	c, err := e.overheadCampaign("minidb", dbHot, triggers, nil, e.Minidb)
+	if err != nil {
 		return workload.OLTPResult{}, err
 	}
-	r, err := workload.RunOLTP(sys, apps.DBPort, kind, txns)
+	r, err := workload.RunOLTP(c.System(), apps.DBPort, kind, txns)
 	if err != nil {
 		return r, err
 	}

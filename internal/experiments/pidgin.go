@@ -34,7 +34,7 @@ type PidginResult struct {
 // "shortly after we entered the IM login details"), then replays it.
 func PidginBug(e *Env, maxSeeds int) (*PidginResult, error) {
 	// Baseline: without LFI pidgin resolves all 12 requests and exits 12.
-	clean, _, err := e.runPidgin(nil)
+	clean, _, err := e.runPidgin(nil, pidginBudget)
 	if err != nil {
 		return nil, err
 	}
@@ -44,7 +44,7 @@ func PidginBug(e *Env, maxSeeds int) (*PidginResult, error) {
 
 	for seed := int64(1); seed <= int64(maxSeeds); seed++ {
 		plan := scenario.LibcFileIO(e.LibcProfiles, 10, seed)
-		st, ctl, err := e.runPidgin(plan)
+		st, ctl, err := e.runPidgin(plan, pidginBudget)
 		if err != nil {
 			return nil, err
 		}
@@ -59,7 +59,7 @@ func PidginBug(e *Env, maxSeeds int) (*PidginResult, error) {
 			CleanExitCode: clean.Code,
 		}
 		// Replay: the generated script must reproduce the crash.
-		replaySt, _, err := e.runPidgin(ctl.ReplayPlan())
+		replaySt, _, err := e.runPidgin(ctl.ReplayPlan(), pidginBudget)
 		if err != nil {
 			return nil, err
 		}
@@ -72,27 +72,26 @@ func PidginBug(e *Env, maxSeeds int) (*PidginResult, error) {
 	return nil, fmt.Errorf("pidgin bug did not manifest in %d seeds", maxSeeds)
 }
 
-// runPidgin runs pidgin+resolver under the given plan (nil = no LFI).
-func (e *Env) runPidgin(plan *scenario.Plan) (vm.ExitStatus, *controller.Controller, error) {
-	sys := e.newSystem(vm.Options{}, e.Pidgin, e.Resolver)
-	var ctl *controller.Controller
-	if plan != nil {
-		ctl = controller.New(e.LibcProfiles, plan)
-	}
-	p, err := e.spawnUnder(sys, ctl, "pidgin")
+// pidginBudget is the cycle budget of each case-study run.
+const pidginBudget = 200_000_000
+
+// runPidgin runs pidgin+resolver under the given plan (nil = no LFI)
+// and cycle budget.
+func (e *Env) runPidgin(plan *scenario.Plan, budget uint64) (vm.ExitStatus, *controller.Controller, error) {
+	c, err := e.campaign("pidgin", plan, vm.Options{}, nil, e.Pidgin, e.Resolver)
 	if err != nil {
 		return vm.ExitStatus{}, nil, err
 	}
-	err = sys.Run(200_000_000)
-	if err != nil && err != vm.ErrDeadlock {
+	rep, err := c.Run(budget)
+	if err != nil {
 		return vm.ExitStatus{}, nil, err
 	}
-	if err == vm.ErrDeadlock && !p.Exited {
-		// The desync can also wedge parent and child; treat as a hang,
-		// not a crash.
-		return vm.ExitStatus{Code: -1}, ctl, nil
+	if rep.Deadlocked && !c.System().Procs()[0].Exited {
+		// The desync can also wedge parent and child, or spin them to
+		// the budget; treat either as a hang, not a crash.
+		return vm.ExitStatus{Code: -1}, c.Controller(), nil
 	}
-	return p.Status, ctl, nil
+	return rep.Status, c.Controller(), nil
 }
 
 // Render summarises the case study.
